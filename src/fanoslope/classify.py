@@ -248,15 +248,24 @@ def degree_regime_verdict(scenario, estimate, include_endpoint=True):
     Estimates that do not pin the answer down yield a conditional verdict
     carrying the exact residual inequality.
     """
-    s = scenario
+    _check_regime_hypotheses(scenario)
+    check_epsilon_consistency(scenario, estimate.lower)
+    return _regime_verdict(scenario, estimate, include_endpoint)
+
+
+def _check_regime_hypotheses(s):
     if not s.anticanonical:
         raise NotAnticanonical("degree regimes assume L = -K_X")
     if s.genus != 0:
         raise NonRationalCurve("degree regimes assume a genus-zero curve")
     if s.n < 3:
         raise DimensionTooSmall("degree regimes assume ambient dimension >= 3")
+
+
+def _regime_verdict(s, estimate, include_endpoint):
+    """degree_regime_verdict once its hypotheses and the consistency of
+    estimate.lower are checked."""
     n, d, p = s.n, s.degree, s.normal_degree
-    check_epsilon_consistency(s, estimate.lower)
     if p == 0:
         return _threshold_verdict(
             Fraction(n), estimate, "degree-regime(d=2)", include_endpoint
@@ -305,12 +314,15 @@ def classify_curve(scenario, estimate, flags=None, include_endpoint=True):
     First match wins: (1) positive genus, (2) Seshadri constant at most the
     codimension n - 1, (3) Picard rank one away from the projective-space
     line, (4) Fano index between 3 and n, (5) the genus-zero degree regimes.
+    Before any rule, the estimate's lower bound must pass
+    check_epsilon_consistency: no rule certifies inconsistent data.
     """
     s = scenario
     if flags is None:
         flags = ClassifyFlags()
     if not s.anticanonical:
         raise NotAnticanonical("stability verdicts assume L = -K_X")
+    check_epsilon_consistency(s, estimate.lower)
     if s.genus >= 1:
         return _stable("high-genus: only rational curves can destabilize")
     if estimate.upper is not None and compare(estimate.upper, s.n - 1) <= 0:
@@ -335,4 +347,5 @@ def classify_curve(scenario, estimate, flags=None, include_endpoint=True):
             "fano-index: index between 3 and n certifies stability "
             + flags.echo()
         )
-    return degree_regime_verdict(s, estimate, include_endpoint=include_endpoint)
+    _check_regime_hypotheses(s)
+    return _regime_verdict(s, estimate, include_endpoint)

@@ -128,6 +128,12 @@ def _parse_int(raw, context):
     return raw
 
 
+def _parse_bool(raw, context):
+    if not isinstance(raw, bool):
+        raise InvalidScenario(f"{context}: expected true or false, got {raw!r}")
+    return raw
+
+
 def _parse_flags(raw, context):
     if raw is None:
         return ClassifyFlags()
@@ -140,8 +146,10 @@ def _parse_flags(raw, context):
     if index is not None:
         index = _parse_int(index, context + ".fanoIndex")
     return ClassifyFlags(
-        is_pn=bool(raw.get("isPn", False)),
-        picard_rank_one=bool(raw.get("picardRankOne", False)),
+        is_pn=_parse_bool(raw.get("isPn", False), context + ".isPn"),
+        picard_rank_one=_parse_bool(
+            raw.get("picardRankOne", False), context + ".picardRankOne"
+        ),
         fano_index=index,
     )
 
@@ -158,7 +166,12 @@ def _parse_entry(raw):
     n = _parse_int(raw.get("n"), f"{name}.n")
     genus = _parse_int(raw.get("genus"), f"{name}.genus")
     degree = _parse_int(raw.get("degree"), f"{name}.degree")
-    anticanonical = bool(raw.get("anticanonical", False))
+    anticanonical = _parse_bool(
+        raw.get("anticanonical", False), f"{name}.anticanonical"
+    )
+    description = raw.get("description")
+    if "description" in raw and not isinstance(description, str):
+        raise InvalidScenario(f"{name}.description: expected a string")
     ln = parse_rational(raw.get("Ln"), f"{name}.Ln")
 
     splitting = None
@@ -219,7 +232,7 @@ def _parse_entry(raw):
         seshadri_spec=_normalize_seshadri_spec(raw["seshadri"], name),
         flags=_parse_flags(raw.get("flags"), name),
         splitting=splitting,
-        description=raw.get("description"),
+        description=description,
     )
 
 
@@ -328,9 +341,13 @@ def _normalize_step(step, context):
     if rule not in _PIPELINE_RULES:
         raise InvalidScenario(f"{context}: unknown rule {rule!r}")
     out = dict(step)
-    for key in ("degree", "multiplicity", "restricted"):
+    for key in ("degree", "multiplicity"):
         if key in out:
-            out[key] = dump_value(parse_value(out[key], f"{context}.{key}"))
+            out[key] = dump_value(parse_rational(out[key], f"{context}.{key}"))
+    if "restricted" in out:
+        out["restricted"] = dump_value(
+            parse_value(out["restricted"], f"{context}.restricted")
+        )
     return out
 
 
@@ -364,12 +381,12 @@ def _run_pipeline(steps, scenario):
             )
         elif rule == "witness_curve_upper":
             estimate = _seshadri.witness_curve_upper(
-                parse_value(step.get("degree"), context + ".degree")
+                parse_rational(step.get("degree"), context + ".degree")
             )
         elif rule == "proper_transform_upper":
             estimate = _seshadri.proper_transform_upper(
-                parse_value(step.get("degree"), context + ".degree"),
-                parse_value(step.get("multiplicity"), context + ".multiplicity"),
+                parse_rational(step.get("degree"), context + ".degree"),
+                parse_rational(step.get("multiplicity"), context + ".multiplicity"),
             )
         elif rule == "intersection_min_lower":
             estimate = _seshadri.intersection_min_lower(
@@ -394,7 +411,7 @@ def _run_pipeline(steps, scenario):
         elif rule == "point_upper_bound":
             estimate = _seshadri.point_upper_bound(
                 _parse_int(step.get("n"), context + ".n"),
-                bool(step.get("isPn", False)),
+                _parse_bool(step.get("isPn", False), context + ".isPn"),
             )
         elif rule == "certify_exact_by_restriction":
             estimate = _seshadri.certify_exact_by_restriction(
@@ -412,7 +429,12 @@ def _run_pipeline(steps, scenario):
         else:  # pragma: no cover - guarded by _normalize_step
             raise InvalidScenario(f"unknown rule {rule!r}")
         if "as" in step:
-            named[step["as"]] = estimate
+            label = step["as"]
+            if not isinstance(label, str) or not label:
+                raise InvalidScenario(
+                    f'{context}: "as" must be a non-empty name, got {label!r}'
+                )
+            named[label] = estimate
         previous = estimate
     return previous
 
@@ -518,6 +540,18 @@ def _print_verdict_block(entry, estimate, verdict, out):
         print(f"    - {rule}: {statement}", file=out)
 
 
+def _csv_field(text):
+    """One CSV field per RFC 4180: quoted, with inner quotes doubled, when
+    it holds a comma, a quote or a line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return _csv_quoted(text)
+    return text
+
+
+def _csv_quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _print_error_block(name, error, out):
     print(f"scenario: {name}", file=out)
     print(f"  error: {type(error).__name__}: {error}", file=out)
@@ -558,7 +592,10 @@ def cmd_classify(args, out=None):
         print("name,status,witness_lambda,rule", file=out)
         for record in records:
             if "error" in record:
-                print(f"{record['name']},error,,{record['error_type']}", file=out)
+                print(
+                    f"{_csv_field(record['name'])},error,,{record['error_type']}",
+                    file=out,
+                )
             else:
                 witness = record["witness_lambda"]
                 if isinstance(witness, dict):
@@ -566,9 +603,9 @@ def cmd_classify(args, out=None):
                         parse_value(witness, record["name"])
                     )
                 print(
-                    f"{record['name']},{record['status']},"
+                    f"{_csv_field(record['name'])},{record['status']},"
                     f"{witness if witness is not None else ''},"
-                    f"\"{record['rule']}\"",
+                    f"{_csv_quoted(record['rule'])}",
                     file=out,
                 )
     return 1 if failed else 0
@@ -670,7 +707,8 @@ def cmd_seshadri(args, out=None):
         upper = "" if estimate.upper is None else render_value(estimate.upper)
         exact = "" if not estimate.is_exact else render_value(estimate.exact)
         print(
-            f"{entry.name},{render_value(estimate.lower)},{upper},{exact}",
+            f"{_csv_field(entry.name)},{render_value(estimate.lower)},"
+            f"{upper},{exact}",
             file=out,
         )
     else:

@@ -57,10 +57,37 @@ def _squarefree_decompose(m):
     return s, k * rest
 
 
+_ZERO = Fraction(0)
+
+
 def _as_fraction(value):
+    if type(value) is Fraction:
+        return value
     if isinstance(value, _RationalABC):
         return Fraction(value)
     return None
+
+
+def _sign(a, b, m):
+    """Exact sign of ``a + b*sqrt(m)``: -1, 0, or 1.
+
+    ``a`` and ``b`` are rationals (int or Fraction) and ``m`` is the
+    square-free radicand whenever ``b`` is non-zero. Only integer products
+    of the parts are formed, never a Surd.
+    """
+    num = a.numerator
+    sign_a = (num > 0) - (num < 0)
+    if not b:
+        return sign_a
+    sign_b = 1 if b.numerator > 0 else -1
+    if sign_a == 0 or sign_a == sign_b:
+        return sign_b
+    # Opposite signs: compare a^2 with b^2*m, both scaled by the squared
+    # denominators. Equality would force sqrt(m) rational, impossible for
+    # square-free m >= 2.
+    left = (num * b.denominator) ** 2
+    right = (b.numerator * a.denominator) ** 2 * m
+    return sign_a if left > right else sign_b
 
 
 class Surd:
@@ -74,21 +101,24 @@ class Surd:
     __slots__ = ("rat", "coef", "rad")
 
     def __init__(self, rat=0, coef=0, rad=0):
-        rat = Fraction(rat)
-        coef = Fraction(coef)
+        if type(rat) is not Fraction:
+            rat = Fraction(rat)
+        if type(coef) is not Fraction:
+            coef = Fraction(coef)
         if not isinstance(rad, int):
             raise TypeError("radicand must be an int")
         if rad < 0:
             raise ValueError("radicand must be non-negative")
-        if coef != 0 and rad != 0:
+        if coef and rad:
             square, rad = _squarefree_decompose(rad)
-            coef *= square
+            if square != 1:
+                coef *= square
             if rad == 1:
                 rat += coef
-                coef = Fraction(0)
+                coef = _ZERO
                 rad = 0
         else:
-            coef = Fraction(0)
+            coef = _ZERO
             rad = 0
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "coef", coef)
@@ -118,19 +148,7 @@ class Surd:
 
     def sign(self):
         """Exact sign: -1, 0, or 1."""
-        a, b, m = self.rat, self.coef, self.rad
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # Opposite signs: compare a^2 with b^2*m. Equality would force
-        # sqrt(m) rational, impossible for square-free m >= 2.
-        left, right = a * a, b * b * m
-        if a > 0:
-            return 1 if left > right else -1
-        return 1 if right > left else -1
+        return _sign(self.rat, self.coef, self.rad)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -270,17 +288,42 @@ class Surd:
         return f"{self.rat} {joiner} {magnitude}"
 
 
+def _parts(value):
+    """``(rat, coef, rad)`` of an int, Fraction or Surd, without conversion."""
+    if isinstance(value, Surd):
+        return value.rat, value.coef, value.rad
+    if type(value) is int or type(value) is Fraction:
+        return value, 0, 0
+    if isinstance(value, _RationalABC):
+        return Fraction(value), 0, 0
+    raise TypeError(
+        f"cannot compare {type(value).__name__!r} exactly; "
+        "expected an int, Fraction or Surd"
+    )
+
+
 def compare(left, right):
     """Exact three-way comparison of rationals and surds: -1, 0, or 1.
 
-    Both arguments may be int, Fraction, or Surd. Comparing two irrational
-    surds with different radicands raises IncomparableRadicands; every chain
-    of rules in this package stays inside a single quadratic field, so that
-    situation signals a modelling mistake rather than a gap to work around.
+    Both arguments may be int, Fraction, or Surd; anything else, floats
+    included, raises TypeError. Comparing two irrational surds with
+    different radicands raises IncomparableRadicands; every chain of rules
+    in this package stays inside a single quadratic field, so that situation
+    signals a modelling mistake rather than a gap to work around.
+
+    Two rationals are compared by cross-multiplying numerators and
+    denominators; otherwise the sign of ``(a-c) + (b-d)*sqrt(m)`` is read
+    from the parts. No Surd is built either way.
     """
-    if not isinstance(left, Surd):
-        left = Surd(Fraction(left))
-    return (left - right).sign()
+    a, b, m = _parts(left)
+    c, d, k = _parts(right)
+    if not b and not d:
+        x = a.numerator * c.denominator
+        y = c.numerator * a.denominator
+        return (x > y) - (x < y)
+    if b and d and m != k:
+        raise IncomparableRadicands(f"cannot combine sqrt({m}) with sqrt({k})")
+    return _sign(a - c, b - d, m or k)
 
 
 def render_value(value):
@@ -302,8 +345,8 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coefficients=()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -378,9 +421,11 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __call__(self, point):
-        acc = Fraction(0)
+        acc = _ZERO
         for c in reversed(self.coeffs):
-            acc = acc * point + c
+            acc = acc * point
+            if c:
+                acc = acc + c
         return acc
 
     def differentiate(self):

@@ -271,6 +271,22 @@ def test_cascade_fano_index():
     assert verdict.status is VerdictStatus.SEMISTABLE_NOT_STABLE
 
 
+@pytest.mark.parametrize(
+    "scenario, flags",
+    [
+        # genus 1, degree 3: p = 3 caps epsilon at (n-1)*d/p = 2
+        (anticanonical(3, 3, genus=1), ClassifyFlags()),
+        # degree 4 in a threefold: p = 2 caps epsilon at 4
+        (anticanonical(3, 4, ln=64), ClassifyFlags(picard_rank_one=True)),
+        # degree 3 in a fourfold: p = 1 caps epsilon at 9
+        (anticanonical(4, 3), ClassifyFlags(fano_index=3)),
+    ],
+)
+def test_cascade_rejects_inconsistent_data_before_any_rule(scenario, flags):
+    with pytest.raises(ScenarioInconsistent):
+        classify_curve(scenario, exact(Fraction(100)), flags)
+
+
 def test_cascade_requires_anticanonical():
     with pytest.raises(NotAnticanonical):
         classify_curve(

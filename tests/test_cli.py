@@ -1,6 +1,8 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
 import copy
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -289,6 +291,124 @@ def test_seshadri_json(capsys):
     assert record["lower"] == "3"
     assert record["upper"] == "3"
     assert len(record["provenance"]) >= 3
+
+
+# -- strict input boundary -------------------------------------------------
+
+
+def conic(**overrides):
+    """A degree-2 rational curve with epsilon = n: semistable, not stable."""
+    entry = {
+        "name": "conic",
+        "n": 3,
+        "genus": 0,
+        "degree": 2,
+        "anticanonical": True,
+        "Ln": "54",
+        "seshadri": "3",
+    }
+    entry.update(overrides)
+    return entry
+
+
+def classify_json(capsys, tmp_path, *entries):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"scenarios": list(entries)}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path), "--format", "json")
+    verdicts = json.loads(out)["verdicts"] if out else []
+    return code, {v["name"]: v for v in verdicts}, err
+
+
+def test_picard_rank_one_flag_false_keeps_the_verdict(capsys, tmp_path):
+    code, records, _ = classify_json(
+        capsys, tmp_path, conic(flags={"picardRankOne": False})
+    )
+    assert code == 0
+    assert records["conic"]["status"] == "semistable-not-stable"
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"flags": {"picardRankOne": "false"}}, "picardRankOne"),
+        ({"flags": {"picardRankOne": 0}}, "picardRankOne"),
+        ({"flags": {"isPn": "true"}}, "isPn"),
+        ({"anticanonical": "true"}, "anticanonical"),
+        ({"anticanonical": 1}, "anticanonical"),
+        ({"description": 5}, "description"),
+        ({"description": None}, "description"),
+        ({"description": ["a"]}, "description"),
+        ({"seshadri": [{"rule": "witness_curve_upper",
+                        "degree": {"rat": "1", "coef": "1", "rad": 2}}]},
+         "degree"),
+        ({"seshadri": [{"rule": "proper_transform_upper", "degree": "3",
+                        "multiplicity": {"coef": "1", "rad": 3}}]},
+         "multiplicity"),
+    ],
+)
+def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
+    with pytest.raises(InvalidScenario, match=field):
+        parse_scenario_file({"scenarios": [conic(**overrides)]})
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"scenarios": [conic(**overrides)]}), encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 1
+    assert err.startswith("error: conic") and field in err
+    assert "internal error" not in err and out == ""
+
+
+def test_empty_description_is_a_string(capsys, tmp_path):
+    code, records, _ = classify_json(capsys, tmp_path, conic(description=""))
+    assert code == 0 and records["conic"]["status"] == "semistable-not-stable"
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"rule": "linear_subspace_exact", "n": 3, "as": [1]},
+        {"rule": "linear_subspace_exact", "n": 3, "as": ""},
+        {"rule": "linear_subspace_exact", "n": 3, "as": 7},
+        {"rule": "point_upper_bound", "n": 3, "isPn": "false"},
+        {"rule": "point_upper_bound", "n": 3, "isPn": 1},
+    ],
+)
+def test_bad_pipeline_step_fails_its_scenario_only(capsys, tmp_path, step):
+    code, records, err = classify_json(
+        capsys, tmp_path, conic(), conic(name="bad", seshadri=[step])
+    )
+    assert code == 1
+    assert "internal error" not in err
+    assert records["conic"]["status"] == "semistable-not-stable"
+    assert records["bad"]["error_type"] == "InvalidScenario"
+    assert ("as" if "as" in step else "isPn") in records["bad"]["error"]
+
+
+def test_csv_names_are_quoted_per_rfc_4180(capsys, tmp_path):
+    names = ['a,"b', "plain", 'say "hi"', "two\nlines", "too,big"]
+    entries = [conic(name=name) for name in names[:-1]]
+    # a degree-4 curve in a threefold has epsilon <= 4, so this one fails
+    entries.append(conic(name=names[-1], degree=4, Ln="64", seshadri="5"))
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"scenarios": entries}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "classify", str(path), "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "status", "witness_lambda", "rule"]
+    assert [row[0] for row in rows[1:]] == names
+    assert all(len(row) == 4 for row in rows)
+    assert rows[1][1:3] == ["semistable-not-stable", "3"]
+    assert rows[-1][1:] == ["error", "", "ScenarioInconsistent"]
+
+    code, out, _ = run_cli(
+        capsys, "seshadri", str(path), "--scenario", 'a,"b', "--format", "csv"
+    )
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["name", "lower", "upper", "exact"],
+        ['a,"b', "3", "3", "3"],
+    ]
 
 
 # -- error handling and exit codes -----------------------------------------

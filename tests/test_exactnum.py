@@ -185,3 +185,142 @@ def test_render_value():
     assert render_value(Surd(Fraction(-1, 1000), 2, 2)) == "-1/1000 + 2*sqrt(2)"
     assert render_value(Surd(3, -1, 5)) == "3 - sqrt(5)"
     assert render_value(4) == "4"
+
+
+# -- fast paths against the routines they replaced -------------------------
+#
+# compare, Surd.sign, Surd.__init__ and Polynomial.__call__ take shortcuts
+# (no intermediate Surds, no re-normalised Fractions, no zero additions).
+# The straightforward versions below are kept as oracles: the shortcuts must
+# agree with them exactly, errors included.
+
+
+def oracle_sign(value):
+    """Sign of a Surd by case analysis on its parts, in Fraction arithmetic."""
+    a, b, m = value.rat, value.coef, value.rad
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    left, right = a * a, b * b * m
+    if a > 0:
+        return 1 if left > right else -1
+    return 1 if right > left else -1
+
+
+def oracle_compare(left, right):
+    if not isinstance(left, Surd):
+        left = Surd(Fraction(left))
+    return oracle_sign(left - right)
+
+
+def oracle_surd_parts(rat, coef, rad):
+    """Canonical (rat, coef, rad) of rat + coef*sqrt(rad), by trial division."""
+    rat, coef = Fraction(rat), Fraction(coef)
+    if coef == 0 or rad == 0:
+        return rat, Fraction(0), 0
+    square = max(s for s in range(1, rad + 1) if s * s <= rad and rad % (s * s) == 0)
+    coef *= square
+    rad //= square * square
+    if rad == 1:
+        return rat + coef, Fraction(0), 0
+    return rat, coef, rad
+
+
+def oracle_horner(poly, point):
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+rationals_st = st.one_of(st.integers(-6, 6), small_fractions)
+# 8, 18 and 50 reduce to sqrt(2) and 12 to sqrt(3), so equal radicands meet
+# often; 4, 9 and 1 make rational-valued surds; 0 makes a plain rational.
+radicands_st = st.sampled_from([0, 1, 2, 3, 4, 8, 9, 12, 18, 50])
+any_surd_st = st.builds(Surd, rationals_st, rationals_st, radicands_st)
+numbers_st = st.one_of(st.integers(-6, 6), small_fractions, any_surd_st)
+
+
+def same_surd(x, y):
+    return (x.rat, x.coef, x.rad) == (y.rat, y.coef, y.rad)
+
+
+@given(any_surd_st)
+def test_sign_matches_the_fraction_case_analysis(value):
+    assert value.sign() == oracle_sign(value)
+
+
+@given(numbers_st, numbers_st)
+def test_compare_matches_subtract_then_sign(left, right):
+    try:
+        expected = oracle_compare(left, right)
+    except IncomparableRadicands as error:
+        with pytest.raises(IncomparableRadicands) as raised:
+            compare(left, right)
+        assert str(raised.value) == str(error)
+        assert not left.is_rational and not right.is_rational
+        assert left.rad != right.rad
+        return
+    assert compare(left, right) == expected
+
+
+@given(small_fractions, small_fractions, st.sampled_from([2, 3, 5, 6]))
+def test_compare_of_conjugates_and_near_misses(a, b, m):
+    # opposite-sign parts are where the squared comparison decides
+    x = Surd(a, b, m)
+    for y in (Surd(a, -b, m), Surd(-a, b, m), Surd(a), Surd(0, b, m), a, b):
+        assert compare(x, y) == oracle_compare(x, y)
+        assert compare(y, x) == oracle_compare(y, x)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (None, 1),
+        (1, None),
+        (1.5, 1),
+        (1, 1.5),
+        (Surd(0, 1, 2), 0.5),
+        (0.5, Surd(0, 1, 2)),
+        ("1/2", 1),
+    ],
+)
+def test_compare_rejects_non_numbers(left, right):
+    with pytest.raises(TypeError):
+        compare(left, right)
+
+
+@given(rationals_st, rationals_st, radicands_st)
+def test_surd_from_ints_or_fractions_has_the_canonical_parts(rat, coef, rad):
+    parts = oracle_surd_parts(rat, coef, rad)
+    expected_hash = hash(parts[0]) if parts[1] == 0 else hash(parts)
+    for value in (Surd(rat, coef, rad), Surd(Fraction(rat), Fraction(coef), rad)):
+        assert (value.rat, value.coef, value.rad) == parts
+        assert type(value.rat) is Fraction and type(value.coef) is Fraction
+        assert hash(value) == expected_hash
+
+
+sparse_poly_st = st.lists(
+    st.one_of(st.just(0), st.just(0), st.just(0), small_fractions), max_size=9
+).map(Polynomial)
+
+
+@given(sparse_poly_st, st.one_of(rationals_st, any_surd_st))
+def test_evaluation_matches_plain_horner(poly, point):
+    value, expected = poly(point), oracle_horner(poly, point)
+    assert type(value) is type(expected)
+    if isinstance(expected, Surd):
+        assert same_surd(value, expected)
+    else:
+        assert value == expected
+
+
+@given(st.lists(st.integers(-4, 4), max_size=6))
+def test_polynomial_from_ints_equals_polynomial_from_fractions(coefficients):
+    from_ints = Polynomial(coefficients)
+    assert from_ints == Polynomial([Fraction(c) for c in coefficients])
+    assert all(type(c) is Fraction for c in from_ints.coeffs)
