@@ -339,7 +339,10 @@ class Polynomial:
     The zero polynomial is the empty coefficient tuple and reports degree -1.
     Instances are immutable; arithmetic returns new objects. Evaluation uses
     Horner's scheme and accepts rational or Surd points, returning whatever
-    type the point arithmetic produces.
+    type the point arithmetic produces. Zero coefficients are passed through
+    without arithmetic, and at a rational point a run of them costs one
+    power of the point, so sparse polynomials cost what their non-zero terms
+    cost.
     """
 
     __slots__ = ("coeffs",)
@@ -391,50 +394,65 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(size)]
-        )
+        return Polynomial(_sum_coeffs(self.coeffs, other.coeffs, subtract=False))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return Polynomial(_sum_coeffs(self.coeffs, other.coeffs, subtract=True))
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial([-c if c else c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             if not self.coeffs or not other.coeffs:
                 return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+                if not a:
+                    continue
+                for j, b in terms:
+                    term = a * b
+                    out[i + j] = out[i + j] + term if out[i + j] else term
             return Polynomial(out)
         frac = _as_fraction(other)
         if frac is not None:
-            return Polynomial([c * frac for c in self.coeffs])
+            return Polynomial([c * frac if c else c for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __call__(self, point):
+        coeffs = self.coeffs
+        if type(point) is not int and type(point) is not Fraction:
+            # Horner step by step, so a Surd point needs no Surd power.
+            acc = _ZERO
+            for c in reversed(coeffs):
+                acc = acc * point
+                if c:
+                    acc = acc + c
+            return acc
+        # Rational point: one power per run of zero coefficients.
         acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * point
+        power = len(coeffs)
+        for i in range(power - 1, -1, -1):
+            c = coeffs[i]
             if c:
+                if acc:
+                    acc = acc * point ** (power - i)
                 acc = acc + c
-        return acc
+                power = i
+        return acc * point ** power if power and acc else acc
 
     def differentiate(self):
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial([c * i if c else c for i, c in enumerate(self.coeffs)][1:])
 
     def integrate_from_zero(self):
         """The antiderivative with zero constant term."""
         return Polynomial(
-            [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)]
+            [_ZERO] + [c / (i + 1) if c else c for i, c in enumerate(self.coeffs)]
         )
 
     def __repr__(self):
@@ -461,6 +479,21 @@ class Polynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _sum_coeffs(left, right, subtract):
+    """Coefficients of left + right (left - right when subtract is set).
+
+    Only the non-zero coefficients of right take part in any arithmetic.
+    """
+    out = list(left)
+    out.extend([_ZERO] * (len(right) - len(left)))
+    for i, c in enumerate(right):
+        if c:
+            if subtract:
+                c = -c
+            out[i] = out[i] + c if out[i] else c
+    return out
 
 
 def quadratic_roots(a, b, c):

@@ -79,8 +79,18 @@ def _require_dimension(scenario):
         )
 
 
+def _require_rational(value, name):
+    """``value`` as a Fraction; floats, strings and the like are refused
+    rather than converted, so no input is silently reinterpreted."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(
+            f"{name} must be an int or a Fraction, got {type(value).__name__}"
+        )
+    return Fraction(value)
+
+
 def _require_positive(lam):
-    lam = Fraction(lam)
+    lam = _require_rational(lam, "the twist lambda")
     if lam <= 0:
         raise ValueError("the twist lambda must be positive")
     return lam
@@ -90,7 +100,9 @@ def quotient_slope(scenario, lam, cross_check=False):
     """Closed-form quotient slope at a rational twist lam > 0.
 
     Returns a QuotientSlopeReport. With cross_check=True the integral route
-    is evaluated as well and stored in via_integral.
+    is evaluated as well, compared with the closed form and stored in
+    via_integral; a disagreement is a fault in the program, not in the
+    scenario, and raises ArithmeticError.
     """
     s = scenario
     _require_dimension(s)
@@ -109,6 +121,11 @@ def quotient_slope(scenario, lam, cross_check=False):
     via_integral = None
     if cross_check:
         via_integral = quotient_slope_via_integrals(s, lam)
+        if via_integral != value:
+            raise ArithmeticError(
+                f"quotient slope at lambda = {lam}: closed form {value} "
+                f"but integral route {via_integral}"
+            )
     return QuotientSlopeReport(
         lam=lam,
         value=value,
@@ -118,16 +135,19 @@ def quotient_slope(scenario, lam, cross_check=False):
     )
 
 
+def _deficit(poly):
+    """a(0) - a(x): the non-constant coefficients of a(x), negated."""
+    return Polynomial([Fraction(0)] + [-c if c else c for c in poly.coeffs[1:]])
+
+
 def leading_deficit_poly(scenario):
     """atilde0(x) = a0(0) - a0(x) = (n*d*x**(n-1) - p*x**n) / n!"""
-    a0 = hilbert_leading_poly(scenario)
-    return Polynomial.constant(a0(Fraction(0))) - a0
+    return _deficit(hilbert_leading_poly(scenario))
 
 
 def subleading_deficit_poly(scenario):
     """atilde1(x) = a1(0) - a1(x)."""
-    a1 = hilbert_subleading_poly(scenario)
-    return Polynomial.constant(a1(Fraction(0))) - a1
+    return _deficit(hilbert_subleading_poly(scenario))
 
 
 def quotient_slope_via_integrals(scenario, lam):
@@ -223,4 +243,4 @@ def margin_factorization_residual(scenario, x):
         * exceptional_restriction_poly(s)
         * Fraction(1, 2 * factorial(s.n - 1))
     )
-    return (lhs - rhs)(Fraction(x))
+    return (lhs - rhs)(_require_rational(x, "x"))

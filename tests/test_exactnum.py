@@ -190,7 +190,8 @@ def test_render_value():
 # -- fast paths against the routines they replaced -------------------------
 #
 # compare, Surd.sign, Surd.__init__ and Polynomial.__call__ take shortcuts
-# (no intermediate Surds, no re-normalised Fractions, no zero additions).
+# (no intermediate Surds, no re-normalised Fractions, no zero additions,
+# one power of a rational point per run of zero coefficients).
 # The straightforward versions below are kept as oracles: the shortcuts must
 # agree with them exactly, errors included.
 
@@ -307,16 +308,27 @@ def test_surd_from_ints_or_fractions_has_the_canonical_parts(rat, coef, rad):
 sparse_poly_st = st.lists(
     st.one_of(st.just(0), st.just(0), st.just(0), small_fractions), max_size=9
 ).map(Polynomial)
+# degree up to 15 with mostly zero coefficients, like the Hilbert deficits
+# of a 12-fold
+high_sparse_poly_st = st.lists(
+    st.one_of(st.just(0), st.just(0), st.just(0), st.just(0), small_fractions),
+    max_size=16,
+).map(Polynomial)
+any_poly_st = st.one_of(
+    st.just(Polynomial()), poly_st, sparse_poly_st, high_sparse_poly_st
+)
+points_st = st.one_of(rationals_st, any_surd_st)
 
 
-@given(sparse_poly_st, st.one_of(rationals_st, any_surd_st))
+def same_value(x, y):
+    if type(x) is not type(y):
+        return False
+    return same_surd(x, y) if isinstance(x, Surd) else x == y
+
+
+@given(any_poly_st, points_st)
 def test_evaluation_matches_plain_horner(poly, point):
-    value, expected = poly(point), oracle_horner(poly, point)
-    assert type(value) is type(expected)
-    if isinstance(expected, Surd):
-        assert same_surd(value, expected)
-    else:
-        assert value == expected
+    assert same_value(poly(point), oracle_horner(poly, point))
 
 
 @given(st.lists(st.integers(-4, 4), max_size=6))
@@ -324,3 +336,110 @@ def test_polynomial_from_ints_equals_polynomial_from_fractions(coefficients):
     from_ints = Polynomial(coefficients)
     assert from_ints == Polynomial([Fraction(c) for c in coefficients])
     assert all(type(c) is Fraction for c in from_ints.coeffs)
+
+
+
+# -- sparse polynomial arithmetic against the dense routines ----------------
+#
+# Polynomial arithmetic passes zero coefficients through without touching
+# them. The dense versions below do Fraction arithmetic on every coefficient;
+# results must be equal, with Fraction coefficients throughout.
+
+
+def dense_coefficient(coeffs, power):
+    return coeffs[power] if power < len(coeffs) else Fraction(0)
+
+
+def dense_add(p, q):
+    size = max(len(p.coeffs), len(q.coeffs))
+    return Polynomial(
+        [
+            dense_coefficient(p.coeffs, i) + dense_coefficient(q.coeffs, i)
+            for i in range(size)
+        ]
+    )
+
+
+def dense_neg(p):
+    return Polynomial([-c for c in p.coeffs])
+
+
+def dense_mul(p, q):
+    if not p.coeffs or not q.coeffs:
+        return Polynomial()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial(out)
+
+
+def dense_scale(p, factor):
+    return Polynomial([c * Fraction(factor) for c in p.coeffs])
+
+
+def dense_differentiate(p):
+    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def dense_integrate(p):
+    return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(p.coeffs)])
+
+
+def same_polynomial(p, q):
+    return p == q and all(type(c) is Fraction for c in p.coeffs)
+
+
+@given(any_poly_st, any_poly_st)
+def test_sparse_add_sub_neg_match_dense(p, q):
+    assert same_polynomial(p + q, dense_add(p, q))
+    assert same_polynomial(p - q, dense_add(p, dense_neg(q)))
+    assert same_polynomial(-p, dense_neg(p))
+    assert same_polynomial(p - p, Polynomial())
+
+
+@given(any_poly_st, any_poly_st, rationals_st)
+def test_sparse_products_match_dense(p, q, factor):
+    assert same_polynomial(p * q, dense_mul(p, q))
+    assert same_polynomial(p * factor, dense_scale(p, factor))
+    assert same_polynomial(factor * p, dense_scale(p, factor))
+
+
+@given(any_poly_st)
+def test_sparse_calculus_matches_dense(p):
+    assert same_polynomial(p.differentiate(), dense_differentiate(p))
+    assert same_polynomial(p.integrate_from_zero(), dense_integrate(p))
+
+
+@given(small_fractions, points_st)
+def test_constants_keep_the_type_of_the_point(c, point):
+    # a non-zero constant at a Surd point is a Surd; the zero polynomial
+    # is Fraction(0) at every point
+    value = Polynomial.constant(c)(point)
+    assert type(value) is (Surd if c and isinstance(point, Surd) else Fraction)
+    assert value == c
+
+
+surd_points_st = st.builds(
+    Surd, rationals_st, rationals_st, st.sampled_from([2, 3, 5])
+)
+
+
+@given(
+    high_sparse_poly_st,
+    high_sparse_poly_st,
+    st.integers(0, 6),
+    st.one_of(rationals_st, surd_points_st),
+)
+def test_evaluation_through_a_mid_horner_cancellation(top, low, shift, point):
+    # top * m(x) * x^k vanishes at the point, so Horner's accumulator is
+    # zero once it has passed the coefficient of x^k; low fills in below
+    if isinstance(point, Surd):
+        # minimal polynomial of a + b*sqrt(m)
+        a, b, m = point.rat, point.coef, point.rad
+        vanishing = Polynomial([a * a - b * b * m, -2 * a, 1])
+    else:
+        vanishing = Polynomial([-Fraction(point), 1])
+    poly = top * vanishing * Polynomial.monomial(len(low.coeffs) + shift) + low
+    assert same_value(poly(point), oracle_horner(poly, point))
+    assert poly(point) == oracle_horner(low, point)

@@ -21,6 +21,7 @@ import pytest
 from fanoslope.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
 EXIT_CODES = GOLDEN / "exit_codes.json"
 FIXTURES = files("fanoslope") / "fixtures"
 
@@ -32,12 +33,13 @@ SCENARIOS = {
     "p1xpn": {"p1xp3_fiber": "1/3,1,2,7/2,4"},
     "pn_line": {"pn_line": "1/4,1,3,7/2,4"},
     "surd_bounds": {"d1_above": "1,2,3,4,9/2"},
+    "high_dimension": {"n12_general": "1/3,1,2,9/2,6"},
 }
 
 
 def _path(stem):
-    if stem == "surd_bounds":
-        return str(GOLDEN / "inputs" / f"{stem}.json")
+    if (INPUTS / f"{stem}.json").exists():
+        return str(INPUTS / f"{stem}.json")
     return str(FIXTURES / f"{stem}.json")
 
 

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from fanoslope import slope
 from fanoslope.blowup import CurveScenario
 from fanoslope.errors import (
     DimensionTooSmall,
+    FanoslopeError,
     NotAnticanonical,
     ZeroDenominator,
 )
@@ -85,6 +87,33 @@ def test_quotient_slope_rejects_small_dimension_and_bad_lambda():
         quotient_slope(s, Fraction(-2))
 
 
+@pytest.mark.parametrize("lam", [0.5, 0.1, "1/2", "2"])
+def test_quotient_slope_refuses_non_rational_twists(lam):
+    s = CurveScenario.anticanonical_curve(3, 0, 1, 22)
+    with pytest.raises(TypeError):
+        quotient_slope(s, lam)
+    with pytest.raises(TypeError):
+        quotient_slope_via_integrals(s, lam)
+
+
+def test_quotient_slope_takes_ints_and_fractions_alike():
+    s = CurveScenario.anticanonical_curve(3, 0, 1, 22)
+    assert quotient_slope(s, 1, cross_check=True) == quotient_slope(
+        s, Fraction(1), cross_check=True
+    )
+
+
+def test_cross_check_raises_when_the_routes_disagree(monkeypatch):
+    s = CurveScenario.anticanonical_curve(3, 0, 1, 22)
+    monkeypatch.setattr(
+        slope, "quotient_slope_via_integrals", lambda scenario, lam: Fraction(7)
+    )
+    assert quotient_slope(s, Fraction(1)).value == Fraction(18, 5)
+    with pytest.raises(ArithmeticError, match=r"lambda = 1: .*18/5.* 7$") as raised:
+        quotient_slope(s, Fraction(1), cross_check=True)
+    assert not isinstance(raised.value, FanoslopeError)
+
+
 def test_quotient_slope_zero_denominator():
     s = CurveScenario(3, 0, 1, 4, Fraction(5), Fraction(-3))
     # (n+1)d - lambda*p = 4 - 4*lambda vanishes at lambda = 1
@@ -97,7 +126,7 @@ def test_quotient_slope_zero_denominator():
 def test_closed_form_equals_integral_route_randomized():
     rng = make_rng(101)
     for _ in range(120):
-        s = random_general_scenario(rng)
+        s = random_general_scenario(rng, n_hi=12)
         lam = consistent_lambda(rng, s)
         assert quotient_slope(s, lam).value == quotient_slope_via_integrals(s, lam)
 
@@ -105,7 +134,7 @@ def test_closed_form_equals_integral_route_randomized():
 def test_deficit_polys_vanish_at_zero():
     rng = make_rng(103)
     for _ in range(20):
-        s = random_general_scenario(rng)
+        s = random_general_scenario(rng, n_hi=12)
         assert leading_deficit_poly(s)(Fraction(0)) == 0
         assert subleading_deficit_poly(s)(Fraction(0)) == 0
 
@@ -113,7 +142,7 @@ def test_deficit_polys_vanish_at_zero():
 def test_leading_deficit_positive_on_consistent_range():
     rng = make_rng(107)
     for _ in range(100):
-        s = random_general_scenario(rng)
+        s = random_general_scenario(rng, n_hi=12)
         x = consistent_lambda(rng, s)
         assert leading_deficit_poly(s)(x) > 0
 
@@ -167,6 +196,13 @@ def test_margin_residual_is_zero_for_anticanonical():
         s = random_anticanonical_scenario(rng)
         for k in range(s.n + 2):  # enough points to pin the polynomial
             assert margin_factorization_residual(s, Fraction(k, 3)) == 0
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, "1/3"])
+def test_margin_residual_refuses_non_rational_points(x):
+    s = CurveScenario.anticanonical_curve(3, 0, 1, 22)
+    with pytest.raises(TypeError):
+        margin_factorization_residual(s, x)
 
 
 def test_margin_residual_requires_anticanonical():
