@@ -144,7 +144,8 @@ def hilbert_leading_poly(scenario):
     coeffs[0] = s.ln
     coeffs[s.n - 1] += Fraction(-s.n * s.degree)
     coeffs[s.n] += Fraction(s.normal_degree)
-    return Polynomial(coeffs) * Fraction(1, factorial(s.n))
+    scale = Fraction(1, factorial(s.n))
+    return Polynomial([c * scale if c else c for c in coeffs])
 
 
 def hilbert_subleading_poly(scenario):
@@ -164,7 +165,8 @@ def hilbert_subleading_poly(scenario):
     coeffs[0] = -s.k_ln1
     coeffs[s.n - 2] += Fraction(-(s.n - 2) * (s.n - 1) * s.degree)
     coeffs[s.n - 1] += Fraction(s.canonical_degree + (s.n - 2) * s.normal_degree)
-    return Polynomial(coeffs) * Fraction(1, 2 * factorial(s.n - 1))
+    scale = Fraction(1, 2 * factorial(s.n - 1))
+    return Polynomial([c * scale if c else c for c in coeffs])
 
 
 def anticanonical_square_exceptional(deg_kc, genus):

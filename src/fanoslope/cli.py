@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import seshadri as _seshadri
 from .blowup import CurveScenario, check_epsilon_consistency
@@ -292,62 +293,86 @@ def dump_scenario_file(scenario_file):
 
 # -- the seshadri rule pipeline --------------------------------------------
 
-_PIPELINE_RULES = {
-    "linear_subspace_exact",
-    "witness_curve_upper",
-    "proper_transform_upper",
-    "intersection_min_lower",
-    "product_fiber_estimate",
-    "blowup_exceptional_shift",
-    "nested_restriction",
-    "moving_curve_upper",
-    "point_upper_bound",
-    "certify_exact_by_restriction",
-    "combine",
+# Every rule with its slots in call order, as (key, kind) pairs. Rational and
+# value slots are normalised when the file is read, so a bad one fails the
+# whole file; the other kinds are read when the step runs and fail only
+# their scenario. The scenario kind has no key. A step may carry only
+# "rule", "as" and its rule's slot keys.
+_RULES = {
+    "linear_subspace_exact": (("n", "int"),),
+    "witness_curve_upper": (("degree", "rational"),),
+    "proper_transform_upper": (("degree", "rational"), ("multiplicity", "rational")),
+    "intersection_min_lower": (("first", "ref"), ("second", "ref")),
+    "product_fiber_estimate": (("of", "ref"),),
+    "blowup_exceptional_shift": (("of", "ref"),),
+    "nested_restriction": (("inner", "ref"), ("ambient", "ref")),
+    "moving_curve_upper": ((None, "scenario"),),
+    "point_upper_bound": (("n", "int"), ("isPn", "bool")),
+    "certify_exact_by_restriction": (
+        ("upper", "ref"), ("ambient", "ref"), ("restricted", "value"),
+    ),
+    "combine": (("of", "refs"),),
 }
+_LOAD_PARSERS = {"rational": parse_rational, "value": parse_value}
+
+
+def _spec_kind(spec, context):
+    """Which form a seshadri entry takes: "value" (a rational or a bare surd
+    object), "exact", "interval" or "pipeline"."""
+    if isinstance(spec, (str, int)):
+        return "value"
+    if isinstance(spec, list) or (isinstance(spec, dict) and "rule" in spec):
+        return "pipeline"
+    if not isinstance(spec, dict) or not spec:
+        raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
+    if "exact" in spec:
+        kind, keys = "exact", {"exact"}
+    elif "lower" in spec or "upper" in spec:
+        kind, keys = "interval", {"lower", "upper"}
+    else:
+        return "value"  # parse_value checks the surd fields
+    extra = set(spec) - keys
+    if extra:
+        raise InvalidScenario(f"{context}: unknown fields {sorted(extra)}")
+    return kind
 
 
 def _normalize_seshadri_spec(spec, name):
     context = f"{name}.seshadri"
-    if isinstance(spec, (str, int)):
+    kind = _spec_kind(spec, context)
+    if kind == "value":
         return dump_value(parse_value(spec, context))
+    if kind == "exact":
+        return {"exact": dump_value(parse_value(spec["exact"], context))}
+    if kind == "interval":
+        return {
+            key: dump_value(parse_value(spec[key], context))
+            for key in ("lower", "upper")
+            if key in spec
+        }
     if isinstance(spec, dict):
-        if "rule" in spec:
-            return _normalize_step(spec, context)
-        if "exact" in spec:
-            return {"exact": dump_value(parse_value(spec["exact"], context))}
-        if "lower" in spec or "upper" in spec:
-            out = {}
-            if "lower" in spec:
-                out["lower"] = dump_value(parse_value(spec["lower"], context))
-            if "upper" in spec:
-                out["upper"] = dump_value(parse_value(spec["upper"], context))
-            extra = set(spec) - {"lower", "upper"}
-            if extra:
-                raise InvalidScenario(f"{context}: unknown fields {sorted(extra)}")
-            return out
-        return dump_value(parse_value(spec, context))
-    if isinstance(spec, list):
-        if not spec:
-            raise InvalidScenario(f"{context}: empty rule pipeline")
-        return [_normalize_step(step, context) for step in spec]
-    raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
+        return _normalize_step(spec, context)
+    if not spec:
+        raise InvalidScenario(f"{context}: empty rule pipeline")
+    return [_normalize_step(step, context) for step in spec]
 
 
 def _normalize_step(step, context):
     if not isinstance(step, dict) or "rule" not in step:
         raise InvalidScenario(f"{context}: each pipeline step needs a rule")
     rule = step["rule"]
-    if rule not in _PIPELINE_RULES:
+    if not isinstance(rule, str) or rule not in _RULES:
         raise InvalidScenario(f"{context}: unknown rule {rule!r}")
-    out = dict(step)
-    for key in ("degree", "multiplicity"):
-        if key in out:
-            out[key] = dump_value(parse_rational(out[key], f"{context}.{key}"))
-    if "restricted" in out:
-        out["restricted"] = dump_value(
-            parse_value(out["restricted"], f"{context}.restricted")
+    slots = _RULES[rule]
+    extra = set(step) - {"rule", "as"} - {key for key, _ in slots}
+    if extra:
+        raise InvalidScenario(
+            f"{context}: rule {rule} has no slots {sorted(extra)}"
         )
+    out = dict(step)
+    for key, kind in slots:
+        if key in out and kind in _LOAD_PARSERS:
+            out[key] = dump_value(_LOAD_PARSERS[kind](out[key], f"{context}.{key}"))
     return out
 
 
@@ -368,66 +393,34 @@ def _run_pipeline(steps, scenario):
             if previous is None:
                 raise InvalidScenario(f"{context}: no previous estimate to use")
             return previous
-        if ref not in named:
+        if not isinstance(ref, str) or ref not in named:
             raise InvalidScenario(f"{context}: unknown estimate name {ref!r}")
         return named[ref]
+
+    def read(step, key, kind, context):
+        if kind == "scenario":
+            return scenario
+        if kind == "ref":
+            return fetch(step.get(key), context)
+        if kind == "refs":
+            refs = step.get(key)
+            if not isinstance(refs, list) or len(refs) < 2:
+                raise InvalidScenario(f"{context}: needs a list of names")
+            return [fetch(ref, context) for ref in refs]
+        if kind == "bool":
+            return _parse_bool(step.get(key, False), f"{context}.{key}")
+        parse = _parse_int if kind == "int" else _LOAD_PARSERS[kind]
+        return parse(step.get(key), f"{context}.{key}")
 
     for step in steps:
         rule = step["rule"]
         context = f"seshadri rule {rule}"
-        if rule == "linear_subspace_exact":
-            estimate = _seshadri.linear_subspace_exact(
-                _parse_int(step.get("n"), context + ".n")
-            )
-        elif rule == "witness_curve_upper":
-            estimate = _seshadri.witness_curve_upper(
-                parse_rational(step.get("degree"), context + ".degree")
-            )
-        elif rule == "proper_transform_upper":
-            estimate = _seshadri.proper_transform_upper(
-                parse_rational(step.get("degree"), context + ".degree"),
-                parse_rational(step.get("multiplicity"), context + ".multiplicity"),
-            )
-        elif rule == "intersection_min_lower":
-            estimate = _seshadri.intersection_min_lower(
-                fetch(step.get("first"), context),
-                fetch(step.get("second"), context),
-            )
-        elif rule == "product_fiber_estimate":
-            estimate = _seshadri.product_fiber_estimate(
-                fetch(step.get("of"), context)
-            )
-        elif rule == "blowup_exceptional_shift":
-            estimate = _seshadri.blowup_exceptional_shift(
-                fetch(step.get("of"), context)
-            )
-        elif rule == "nested_restriction":
-            estimate = _seshadri.nested_restriction(
-                fetch(step.get("inner"), context),
-                fetch(step.get("ambient"), context),
-            )
-        elif rule == "moving_curve_upper":
-            estimate = _seshadri.moving_curve_upper(scenario)
-        elif rule == "point_upper_bound":
-            estimate = _seshadri.point_upper_bound(
-                _parse_int(step.get("n"), context + ".n"),
-                _parse_bool(step.get("isPn", False), context + ".isPn"),
-            )
-        elif rule == "certify_exact_by_restriction":
-            estimate = _seshadri.certify_exact_by_restriction(
-                fetch(step.get("upper"), context),
-                fetch(step.get("ambient"), context),
-                parse_value(step.get("restricted"), context + ".restricted"),
-            )
-        elif rule == "combine":
-            refs = step.get("of")
-            if not isinstance(refs, list) or len(refs) < 2:
-                raise InvalidScenario(f"{context}: needs a list of names")
-            estimate = fetch(refs[0], context)
-            for ref in refs[1:]:
-                estimate = estimate.merge(fetch(ref, context))
-        else:  # pragma: no cover - guarded by _normalize_step
-            raise InvalidScenario(f"unknown rule {rule!r}")
+        args = [read(step, key, kind, context) for key, kind in _RULES[rule]]
+        if rule == "combine":
+            estimate = reduce(_seshadri.SeshadriEstimate.merge, args[0])
+        else:
+            # looked up when the step runs, so a patched rule is the one called
+            estimate = getattr(_seshadri, rule)(*args)
         if "as" in step:
             label = step["as"]
             if not isinstance(label, str) or not label:
@@ -443,27 +436,10 @@ def resolve_estimate(entry):
     """Evaluate a NamedScenario's seshadri spec into a SeshadriEstimate."""
     spec = entry.seshadri_spec
     context = f"{entry.name}.seshadri"
-    if isinstance(spec, (str, int)):
-        value = parse_value(spec, context)
-        estimate = _seshadri.SeshadriEstimate.exactly(
-            value,
-            (
-                _seshadri.ProvenanceEntry(
-                    "declared", f"declared exact value {render_value(value)}"
-                ),
-            ),
-        )
-    elif isinstance(spec, dict) and "exact" in spec:
-        value = parse_value(spec["exact"], context)
-        estimate = _seshadri.SeshadriEstimate.exactly(
-            value,
-            (
-                _seshadri.ProvenanceEntry(
-                    "declared", f"declared exact value {render_value(value)}"
-                ),
-            ),
-        )
-    elif isinstance(spec, dict) and "rule" not in spec:
+    kind = _spec_kind(spec, context)
+    if kind == "pipeline":
+        estimate = _run_pipeline(spec, entry.scenario)
+    elif kind == "interval":
         lower = parse_value(spec.get("lower", 0), context)
         upper = (
             parse_value(spec["upper"], context) if "upper" in spec else None
@@ -476,7 +452,15 @@ def resolve_estimate(entry):
             ),
         )
     else:
-        estimate = _run_pipeline(spec, entry.scenario)
+        value = parse_value(spec["exact"] if kind == "exact" else spec, context)
+        estimate = _seshadri.SeshadriEstimate.exactly(
+            value,
+            (
+                _seshadri.ProvenanceEntry(
+                    "declared", f"declared exact value {render_value(value)}"
+                ),
+            ),
+        )
     check_epsilon_consistency(entry.scenario, estimate.lower)
     return estimate
 

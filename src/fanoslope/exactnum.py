@@ -60,6 +60,16 @@ def _squarefree_decompose(m):
 _ZERO = Fraction(0)
 
 
+def _require_rational(value, name):
+    """``value`` as a Fraction; floats, strings and the like are refused
+    rather than converted, so no input is silently reinterpreted."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(
+            f"{name} must be an int or a Fraction, got {type(value).__name__}"
+        )
+    return Fraction(value)
+
+
 def _as_fraction(value):
     if type(value) is Fraction:
         return value
@@ -102,9 +112,9 @@ class Surd:
 
     def __init__(self, rat=0, coef=0, rad=0):
         if type(rat) is not Fraction:
-            rat = Fraction(rat)
+            rat = _require_rational(rat, "rat")
         if type(coef) is not Fraction:
-            coef = Fraction(coef)
+            coef = _require_rational(coef, "coef")
         if not isinstance(rad, int):
             raise TypeError("radicand must be an int")
         if rad < 0:
@@ -130,7 +140,7 @@ class Surd:
     @classmethod
     def sqrt(cls, value):
         """Exact square root of a non-negative rational, as a Surd."""
-        v = Fraction(value)
+        v = _require_rational(value, "the radicand")
         if v < 0:
             raise ValueError("cannot take the square root of a negative number")
         # sqrt(p/q) = sqrt(p*q)/q
@@ -348,7 +358,10 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coefficients=()):
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
+        coeffs = [
+            c if type(c) is Fraction else _require_rational(c, "a coefficient")
+            for c in coefficients
+        ]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -362,13 +375,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value):
-        return cls([Fraction(value)])
+        return cls([value])
 
     @classmethod
     def monomial(cls, power, coefficient=1):
         if power < 0:
             raise ValueError("power must be non-negative")
-        return cls([Fraction(0)] * power + [Fraction(coefficient)])
+        return cls([_ZERO] * power + [coefficient])
 
     @property
     def degree(self):

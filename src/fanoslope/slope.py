@@ -36,7 +36,7 @@ from .blowup import (
     hilbert_subleading_poly,
 )
 from .errors import DimensionTooSmall, NotAnticanonical, ZeroDenominator
-from .exactnum import Polynomial
+from .exactnum import Polynomial, _require_rational
 
 __all__ = [
     "manifold_slope",
@@ -77,16 +77,6 @@ def _require_dimension(scenario):
         raise DimensionTooSmall(
             "quotient slopes for curves need ambient dimension >= 3"
         )
-
-
-def _require_rational(value, name):
-    """``value`` as a Fraction; floats, strings and the like are refused
-    rather than converted, so no input is silently reinterpreted."""
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(
-            f"{name} must be an int or a Fraction, got {type(value).__name__}"
-        )
-    return Fraction(value)
 
 
 def _require_positive(lam):

@@ -4,12 +4,15 @@ import copy
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import fanoslope.cli as cli
 from fanoslope.cli import (
@@ -344,6 +347,24 @@ def test_picard_rank_one_flag_false_keeps_the_verdict(capsys, tmp_path):
         ({"seshadri": [{"rule": "proper_transform_upper", "degree": "3",
                         "multiplicity": {"coef": "1", "rad": 3}}]},
          "multiplicity"),
+        # a step carries only "rule", "as" and its rule's slots
+        ({"seshadri": [{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
+                       {"rule": "product_fiber_estimate", "off": "a"}]},
+         "off"),
+        ({"seshadri": [{"rule": "witness_curve_upper", "degree": "3",
+                        "note": "typed by hand"}]},
+         "note"),
+        ({"seshadri": [{"rule": "moving_curve_upper", "n": 3}]},
+         "moving_curve_upper has no slots"),
+        ({"seshadri": [{"rule": "linear_subspace_exact", "n": 3, "exact": "9"}]},
+         "exact"),
+        ({"seshadri": {"rule": "linear_subspace_exact", "n": 3, "exact": "9"}},
+         "exact"),
+        ({"seshadri": [{"rule": ["x"]}]}, "unknown rule"),
+        # an entry takes exactly one of the seshadri forms
+        ({"seshadri": {}}, "unreadable"),
+        ({"seshadri": {"exact": "4", "upper": "3"}}, "upper"),
+        ({"seshadri": {"lower": "2", "exact": "3"}}, "lower"),
     ],
 )
 def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
@@ -372,17 +393,60 @@ def test_empty_description_is_a_string(capsys, tmp_path):
         {"rule": "linear_subspace_exact", "n": 3, "as": 7},
         {"rule": "point_upper_bound", "n": 3, "isPn": "false"},
         {"rule": "point_upper_bound", "n": 3, "isPn": 1},
+        # an estimate name must be a string
+        {"rule": "product_fiber_estimate", "of": ["a"]},
+        {"rule": "combine", "of": ["a", ["a"]]},
+        {"rule": "nested_restriction", "inner": {"x": 1}, "ambient": "a"},
     ],
 )
 def test_bad_pipeline_step_fails_its_scenario_only(capsys, tmp_path, step):
+    bind = {"rule": "linear_subspace_exact", "n": 3, "as": "a"}
     code, records, err = classify_json(
-        capsys, tmp_path, conic(), conic(name="bad", seshadri=[step])
+        capsys, tmp_path, conic(), conic(name="bad", seshadri=[bind, step]),
+        conic(name="after"),
     )
     assert code == 1
     assert "internal error" not in err
     assert records["conic"]["status"] == "semistable-not-stable"
+    assert records["after"]["status"] == "semistable-not-stable"
     assert records["bad"]["error_type"] == "InvalidScenario"
-    assert ("as" if "as" in step else "isPn") in records["bad"]["error"]
+    field = "as" if "as" in step else "isPn" if "isPn" in step else "estimate name"
+    assert field in records["bad"]["error"]
+
+
+@given(
+    st.fractions(0, 10, max_denominator=6),
+    st.fractions(0, 10, max_denominator=6),
+    st.integers(0, 30),
+)
+def test_bare_surd_spec_resolves_like_an_exact_one(rat, coef, rad):
+    surd = {"rat": str(rat), "coef": str(coef), "rad": rad}
+    bare, exact = parse_scenario_file({"scenarios": [
+        conic(name="bare", seshadri=surd),
+        conic(name="exact", seshadri={"exact": surd}),
+    ]}).entries
+    got, want = cli.resolve_estimate(bare), cli.resolve_estimate(exact)
+    assert got.is_exact and got.exact == Surd(rat, coef, rad)
+    assert (got.lower, got.upper, got.provenance) == (
+        want.lower, want.upper, want.provenance
+    )
+
+
+def test_readme_rule_table_matches_the_rule_table():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("Available rules and their slots:", 1)[1]
+    rows = []
+    for line in table.strip().splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        rule, slots = line.split("|")[1:3]
+        keys = re.findall(r"`(\w+)`", slots)
+        if slots.strip() == "(scenario)":
+            keys = [None]  # the scenario slot has no JSON key
+        rows.append((rule.strip().strip("`"), keys))
+    assert rows == [
+        (rule, [key for key, _ in slots]) for rule, slots in cli._RULES.items()
+    ]
 
 
 def test_csv_names_are_quoted_per_rfc_4180(capsys, tmp_path):

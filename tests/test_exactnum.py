@@ -1,6 +1,7 @@
 """Arithmetic substrate: polynomials, surds, quadratic roots."""
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -293,6 +294,20 @@ def test_compare_of_conjugates_and_near_misses(a, b, m):
 def test_compare_rejects_non_numbers(left, right):
     with pytest.raises(TypeError):
         compare(left, right)
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/2", "3", Decimal("0.5")])
+def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
+    for build in (
+        lambda: Surd(bad, 1, 2),
+        lambda: Surd(0, bad, 2),
+        lambda: Surd.sqrt(bad),
+        lambda: Polynomial([1, bad]),
+        lambda: Polynomial.constant(bad),
+        lambda: Polynomial.monomial(2, bad),
+    ):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            build()
 
 
 @given(rationals_st, rationals_st, radicands_st)
