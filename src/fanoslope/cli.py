@@ -70,8 +70,10 @@ def parse_value(value, context="value"):
         if extra:
             raise InvalidScenario(f"{context}: unknown surd fields {sorted(extra)}")
         rad = value.get("rad", 0)
-        if not isinstance(rad, int) or isinstance(rad, bool):
-            raise InvalidScenario(f"{context}: surd radicand must be an integer")
+        if not isinstance(rad, int) or isinstance(rad, bool) or rad < 0:
+            raise InvalidScenario(
+                f"{context}: surd radicand must be a non-negative integer"
+            )
         return Surd(
             parse_rational(value.get("rat", 0), context),
             parse_rational(value.get("coef", 0), context),
@@ -432,6 +434,18 @@ def _run_pipeline(steps, scenario):
     return previous
 
 
+def _declared_value(raw, context):
+    """A declared Seshadri value. Seshadri constants are positive, so a
+    negative one is an error of this scenario."""
+    value = parse_value(raw, context)
+    if (value.sign() if isinstance(value, Surd) else value) < 0:
+        raise InvalidScenario(
+            f"{context}: a Seshadri bound cannot be negative, "
+            f"got {render_value(value)}"
+        )
+    return value
+
+
 def resolve_estimate(entry):
     """Evaluate a NamedScenario's seshadri spec into a SeshadriEstimate."""
     spec = entry.seshadri_spec
@@ -440,9 +454,9 @@ def resolve_estimate(entry):
     if kind == "pipeline":
         estimate = _run_pipeline(spec, entry.scenario)
     elif kind == "interval":
-        lower = parse_value(spec.get("lower", 0), context)
+        lower = _declared_value(spec.get("lower", 0), context)
         upper = (
-            parse_value(spec["upper"], context) if "upper" in spec else None
+            _declared_value(spec["upper"], context) if "upper" in spec else None
         )
         estimate = _seshadri.SeshadriEstimate(
             lower=lower,
@@ -452,7 +466,7 @@ def resolve_estimate(entry):
             ),
         )
     else:
-        value = parse_value(spec["exact"] if kind == "exact" else spec, context)
+        value = _declared_value(spec["exact"] if kind == "exact" else spec, context)
         estimate = _seshadri.SeshadriEstimate.exactly(
             value,
             (

@@ -15,13 +15,18 @@ equality). On top of that this module supplies
 General algebraic-number arithmetic is deliberately not built: all surds in a
 computation share a single radicand, and mixing incommensurable radicands
 raises :class:`~fanoslope.errors.IncomparableRadicands`.
+
+One operand rule holds throughout: a rational is an ``int`` or a
+``Fraction``, and a value is a rational or a ``Surd``; anything else, floats,
+strings and Decimals included, raises TypeError rather than being converted.
+``compare`` and Surd arithmetic and ordering read both operands' parts as
+they are, without building a wrapper Surd.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational as _RationalABC
 
 from .errors import AllCoefficientsZero, IncomparableRadicands
 
@@ -39,8 +44,6 @@ __all__ = [
 
 def _squarefree_decompose(m):
     """Write m = s*s*k with k square-free; return (s, k). m must be >= 0."""
-    if m < 0:
-        raise ValueError("radicand must be non-negative")
     s, k = 1, 1
     rest = m
     d = 2
@@ -68,14 +71,6 @@ def _require_rational(value, name):
             f"{name} must be an int or a Fraction, got {type(value).__name__}"
         )
     return Fraction(value)
-
-
-def _as_fraction(value):
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, _RationalABC):
-        return Fraction(value)
-    return None
 
 
 def _sign(a, b, m):
@@ -160,33 +155,13 @@ class Surd:
         """Exact sign: -1, 0, or 1."""
         return _sign(self.rat, self.coef, self.rad)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Surd):
-            return other
-        frac = _as_fraction(other)
-        if frac is not None:
-            return Surd(frac)
-        return None
-
-    def _joint_rad(self, other):
-        if self.coef == 0:
-            return other.rad
-        if other.coef == 0:
-            return self.rad
-        if self.rad != other.rad:
-            raise IncomparableRadicands(
-                f"cannot combine sqrt({self.rad}) with sqrt({other.rad})"
-            )
-        return self.rad
+    # -- arithmetic and comparison -----------------------------------------
+    # The other operand is read through _parts, as compare reads it, so an
+    # operand that is not an int, a Fraction or a Surd raises TypeError.
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        rad = self._joint_rad(other)
-        return Surd(self.rat + other.rat, self.coef + other.coef, rad)
+        c, d, k = _parts(other)
+        return Surd(self.rat + c, self.coef + d, _radicand(self.coef, self.rad, d, k))
 
     __radd__ = __add__
 
@@ -197,83 +172,46 @@ class Surd:
         return self
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        c, d, k = _parts(other)
+        return Surd(self.rat - c, self.coef - d, _radicand(self.coef, self.rad, d, k))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        c, d, k = _parts(other)
+        return Surd(c - self.rat, d - self.coef, _radicand(d, k, self.coef, self.rad))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        rad = self._joint_rad(other)
-        rat = self.rat * other.rat + self.coef * other.coef * rad
-        coef = self.rat * other.coef + self.coef * other.rat
-        return Surd(rat, coef, rad)
+        return _product(self.rat, self.coef, self.rad, *_parts(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.sign() == 0:
-            raise ZeroDivisionError("division by zero surd")
-        if other.coef == 0:
-            return Surd(self.rat / other.rat, self.coef / other.rat, self.rad)
-        # 1/(a + b*sqrt(m)) = (a - b*sqrt(m)) / (a^2 - b^2*m)
-        norm = other.rat * other.rat - other.coef * other.coef * other.rad
-        inverse = Surd(other.rat / norm, -other.coef / norm, other.rad)
-        return self * inverse
+        return _product(self.rat, self.coef, self.rad, *_inverse(*_parts(other)))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    # -- comparison ---------------------------------------------------------
+        return _product(*_parts(other), *_inverse(self.rat, self.coef, self.rad))
 
     def __eq__(self, other):
-        if isinstance(other, Surd):
-            return (
-                self.rat == other.rat
-                and self.coef == other.coef
-                and self.rad == other.rad
-            )
-        frac = _as_fraction(other)
-        if frac is not None:
-            return self.coef == 0 and self.rat == frac
-        return NotImplemented
+        try:
+            return (self.rat, self.coef, self.rad) == _parts(other)
+        except TypeError:  # not an int, Fraction or Surd: Python decides
+            return NotImplemented
 
     def __hash__(self):
         if self.coef == 0:
             return hash(self.rat)
         return hash((self.rat, self.coef, self.rad))
 
-    def _compare(self, other, op):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return op((self - other).sign(), 0)
-
     def __lt__(self, other):
-        return self._compare(other, lambda s, z: s < z)
+        return compare(self, other) < 0
 
     def __le__(self, other):
-        return self._compare(other, lambda s, z: s <= z)
+        return compare(self, other) <= 0
 
     def __gt__(self, other):
-        return self._compare(other, lambda s, z: s > z)
+        return compare(self, other) > 0
 
     def __ge__(self, other):
-        return self._compare(other, lambda s, z: s >= z)
+        return compare(self, other) >= 0
 
     def __float__(self):
         return float(self.rat) + float(self.coef) * math.sqrt(self.rad)
@@ -299,17 +237,38 @@ class Surd:
 
 
 def _parts(value):
-    """``(rat, coef, rad)`` of an int, Fraction or Surd, without conversion."""
+    """``(rat, coef, rad)`` of an int, Fraction or Surd, without conversion;
+    anything else raises TypeError."""
     if isinstance(value, Surd):
         return value.rat, value.coef, value.rad
-    if type(value) is int or type(value) is Fraction:
+    if type(value) is Fraction or isinstance(value, (int, Fraction)):
         return value, 0, 0
-    if isinstance(value, _RationalABC):
-        return Fraction(value), 0, 0
     raise TypeError(
-        f"cannot compare {type(value).__name__!r} exactly; "
-        "expected an int, Fraction or Surd"
+        f"an operand must be a Surd, an int or a Fraction, got {type(value).__name__}"
     )
+
+
+def _radicand(b, m, d, k):
+    """The radicand shared by ``b*sqrt(m)`` and ``d*sqrt(k)``; two irrational
+    parts with different radicands raise IncomparableRadicands."""
+    if b and d and m != k:
+        raise IncomparableRadicands(f"cannot combine sqrt({m}) with sqrt({k})")
+    return m or k
+
+
+def _product(a, b, m, c, d, k):
+    """``(a + b*sqrt(m)) * (c + d*sqrt(k))`` as a Surd."""
+    rad = _radicand(b, m, d, k)
+    return Surd(a * c + b * d * rad, a * d + b * c, rad)
+
+
+def _inverse(a, b, m):
+    """Parts of ``1/(a + b*sqrt(m)) = (a - b*sqrt(m)) / (a^2 - b^2*m)``, as
+    Fractions even for int ``a`` and ``b``; the norm is zero only at zero."""
+    norm = a * a - b * b * m
+    if not norm:
+        raise ZeroDivisionError("division by zero surd")
+    return Fraction(a, norm), Fraction(-b, norm), m
 
 
 def compare(left, right):
@@ -331,16 +290,14 @@ def compare(left, right):
         x = a.numerator * c.denominator
         y = c.numerator * a.denominator
         return (x > y) - (x < y)
-    if b and d and m != k:
-        raise IncomparableRadicands(f"cannot combine sqrt({m}) with sqrt({k})")
-    return _sign(a - c, b - d, m or k)
+    return _sign(a - c, b - d, _radicand(b, m, d, k))
 
 
 def render_value(value):
     """Human-readable exact rendering: '18/5', '3', '2*sqrt(2)', ..."""
-    if isinstance(value, Surd):
+    if isinstance(value, (Surd, Fraction)):
         return str(value)
-    return str(Fraction(value))
+    return str(_require_rational(value, "a rendered value"))
 
 
 class Polynomial:
@@ -430,9 +387,8 @@ class Polynomial:
                     term = a * b
                     out[i + j] = out[i + j] + term if out[i + j] else term
             return Polynomial(out)
-        frac = _as_fraction(other)
-        if frac is not None:
-            return Polynomial([c * frac if c else c for c in self.coeffs])
+        if isinstance(other, (int, Fraction)):
+            return Polynomial([c * other if c else c for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -517,7 +473,7 @@ def quadratic_roots(a, b, c):
     constant has none, and the identically zero equation raises
     AllCoefficientsZero because every number would qualify.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = (_require_rational(x, "a coefficient") for x in (a, b, c))
     if a == 0:
         if b == 0:
             if c == 0:
@@ -529,9 +485,7 @@ def quadratic_roots(a, b, c):
         return ()
     if disc == 0:
         return (Surd(-b / (2 * a)),)
-    root = Surd.sqrt(disc)
-    first = (Surd(-b) - root) / (2 * a)
-    second = (Surd(-b) + root) / (2 * a)
-    if compare(first, second) > 0:
-        first, second = second, first
-    return (first, second)
+    # (-b -+ sqrt(disc)) / (2a) is centre -+ radius, ascending for either sign of a
+    centre = -b / (2 * a)
+    radius = Surd.sqrt(disc) / (2 * abs(a))
+    return (centre - radius, centre + radius)

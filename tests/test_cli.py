@@ -1,5 +1,6 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import contextlib
 import copy
 import csv
 import io
@@ -7,12 +8,13 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fanoslope.cli as cli
 from fanoslope.cli import (
@@ -365,6 +367,8 @@ def test_picard_rank_one_flag_false_keeps_the_verdict(capsys, tmp_path):
         ({"seshadri": {}}, "unreadable"),
         ({"seshadri": {"exact": "4", "upper": "3"}}, "upper"),
         ({"seshadri": {"lower": "2", "exact": "3"}}, "lower"),
+        ({"seshadri": {"rat": "1", "coef": "1", "rad": -3}}, "radicand"),
+        ({"seshadri": {"lower": {"rat": "1", "coef": "1", "rad": -2}}}, "radicand"),
     ],
 )
 def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
@@ -412,6 +416,41 @@ def test_bad_pipeline_step_fails_its_scenario_only(capsys, tmp_path, step):
     assert records["bad"]["error_type"] == "InvalidScenario"
     field = "as" if "as" in step else "isPn" if "isPn" in step else "estimate name"
     assert field in records["bad"]["error"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "-1",
+        -1,
+        {"lower": "-1"},
+        {"lower": "-1", "upper": "3"},
+        {"upper": "-1/2"},
+        {"exact": "-1"},
+        {"rat": "-2", "coef": "1", "rad": 2},
+        {"exact": {"rat": "1", "coef": "-1", "rad": 15}},
+    ],
+)
+def test_negative_declared_seshadri_value_fails_its_scenario_only(
+    capsys, tmp_path, spec
+):
+    path = tmp_path / "negative.json"
+    path.write_text(
+        json.dumps({"scenarios": [conic(name="bad", seshadri=spec), conic()]}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "classify", str(path), "--format", "json")
+    records = {v["name"]: v for v in json.loads(out)["verdicts"]}
+    assert code == 1 and "internal error" not in err
+    assert records["bad"]["error_type"] == "InvalidScenario"
+    assert "negative" in records["bad"]["error"]
+    assert records["conic"]["status"] == "semistable-not-stable"
+    for argv in (["seshadri"], ["sweep", "--grid", "1"]):
+        code, out, err = run_cli(capsys, *argv, str(path), "--scenario", "bad")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad.seshadri") and "negative" in err
+        code, out, err = run_cli(capsys, *argv, str(path), "--scenario", "conic")
+        assert code == 0 and out and err == ""
 
 
 @given(
@@ -473,6 +512,131 @@ def test_csv_names_are_quoted_per_rfc_4180(capsys, tmp_path):
         ["name", "lower", "upper", "exact"],
         ['a,"b', "3", "3", "3"],
     ]
+
+
+# -- fuzzed input boundary -------------------------------------------------
+#
+# One field of a fixture scenario is replaced by malformed JSON. Whatever the
+# value, each subcommand answers with exit 0 or 1 and a typed error, never an
+# internal error (exit 2) or a traceback.
+
+_SURD = {"rat": "1", "coef": "1", "rad": 2}
+MALFORMED = [
+    -1, -3, 0, "-1", "-7/2", "1/0", "0/0", "", "x", 0.5, -2.0, 1e300,
+    True, False, None, [], [1, "a"], {}, {"x": 1},
+    {"rat": "-2", "coef": "1", "rad": 2},
+    {"rat": "-9", "coef": "2", "rad": 3},
+    {"rat": "1", "coef": "1", "rad": -3},
+    {"rat": 0.5, "coef": "1", "rad": 2},
+    {"rat": "1", "coef": "1", "rad": True},
+    {"rat": "1", "coef": "1", "rad": "2"},
+    {"exact": "-1"},
+    {"exact": {"rat": "-2", "coef": "1", "rad": 2}},
+    {"exact": None},
+    {"lower": "-1"},
+    {"lower": "-1", "upper": "3"},
+    {"upper": "-1"},
+    {"lower": "3", "upper": "2"},
+    {"lower": {"rat": "1", "coef": "1", "rad": -2}},
+    {"lower": _SURD, "upper": {"rat": "1", "coef": "1", "rad": 3}},
+    {"rule": "nope"},
+    {"rule": None},
+    [{"rule": "witness_curve_upper", "degree": "-3"}],
+    [{"rule": "witness_curve_upper", "degree": "1/0"}],
+    [{"rule": "proper_transform_upper", "degree": "3", "multiplicity": "-1"}],
+    [{"rule": "linear_subspace_exact", "n": -1}],
+    [{"rule": "linear_subspace_exact", "n": "3"}],
+    [{"rule": "point_upper_bound", "n": 2}],
+    [{"rule": "point_upper_bound", "n": 3, "isPn": None}],
+    [{"rule": "blowup_exceptional_shift"}],
+    [{"rule": "linear_subspace_exact", "n": 1},
+     {"rule": "blowup_exceptional_shift"},
+     {"rule": "blowup_exceptional_shift"}],
+    [{"rule": "combine", "of": "a"}],
+    [{"rule": "combine", "of": ["a", "a"]}],
+    [{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
+     {"rule": "certify_exact_by_restriction", "upper": "a", "ambient": "a",
+      "restricted": "-1"}],
+    [{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
+     {"rule": "certify_exact_by_restriction", "upper": "a", "ambient": "a",
+      "restricted": _SURD}],
+    [{"rule": "nested_restriction", "inner": "a", "ambient": None}],
+    [{"rule": "moving_curve_upper"}, {"rule": "moving_curve_upper"}],
+    [],
+    [{}],
+]
+
+
+def _fields(entry):
+    """Paths of the fields one can replace in a scenario entry."""
+    paths = [(key,) for key in entry] + [
+        (key,) for key in ("KLn1", "normalBundleDegree", "splitting", "flags")
+        if key not in entry
+    ]
+    paths += [("flags", key) for key in ("isPn", "picardRankOne", "fanoIndex")]
+    steps = entry["seshadri"]
+    if isinstance(steps, dict) and "rule" in steps:
+        steps = [steps]
+    if isinstance(steps, list):
+        paths += [("seshadri", i, key) for i, step in enumerate(steps) for key in step]
+    return paths
+
+
+def _replaced(entry, path, value):
+    entry = copy.deepcopy(entry)
+    target = entry
+    for key in path[:-1]:
+        if key == "seshadri" and isinstance(target[key], dict):
+            target[key] = [target[key]]
+        elif key == "flags" and not isinstance(target.get(key), dict):
+            target[key] = {}
+        target = target[key]
+    target[path[-1]] = value
+    return entry
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(fixture, scenario index, field path, malformed value)."""
+    name = draw(st.sampled_from(ALL_FIXTURES))
+    with open(fixture(name), encoding="utf-8") as handle:
+        scenarios = json.load(handle)["scenarios"]
+    index = draw(st.integers(0, len(scenarios) - 1))
+    path = draw(st.sampled_from(_fields(scenarios[index])))
+    return name, index, path, draw(st.sampled_from(MALFORMED))
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(fuzz_cases())
+@example(("pn_line.json", 0, ("seshadri",), "-1"))
+@example(("gallery.json", 1, ("seshadri",), {"rat": "1", "coef": "1", "rad": -3}))
+def test_malformed_field_never_escapes_as_internal_error(case):
+    name, index, path, value = case
+    with open(fixture(name), encoding="utf-8") as handle:
+        scenarios = json.load(handle)["scenarios"]
+    scenario_name = scenarios[index]["name"]
+    scenarios[index] = _replaced(scenarios[index], path, value)
+    with tempfile.TemporaryDirectory() as folder:
+        target = str(Path(folder) / "fuzzed.json")
+        Path(target).write_text(
+            json.dumps({"scenarios": scenarios}), encoding="utf-8"
+        )
+        for argv in (
+            ["classify", target],
+            ["classify", target, "--format", "csv", "--open-interval"],
+            ["seshadri", target, "--scenario", scenario_name],
+            ["sweep", target, "--scenario", scenario_name, "--grid", "1/2,1"],
+        ):
+            code, err = _run_quietly(argv)
+            assert code in (0, 1), (argv[0], path, value, err)
+            assert "internal error" not in err and "Traceback" not in err
 
 
 # -- error handling and exit codes -----------------------------------------

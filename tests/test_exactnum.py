@@ -1,11 +1,12 @@
 """Arithmetic substrate: polynomials, surds, quadratic roots."""
 
 import itertools
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fanoslope.errors import AllCoefficientsZero, IncomparableRadicands
 from fanoslope.exactnum import Polynomial, Surd, compare, quadratic_roots, render_value
@@ -213,9 +214,7 @@ def oracle_sign(value):
 
 
 def oracle_compare(left, right):
-    if not isinstance(left, Surd):
-        left = Surd(Fraction(left))
-    return oracle_sign(left - right)
+    return oracle_sign(old_sub(left, right))
 
 
 def oracle_surd_parts(rat, coef, rad):
@@ -298,6 +297,7 @@ def test_compare_rejects_non_numbers(left, right):
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, "1/2", "3", Decimal("0.5")])
 def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
+    surd = Surd(1, 1, 2)
     for build in (
         lambda: Surd(bad, 1, 2),
         lambda: Surd(0, bad, 2),
@@ -305,9 +305,38 @@ def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
         lambda: Polynomial([1, bad]),
         lambda: Polynomial.constant(bad),
         lambda: Polynomial.monomial(2, bad),
+        lambda: quadratic_roots(bad, 0, -1),
+        lambda: quadratic_roots(1, bad, -1),
+        lambda: render_value(bad),
+        lambda: surd + bad,
+        lambda: surd - bad,
+        lambda: surd * bad,
+        lambda: surd / bad,
+        lambda: surd < bad,
+        lambda: surd >= bad,
+        lambda: compare(surd, bad),
+        lambda: compare(bad, Fraction(1, 2)),
     ):
         with pytest.raises(TypeError, match="int or a Fraction"):
             build()
+
+
+@pytest.mark.parametrize("bad", [0.1, Decimal("0.5")])
+def test_reflected_operations_refuse_floats_and_decimals(bad):
+    # float and Decimal hand these to the Surd and the Polynomial, which refuse
+    surd = Surd(1, 1, 2)
+    for build in (
+        lambda: bad + surd,
+        lambda: bad - surd,
+        lambda: bad * surd,
+        lambda: bad / surd,
+        lambda: bad < surd,
+        lambda: Polynomial([1, 2]) * bad,
+        lambda: bad * Polynomial([1, 2]),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert [surd == other for other in (bad, "x", None)] == [False] * 3
 
 
 @given(rationals_st, rationals_st, radicands_st)
@@ -352,6 +381,95 @@ def test_polynomial_from_ints_equals_polynomial_from_fractions(coefficients):
     assert from_ints == Polynomial([Fraction(c) for c in coefficients])
     assert all(type(c) is Fraction for c in from_ints.coeffs)
 
+
+
+# -- Surd operands read as parts, against the wrapper-Surd route -----------
+#
+# Surd arithmetic and ordering read the other operand's (rat, coef, rad)
+# parts directly, as compare does. The reference below is the earlier route:
+# wrap an int or Fraction operand in a Surd, apply the textbook formulas to
+# two Surds, and order by the sign of the difference.
+
+
+def old_wrap(value):
+    return value if isinstance(value, Surd) else Surd(Fraction(value))
+
+
+def old_joint_rad(x, y):
+    if x.coef == 0:
+        return y.rad
+    if y.coef == 0:
+        return x.rad
+    if x.rad != y.rad:
+        raise IncomparableRadicands(f"cannot combine sqrt({x.rad}) with sqrt({y.rad})")
+    return x.rad
+
+
+def old_add(x, y):
+    x, y = old_wrap(x), old_wrap(y)
+    return Surd(x.rat + y.rat, x.coef + y.coef, old_joint_rad(x, y))
+
+
+def old_sub(x, y):
+    y = old_wrap(y)
+    return old_add(x, Surd(-y.rat, -y.coef, y.rad))
+
+
+def old_mul(x, y):
+    x, y = old_wrap(x), old_wrap(y)
+    rad = old_joint_rad(x, y)
+    return Surd(
+        x.rat * y.rat + x.coef * y.coef * rad, x.rat * y.coef + x.coef * y.rat, rad
+    )
+
+
+def old_div(x, y):
+    x, y = old_wrap(x), old_wrap(y)
+    if oracle_sign(y) == 0:
+        raise ZeroDivisionError("division by zero surd")
+    if y.coef == 0:
+        return Surd(x.rat / y.rat, x.coef / y.rat, x.rad)
+    norm = y.rat * y.rat - y.coef * y.coef * y.rad
+    return old_mul(x, Surd(y.rat / norm, -y.coef / norm, y.rad))
+
+
+OLD_ARITHMETIC = {
+    operator.add: old_add,
+    operator.sub: old_sub,
+    operator.mul: old_mul,
+    operator.truediv: old_div,
+}
+ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def outcome(function, *args):
+    """The value, or the type and message of the exception, of a call."""
+    try:
+        return function(*args)
+    except (IncomparableRadicands, ZeroDivisionError) as error:
+        return type(error), str(error)
+
+
+# a Surd on one side, an int, a Fraction or a Surd on the other; zero and
+# rational-valued surds are common, so division by zero is drawn too
+@given(any_surd_st, numbers_st, st.booleans())
+@example(Surd(1, 1, 2), 2, True)  # int parts must not make a float part
+@example(Surd(3), 2, False)
+def test_surd_operations_match_the_wrapper_route(surd, other, surd_first):
+    x, y = (surd, other) if surd_first else (other, surd)
+    for op, old in OLD_ARITHMETIC.items():
+        got, want = outcome(op, x, y), outcome(old, x, y)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert isinstance(got, Surd) and same_surd(got, want)
+        assert type(got.rat) is Fraction and type(got.coef) is Fraction
+    for op in ORDERINGS:
+        assert outcome(op, x, y) == outcome(
+            lambda a, b: op(oracle_sign(old_sub(a, b)), 0), x, y
+        )
+    same = same_surd(old_wrap(x), old_wrap(y))
+    assert (x == y) is same and (x != y) is not same
 
 
 # -- sparse polynomial arithmetic against the dense routines ----------------
