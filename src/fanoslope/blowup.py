@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DimensionTooSmall, InvalidScenario, ScenarioInconsistent
-from .exactnum import Polynomial, compare
+from .exactnum import Polynomial, _require_rational, compare
 
 __all__ = [
     "CurveScenario",
@@ -65,8 +65,10 @@ class CurveScenario:
         for name in ("n", "genus", "degree", "normal_degree"):
             if not isinstance(getattr(self, name), int):
                 raise InvalidScenario(f"{name} must be an integer")
-        object.__setattr__(self, "ln", Fraction(self.ln))
-        object.__setattr__(self, "k_ln1", Fraction(self.k_ln1))
+        for name in ("ln", "k_ln1"):
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, _require_rational(value, name))
         if self.n < 2:
             raise InvalidScenario("ambient dimension must be at least 2")
         if self.genus < 0:
@@ -91,7 +93,7 @@ class CurveScenario:
     def anticanonical_curve(cls, n, genus, degree, ln):
         """Build an anticanonically polarized scenario; adjunction fills in
         the normal bundle degree and the mixed intersection number."""
-        ln = Fraction(ln)
+        ln = _require_rational(ln, "ln")
         return cls(
             n=n,
             genus=genus,

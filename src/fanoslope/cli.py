@@ -11,14 +11,17 @@ Three subcommands operate on JSON scenario files:
 Scenario files carry exact numbers only: rationals as strings like "18/5"
 (plain JSON integers are also fine), quadratic surds as objects
 {"rat": "a/b", "coef": "c/d", "rad": k}. Floats are rejected rather than
-silently rounded. Exit codes: 0 on success, 1 when any scenario fails
-validation, 2 on an internal invariant violation.
+silently rounded. A file is read once, when it loads, into exact values:
+resolving and rendering a scenario never parse JSON again. Exit codes: 0 on
+success, 1 when any scenario fails validation, 2 on an internal invariant
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,13 +39,15 @@ __all__ = [
     "NamedScenario",
     "ScenarioFile",
     "load_scenario_file",
-    "dump_scenario_file",
     "resolve_estimate",
     "format_fixed",
 ]
 
 
 # -- exact number (de)serialization ----------------------------------------
+
+# ASCII digits only: \d would also admit other scripts' digits such as "٣"
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(value, context="value"):
@@ -55,16 +60,20 @@ def parse_rational(value, context="value"):
             f"{context}: floats are not exact; write the rational as a "
             'string like "18/5"'
         )
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
+    if not isinstance(value, str):
+        raise InvalidScenario(f"{context}: cannot read a rational from {value!r}")
+    if _RATIONAL.fullmatch(value):
+        numerator, _, denominator = value.partition("/")
+        try:  # int() refuses more than 4300 digits with a ValueError
+            return Fraction(int(numerator), int(denominator or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidScenario(f"{context}: bad rational {value!r}") from exc
-    raise InvalidScenario(f"{context}: cannot read a rational from {value!r}")
+    raise InvalidScenario(f"{context}: bad rational {value!r}")
 
 
 def parse_value(value, context="value"):
-    """A rational or a surd object."""
+    """A rational or a surd object; a surd that turns out rational is
+    returned as its Fraction."""
     if isinstance(value, dict):
         extra = set(value) - {"rat", "coef", "rad"}
         if extra:
@@ -74,20 +83,22 @@ def parse_value(value, context="value"):
             raise InvalidScenario(
                 f"{context}: surd radicand must be a non-negative integer"
             )
-        return Surd(
+        surd = Surd(
             parse_rational(value.get("rat", 0), context),
             parse_rational(value.get("coef", 0), context),
             rad,
         )
+        return surd.rat if surd.is_rational else surd
     return parse_rational(value, context)
 
 
 def dump_value(value):
+    """The JSON spelling of an exact value in command output."""
     if isinstance(value, Surd):
         if value.is_rational:
             return str(value.rat)
         return {"rat": str(value.rat), "coef": str(value.coef), "rad": value.rad}
-    return str(Fraction(value))
+    return str(value)
 
 
 # -- scenario files --------------------------------------------------------
@@ -95,6 +106,11 @@ def dump_value(value):
 
 @dataclass(frozen=True)
 class NamedScenario:
+    """One scenario as read from a file. ``seshadri_spec`` is
+    ``{"exact": v}``, ``{"lower": v, "upper": v or None}`` or a tuple of
+    pipeline steps whose rational and value slots are already read; every
+    value is a Fraction or a Surd."""
+
     name: str
     scenario: CurveScenario
     seshadri_spec: object
@@ -205,11 +221,11 @@ def _parse_entry(raw):
         )
 
     if anticanonical:
-        if "KLn1" in raw and parse_rational(raw["KLn1"], f"{name}.KLn1") != -ln:
+        k_ln1 = -ln
+        if "KLn1" in raw and parse_rational(raw["KLn1"], f"{name}.KLn1") != k_ln1:
             raise InvalidScenario(
                 f"{name}: anticanonical scenarios have KLn1 = -Ln"
             )
-        k_ln1 = -ln
     elif "KLn1" in raw:
         k_ln1 = parse_rational(raw["KLn1"], f"{name}.KLn1")
     else:
@@ -232,7 +248,7 @@ def _parse_entry(raw):
     return NamedScenario(
         name=name,
         scenario=scenario,
-        seshadri_spec=_normalize_seshadri_spec(raw["seshadri"], name),
+        seshadri_spec=_read_seshadri_spec(raw["seshadri"], name),
         flags=_parse_flags(raw.get("flags"), name),
         splitting=splitting,
         description=description,
@@ -252,54 +268,31 @@ def parse_scenario_file(data):
     return ScenarioFile(entries=parsed)
 
 
+def _object_without_repeats(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise InvalidScenario(f"repeated key {repeated!r} in a JSON object")
+    return obj
+
+
 def load_scenario_file(path):
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
+            data = json.load(handle, object_pairs_hook=_object_without_repeats)
+        except ValueError as exc:  # bad JSON or UTF-8, an over-long integer
             raise InvalidScenario(f"{path}: not valid JSON ({exc})") from exc
     return parse_scenario_file(data)
-
-
-def dump_scenario_file(scenario_file):
-    """Serialize back to the on-disk dict form (canonical field order)."""
-    out = []
-    for entry in scenario_file.entries:
-        s = entry.scenario
-        record = {"name": entry.name}
-        if entry.description is not None:
-            record["description"] = entry.description
-        record.update(
-            n=s.n,
-            genus=s.genus,
-            degree=s.degree,
-            normalBundleDegree=s.normal_degree,
-            Ln=dump_value(s.ln),
-        )
-        if s.anticanonical:
-            record["anticanonical"] = True
-        else:
-            record["KLn1"] = dump_value(s.k_ln1)
-        if entry.splitting is not None:
-            record["splitting"] = list(entry.splitting.twists)
-        record["seshadri"] = entry.seshadri_spec
-        flags = entry.flags
-        record["flags"] = {
-            "isPn": flags.is_pn,
-            "picardRankOne": flags.picard_rank_one,
-            "fanoIndex": flags.fano_index,
-        }
-        out.append(record)
-    return {"scenarios": out}
 
 
 # -- the seshadri rule pipeline --------------------------------------------
 
 # Every rule with its slots in call order, as (key, kind) pairs. Rational and
-# value slots are normalised when the file is read, so a bad one fails the
-# whole file; the other kinds are read when the step runs and fail only
-# their scenario. The scenario kind has no key. A step may carry only
-# "rule", "as" and its rule's slot keys.
+# value slots are read when the file is read, so a bad one fails the whole
+# file; the other kinds, and a missing rational or value slot, are checked
+# when the step runs and fail only their scenario. The scenario kind has no
+# key. A step may carry only "rule", "as" and its rule's slot keys.
 _RULES = {
     "linear_subspace_exact": (("n", "int"),),
     "witness_curve_upper": (("degree", "rational"),),
@@ -318,48 +311,32 @@ _RULES = {
 _LOAD_PARSERS = {"rational": parse_rational, "value": parse_value}
 
 
-def _spec_kind(spec, context):
-    """Which form a seshadri entry takes: "value" (a rational or a bare surd
-    object), "exact", "interval" or "pipeline"."""
-    if isinstance(spec, (str, int)):
-        return "value"
-    if isinstance(spec, list) or (isinstance(spec, dict) and "rule" in spec):
-        return "pipeline"
-    if not isinstance(spec, dict) or not spec:
-        raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
-    if "exact" in spec:
-        kind, keys = "exact", {"exact"}
-    elif "lower" in spec or "upper" in spec:
-        kind, keys = "interval", {"lower", "upper"}
-    else:
-        return "value"  # parse_value checks the surd fields
-    extra = set(spec) - keys
-    if extra:
-        raise InvalidScenario(f"{context}: unknown fields {sorted(extra)}")
-    return kind
-
-
-def _normalize_seshadri_spec(spec, name):
+def _read_seshadri_spec(spec, name):
+    """The seshadri entry in the form ``NamedScenario.seshadri_spec`` holds."""
     context = f"{name}.seshadri"
-    kind = _spec_kind(spec, context)
-    if kind == "value":
-        return dump_value(parse_value(spec, context))
-    if kind == "exact":
-        return {"exact": dump_value(parse_value(spec["exact"], context))}
-    if kind == "interval":
+    if isinstance(spec, dict) and "rule" in spec:
+        spec = [spec]
+    if isinstance(spec, list):
+        if not spec:
+            raise InvalidScenario(f"{context}: empty rule pipeline")
+        return tuple(_read_step(step, context) for step in spec)
+    if isinstance(spec, dict) and spec.keys() & {"exact", "lower", "upper"}:
+        extra = set(spec) - ({"exact"} if "exact" in spec else {"lower", "upper"})
+        if extra:
+            raise InvalidScenario(f"{context}: unknown fields {sorted(extra)}")
+        if "exact" in spec:
+            return {"exact": parse_value(spec["exact"], context)}
         return {
-            key: dump_value(parse_value(spec[key], context))
-            for key in ("lower", "upper")
-            if key in spec
+            "lower": parse_value(spec.get("lower", 0), context),
+            "upper": parse_value(spec["upper"], context) if "upper" in spec else None,
         }
-    if isinstance(spec, dict):
-        return _normalize_step(spec, context)
-    if not spec:
-        raise InvalidScenario(f"{context}: empty rule pipeline")
-    return [_normalize_step(step, context) for step in spec]
+    if isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec):
+        # a literal or a bare surd object, whose fields parse_value checks
+        return {"exact": parse_value(spec, context)}
+    raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
 
 
-def _normalize_step(step, context):
+def _read_step(step, context):
     if not isinstance(step, dict) or "rule" not in step:
         raise InvalidScenario(f"{context}: each pipeline step needs a rule")
     rule = step["rule"]
@@ -374,7 +351,7 @@ def _normalize_step(step, context):
     out = dict(step)
     for key, kind in slots:
         if key in out and kind in _LOAD_PARSERS:
-            out[key] = dump_value(_LOAD_PARSERS[kind](out[key], f"{context}.{key}"))
+            out[key] = _LOAD_PARSERS[kind](out[key], f"{context}.{key}")
     return out
 
 
@@ -385,8 +362,6 @@ def _run_pipeline(steps, scenario):
     earlier results by name. Where a step needs an input estimate ("of",
     or rule-specific slots) the default is the previous step's result.
     """
-    if isinstance(steps, dict):
-        steps = [steps]
     named = {}
     previous = None
 
@@ -411,8 +386,13 @@ def _run_pipeline(steps, scenario):
             return [fetch(ref, context) for ref in refs]
         if kind == "bool":
             return _parse_bool(step.get(key, False), f"{context}.{key}")
-        parse = _parse_int if kind == "int" else _LOAD_PARSERS[kind]
-        return parse(step.get(key), f"{context}.{key}")
+        if kind == "int":
+            return _parse_int(step.get(key), f"{context}.{key}")
+        if key not in step:  # a present rational or value slot was read at load
+            raise InvalidScenario(
+                f"{context}.{key}: cannot read a rational from None"
+            )
+        return step[key]
 
     for step in steps:
         rule = step["rule"]
@@ -434,10 +414,11 @@ def _run_pipeline(steps, scenario):
     return previous
 
 
-def _declared_value(raw, context):
-    """A declared Seshadri value. Seshadri constants are positive, so a
-    negative one is an error of this scenario."""
-    value = parse_value(raw, context)
+def _declared_value(value, context):
+    """A declared Seshadri value, or None for no upper bound. Seshadri
+    constants are positive, so a negative one is an error of this scenario."""
+    if value is None:
+        return None
     if (value.sign() if isinstance(value, Surd) else value) < 0:
         raise InvalidScenario(
             f"{context}: a Seshadri bound cannot be negative, "
@@ -450,23 +431,18 @@ def resolve_estimate(entry):
     """Evaluate a NamedScenario's seshadri spec into a SeshadriEstimate."""
     spec = entry.seshadri_spec
     context = f"{entry.name}.seshadri"
-    kind = _spec_kind(spec, context)
-    if kind == "pipeline":
+    if isinstance(spec, tuple):
         estimate = _run_pipeline(spec, entry.scenario)
-    elif kind == "interval":
-        lower = _declared_value(spec.get("lower", 0), context)
-        upper = (
-            _declared_value(spec["upper"], context) if "upper" in spec else None
-        )
+    elif "exact" not in spec:
         estimate = _seshadri.SeshadriEstimate(
-            lower=lower,
-            upper=upper,
+            lower=_declared_value(spec["lower"], context),
+            upper=_declared_value(spec["upper"], context),
             provenance=(
                 _seshadri.ProvenanceEntry("declared", "declared interval"),
             ),
         )
     else:
-        value = _declared_value(spec["exact"] if kind == "exact" else spec, context)
+        value = _declared_value(spec["exact"], context)
         estimate = _seshadri.SeshadriEstimate.exactly(
             value,
             (
@@ -499,7 +475,13 @@ def format_fixed(value, places=6):
 # -- rendering -------------------------------------------------------------
 
 
-def _verdict_record(entry, estimate, verdict):
+def _json_record(entry, *outcome):
+    """The JSON record of one classify result: ``outcome`` is
+    ``(estimate, verdict)``, or ``(error,)`` when the scenario failed."""
+    if len(outcome) == 1:
+        return {"name": entry.name, "error": str(outcome[0]),
+                "error_type": type(outcome[0]).__name__}
+    estimate, verdict = outcome
     return {
         "name": entry.name,
         "status": verdict.status.value,
@@ -520,8 +502,26 @@ def _verdict_record(entry, estimate, verdict):
     }
 
 
-def _print_verdict_block(entry, estimate, verdict, out):
+def _csv_row(entry, *outcome):
+    """The CSV row of one classify result, ``outcome`` as for JSON."""
+    if len(outcome) == 1:
+        return f"{_csv_field(entry.name)},error,,{type(outcome[0]).__name__}"
+    verdict = outcome[1]
+    witness = verdict.witness_lambda
+    return (
+        f"{_csv_field(entry.name)},{verdict.status.value},"
+        f"{'' if witness is None else render_value(witness)},"
+        f"{_csv_quoted(verdict.rule)}"
+    )
+
+
+def _print_block(out, entry, *outcome):
+    """The text block of one classify result, ``outcome`` as for JSON."""
     print(f"scenario: {entry.name}", file=out)
+    if len(outcome) == 1:
+        print(f"  error: {type(outcome[0]).__name__}: {outcome[0]}", file=out)
+        return
+    estimate, verdict = outcome
     if entry.description:
         print(f"  about: {entry.description}", file=out)
     print(f"  status: {verdict.status.value}", file=out)
@@ -550,11 +550,6 @@ def _csv_quoted(text):
     return '"' + text.replace('"', '""') + '"'
 
 
-def _print_error_block(name, error, out):
-    print(f"scenario: {name}", file=out)
-    print(f"  error: {type(error).__name__}: {error}", file=out)
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -562,8 +557,7 @@ def cmd_classify(args, out=None):
     out = out if out is not None else sys.stdout
     scenario_file = load_scenario_file(args.file)
     include_endpoint = not args.open_interval
-    records = []
-    failed = False
+    results = []
     for entry in scenario_file.entries:
         try:
             estimate = resolve_estimate(entry)
@@ -573,40 +567,21 @@ def cmd_classify(args, out=None):
                 entry.flags,
                 include_endpoint=include_endpoint,
             )
+            result = (entry, estimate, verdict)
         except FanoslopeError as error:
-            failed = True
-            records.append({"name": entry.name, "error": str(error),
-                            "error_type": type(error).__name__})
-            if args.format == "text":
-                _print_error_block(entry.name, error, out)
-            continue
-        records.append(_verdict_record(entry, estimate, verdict))
+            result = (entry, error)
+        results.append(result)
         if args.format == "text":
-            _print_verdict_block(entry, estimate, verdict, out)
+            _print_block(out, *result)
     if args.format == "json":
+        records = [_json_record(*result) for result in results]
         json.dump({"verdicts": records}, out, indent=2)
         print(file=out)
     elif args.format == "csv":
         print("name,status,witness_lambda,rule", file=out)
-        for record in records:
-            if "error" in record:
-                print(
-                    f"{_csv_field(record['name'])},error,,{record['error_type']}",
-                    file=out,
-                )
-            else:
-                witness = record["witness_lambda"]
-                if isinstance(witness, dict):
-                    witness = render_value(
-                        parse_value(witness, record["name"])
-                    )
-                print(
-                    f"{_csv_field(record['name'])},{record['status']},"
-                    f"{witness if witness is not None else ''},"
-                    f"{_csv_quoted(record['rule'])}",
-                    file=out,
-                )
-    return 1 if failed else 0
+        for result in results:
+            print(_csv_row(*result), file=out)
+    return 1 if any(len(result) == 2 for result in results) else 0
 
 
 def _entry_named(scenario_file, name, path):

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import fanoslope.cli as cli
 from fanoslope.cli import (
-    dump_scenario_file,
     dump_value,
     format_fixed,
     main,
@@ -26,10 +25,11 @@ from fanoslope.cli import (
     parse_scenario_file,
     parse_value,
 )
-from fanoslope.errors import InvalidScenario
+from fanoslope.errors import FanoslopeError, InvalidScenario
 from fanoslope.exactnum import Surd
 
 FIXTURES = files("fanoslope") / "fixtures"
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def fixture(name):
@@ -56,6 +56,25 @@ def test_parse_rational_rejects_floats_and_garbage():
         parse_rational(0.5)
     with pytest.raises(InvalidScenario):
         parse_rational("three")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e5", "1e5000", "1e4000000", "0.1", " 3", "3 ", "3\n", "+3", "1_000",
+     "\u0663", "3/\u0664", "1/0", "0/0", "3/", "/3", "-", "--3", "3/-4",
+     "1" * 5000, "1/" + "1" * 5000],
+)
+def test_parse_rational_takes_only_ascii_digits_and_one_slash(text):
+    # exactly -?[0-9]+(/[0-9]+)?, with int()'s 4300-digit limit as the only cap
+    with pytest.raises(InvalidScenario, match="bad rational"):
+        parse_rational(text, "grid")
+
+
+def test_parse_rational_reads_the_grammar_exactly():
+    assert parse_rational("-0") == 0
+    assert parse_rational("007/014") == Fraction(1, 2)
+    assert parse_rational("-18/5") == Fraction(-18, 5)
+    assert parse_rational("9" * 4300) == int("9" * 4300)
 
 
 def test_parse_value_surd_round_trip():
@@ -88,15 +107,6 @@ def test_format_fixed_never_prints_negative_zero():
 # -- scenario files --------------------------------------------------------
 
 ALL_FIXTURES = ["pn_line.json", "p1xpn.json", "blp3_fiber.json", "gallery.json"]
-
-
-@pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_scenario_file_round_trip_is_idempotent(name):
-    with open(fixture(name), encoding="utf-8") as handle:
-        data = json.load(handle)
-    once = dump_scenario_file(parse_scenario_file(data))
-    twice = dump_scenario_file(parse_scenario_file(copy.deepcopy(once)))
-    assert once == twice
 
 
 def minimal_entry(**overrides):
@@ -244,6 +254,16 @@ def test_sweep_rejects_grid_beyond_certified_interval(capsys):
     )
     assert code == 1
     assert "outside the certified interval" in err
+
+
+@pytest.mark.parametrize("point", ["1e0", "0.5", "+1", "1_0", "\u0661"])
+def test_sweep_grid_follows_the_rational_grammar(capsys, point):
+    code, out, err = run_cli(
+        capsys, "sweep", fixture("blp3_fiber.json"), "--scenario", "blp3_fiber",
+        "--grid", f"1/2,{point}",
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: grid: bad rational {point!r}\n"
 
 
 def test_sweep_rejects_nonpositive_grid(capsys):
@@ -401,6 +421,8 @@ def test_empty_description_is_a_string(capsys, tmp_path):
         {"rule": "product_fiber_estimate", "of": ["a"]},
         {"rule": "combine", "of": ["a", ["a"]]},
         {"rule": "nested_restriction", "inner": {"x": 1}, "ambient": "a"},
+        # a rational slot left out is missed when the step runs
+        {"rule": "witness_curve_upper"},
     ],
 )
 def test_bad_pipeline_step_fails_its_scenario_only(capsys, tmp_path, step):
@@ -414,7 +436,11 @@ def test_bad_pipeline_step_fails_its_scenario_only(capsys, tmp_path, step):
     assert records["conic"]["status"] == "semistable-not-stable"
     assert records["after"]["status"] == "semistable-not-stable"
     assert records["bad"]["error_type"] == "InvalidScenario"
-    field = "as" if "as" in step else "isPn" if "isPn" in step else "estimate name"
+    field = (
+        "as" if "as" in step else "isPn" if "isPn" in step
+        else "degree" if step["rule"] == "witness_curve_upper"
+        else "estimate name"
+    )
     assert field in records["bad"]["error"]
 
 
@@ -523,6 +549,7 @@ def test_csv_names_are_quoted_per_rfc_4180(capsys, tmp_path):
 _SURD = {"rat": "1", "coef": "1", "rad": 2}
 MALFORMED = [
     -1, -3, 0, "-1", "-7/2", "1/0", "0/0", "", "x", 0.5, -2.0, 1e300,
+    "1e5000", "0.1", " 3", "+3", "1_000", "\u0663",
     True, False, None, [], [1, "a"], {}, {"x": 1},
     {"rat": "-2", "coef": "1", "rad": 2},
     {"rat": "-9", "coef": "2", "rad": 3},
@@ -610,13 +637,14 @@ def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(fuzz_cases())
 @example(("pn_line.json", 0, ("seshadri",), "-1"))
 @example(("gallery.json", 1, ("seshadri",), {"rat": "1", "coef": "1", "rad": -3}))
+@example(("pn_line.json", 0, ("seshadri",), "1e5000"))
 def test_malformed_field_never_escapes_as_internal_error(case):
     name, index, path, value = case
     with open(fixture(name), encoding="utf-8") as handle:
@@ -634,9 +662,48 @@ def test_malformed_field_never_escapes_as_internal_error(case):
             ["seshadri", target, "--scenario", scenario_name],
             ["sweep", target, "--scenario", scenario_name, "--grid", "1/2,1"],
         ):
-            code, err = _run_quietly(argv)
+            code, _, err = _run_quietly(argv)
             assert code in (0, 1), (argv[0], path, value, err)
             assert "internal error" not in err and "Traceback" not in err
+
+
+# -- parse once ------------------------------------------------------------
+
+
+def test_a_loaded_scenario_is_never_parsed_again(monkeypatch):
+    paths = [fixture(name) for name in ALL_FIXTURES]
+    paths += sorted(str(path) for path in GOLDEN_INPUTS.glob("*.json"))
+    loaded = {path: cli.load_scenario_file(path) for path in paths}
+    monkeypatch.setattr(cli, "load_scenario_file", loaded.__getitem__)
+
+    def outcomes():
+        seen = []
+        for path, scenario_file in loaded.items():
+            for entry in scenario_file.entries:
+                try:
+                    estimate = cli.resolve_estimate(entry)
+                    seen.append(
+                        (estimate.lower, estimate.upper, estimate.provenance)
+                    )
+                except FanoslopeError as error:
+                    seen.append(repr(error))
+                for fmt in ("text", "json", "csv"):
+                    seen.append(_run_quietly(["seshadri", path, "--scenario",
+                                              entry.name, "--format", fmt]))
+            for fmt in ("text", "json", "csv"):
+                seen.append(_run_quietly(["classify", path, "--format", fmt]))
+        return seen
+
+    before = outcomes()
+
+    def refuse(value, context="value"):
+        raise AssertionError(f"{context}: {value!r} parsed again")
+
+    monkeypatch.setattr(cli, "parse_value", refuse)
+    monkeypatch.setattr(cli, "parse_rational", refuse)
+    for kind in ("rational", "value"):
+        monkeypatch.setitem(cli._LOAD_PARSERS, kind, refuse)
+    assert outcomes() == before
 
 
 # -- error handling and exit codes -----------------------------------------
@@ -654,6 +721,40 @@ def test_invalid_json_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", str(path))
     assert code == 1
     assert "not valid JSON" in err
+
+
+def _conic_file(tail):
+    """A one-scenario file, as bytes, with ``tail`` spliced into the end of
+    the scenario object."""
+    head = json.dumps({"scenarios": [conic()]}).encode("utf-8")
+    return head[: -len(b"}]}")] + tail + b"}]}"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (_conic_file(b', "normalBundleDegree": 1' + b"0" * 5000),
+         "not valid JSON"),
+        (_conic_file(b', "description": "\xff"'), "not valid JSON"),
+        (_conic_file(b', "seshadri": "2"'), "repeated key 'seshadri'"),
+        (b'{"scenarios": [], "scenarios": []}', "repeated key 'scenarios'"),
+    ],
+    ids=["oversized-integer", "invalid-utf8", "repeated-key", "repeated-top-key"],
+)
+def test_undecodable_file_exits_one(capsys, tmp_path, content, message):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    with pytest.raises(InvalidScenario, match=message):
+        cli.load_scenario_file(str(path))
+    for argv in (
+        ["classify", str(path)],
+        ["seshadri", str(path), "--scenario", "conic"],
+        ["sweep", str(path), "--scenario", "conic", "--grid", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "internal error" not in err
 
 
 def test_bad_scenario_inside_file_reports_and_continues(capsys, tmp_path):

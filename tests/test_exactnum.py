@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from fanoslope.blowup import CurveScenario
 from fanoslope.errors import AllCoefficientsZero, IncomparableRadicands
 from fanoslope.exactnum import Polynomial, Surd, compare, quadratic_roots, render_value
 
@@ -316,6 +317,9 @@ def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
         lambda: surd >= bad,
         lambda: compare(surd, bad),
         lambda: compare(bad, Fraction(1, 2)),
+        lambda: CurveScenario(3, 0, 4, 2, bad, -64),
+        lambda: CurveScenario(3, 0, 4, 2, 64, bad),
+        lambda: CurveScenario.anticanonical_curve(3, 0, 4, bad),
     ):
         with pytest.raises(TypeError, match="int or a Fraction"):
             build()
