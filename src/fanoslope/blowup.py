@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DimensionTooSmall, InvalidScenario, ScenarioInconsistent
-from .exactnum import Polynomial, _require_rational, compare
+from .exactnum import _MAX_RADICAND, Polynomial, _require_rational, compare
 
 __all__ = [
     "CurveScenario",
@@ -71,6 +71,11 @@ class CurveScenario:
                 object.__setattr__(self, name, _require_rational(value, name))
         if self.n < 2:
             raise InvalidScenario("ambient dimension must be at least 2")
+        if self.n * self.n - 1 >= _MAX_RADICAND:
+            raise InvalidScenario(
+                f"ambient dimension {self.n} is too large: the threshold "
+                f"radicand n*n - 1 must be below {_MAX_RADICAND}"
+            )
         if self.genus < 0:
             raise InvalidScenario("genus must be non-negative")
         if self.degree < 1:

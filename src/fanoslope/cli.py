@@ -31,7 +31,7 @@ from . import seshadri as _seshadri
 from .blowup import CurveScenario, check_epsilon_consistency
 from .classify import BundleSplitting, ClassifyFlags, classify_curve
 from .errors import FanoslopeError, GridOutOfRange, InvalidScenario
-from .exactnum import Surd, compare, render_value
+from .exactnum import _MAX_RADICAND, Surd, compare, render_value
 from .slope import destabilizing_quadratic, quotient_slope
 
 __all__ = [
@@ -79,9 +79,13 @@ def parse_value(value, context="value"):
         if extra:
             raise InvalidScenario(f"{context}: unknown surd fields {sorted(extra)}")
         rad = value.get("rad", 0)
-        if not isinstance(rad, int) or isinstance(rad, bool) or rad < 0:
+        if (
+            not isinstance(rad, int) or isinstance(rad, bool)
+            or not 0 <= rad < _MAX_RADICAND
+        ):
             raise InvalidScenario(
-                f"{context}: surd radicand must be a non-negative integer"
+                f"{context}: surd radicand must be a non-negative integer "
+                f"below {_MAX_RADICAND}"
             )
         surd = Surd(
             parse_rational(value.get("rat", 0), context),
@@ -93,12 +97,15 @@ def parse_value(value, context="value"):
 
 
 def dump_value(value):
-    """The JSON spelling of an exact value in command output."""
+    """The JSON spelling of an exact value in command output. Any other
+    object raises TypeError, as json's ``default`` contract asks."""
     if isinstance(value, Surd):
         if value.is_rational:
             return str(value.rat)
         return {"rat": str(value.rat), "coef": str(value.coef), "rad": value.rad}
-    return str(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not an exact value")
 
 
 # -- scenario files --------------------------------------------------------
@@ -213,6 +220,11 @@ def _parse_entry(raw):
     else:
         raise InvalidScenario(
             f"{name}: need normalBundleDegree or a splitting"
+        )
+    if splitting is not None and splitting.rank != n - 1:
+        raise InvalidScenario(
+            f"{name}: splitting has rank {splitting.rank}, but a curve in an "
+            f"{n}-fold has normal bundle of rank {n - 1}"
         )
     if splitting is not None and sum(splitting.twists) != normal_degree:
         raise InvalidScenario(
@@ -475,53 +487,43 @@ def format_fixed(value, places=6):
 # -- rendering -------------------------------------------------------------
 
 
-def _json_record(entry, *outcome):
-    """The JSON record of one classify result: ``outcome`` is
-    ``(estimate, verdict)``, or ``(error,)`` when the scenario failed."""
-    if len(outcome) == 1:
-        return {"name": entry.name, "error": str(outcome[0]),
-                "error_type": type(outcome[0]).__name__}
-    estimate, verdict = outcome
+def _write_json(out, document):
+    """Write one JSON document; exact values go through ``dump_value``."""
+    out.write(json.dumps(document, indent=2, default=dump_value) + "\n")
+
+
+def _json_record(entry, estimate, verdict, error):
+    if error is not None:
+        return {"name": entry.name, "error": str(error),
+                "error_type": type(error).__name__}
     return {
         "name": entry.name,
         "status": verdict.status.value,
-        "witness_lambda": (
-            None
-            if verdict.witness_lambda is None
-            else dump_value(verdict.witness_lambda)
-        ),
+        "witness_lambda": verdict.witness_lambda,
         "rule": verdict.rule,
         "condition": verdict.condition,
         "seshadri": {
-            "lower": dump_value(estimate.lower),
-            "upper": (
-                None if estimate.upper is None else dump_value(estimate.upper)
-            ),
-            "provenance": [list(p) for p in estimate.provenance],
+            "lower": estimate.lower,
+            "upper": estimate.upper,
+            "provenance": estimate.provenance,
         },
     }
 
 
-def _csv_row(entry, *outcome):
-    """The CSV row of one classify result, ``outcome`` as for JSON."""
-    if len(outcome) == 1:
-        return f"{_csv_field(entry.name)},error,,{type(outcome[0]).__name__}"
-    verdict = outcome[1]
-    witness = verdict.witness_lambda
+def _csv_row(entry, estimate, verdict, error):
+    if error is not None:
+        return f"{_csv_field(entry.name)},error,,{type(error).__name__}"
     return (
         f"{_csv_field(entry.name)},{verdict.status.value},"
-        f"{'' if witness is None else render_value(witness)},"
-        f"{_csv_quoted(verdict.rule)}"
+        f"{_csv_value(verdict.witness_lambda)},{_csv_quoted(verdict.rule)}"
     )
 
 
-def _print_block(out, entry, *outcome):
-    """The text block of one classify result, ``outcome`` as for JSON."""
+def _print_block(out, entry, estimate, verdict, error):
     print(f"scenario: {entry.name}", file=out)
-    if len(outcome) == 1:
-        print(f"  error: {type(outcome[0]).__name__}: {outcome[0]}", file=out)
+    if error is not None:
+        print(f"  error: {type(error).__name__}: {error}", file=out)
         return
-    estimate, verdict = outcome
     if entry.description:
         print(f"  about: {entry.description}", file=out)
     print(f"  status: {verdict.status.value}", file=out)
@@ -533,9 +535,18 @@ def _print_block(out, entry, *outcome):
     if verdict.condition:
         print(f"  condition: {verdict.condition}", file=out)
     print(f"  rule: {verdict.rule}", file=out)
+    _print_estimate(out, estimate)
+
+
+def _print_estimate(out, estimate):
     print(f"  seshadri: {estimate.describe()}", file=out)
     for rule, statement in estimate.provenance:
         print(f"    - {rule}: {statement}", file=out)
+
+
+def _csv_value(value):
+    """An exact value, or None, as a CSV field."""
+    return "" if value is None else render_value(value)
 
 
 def _csv_field(text):
@@ -557,7 +568,7 @@ def cmd_classify(args, out=None):
     out = out if out is not None else sys.stdout
     scenario_file = load_scenario_file(args.file)
     include_endpoint = not args.open_interval
-    results = []
+    results = []  # (entry, estimate, verdict, error), error None on success
     for entry in scenario_file.entries:
         try:
             estimate = resolve_estimate(entry)
@@ -567,28 +578,26 @@ def cmd_classify(args, out=None):
                 entry.flags,
                 include_endpoint=include_endpoint,
             )
-            result = (entry, estimate, verdict)
+            result = (entry, estimate, verdict, None)
         except FanoslopeError as error:
-            result = (entry, error)
+            result = (entry, None, None, error)
         results.append(result)
         if args.format == "text":
             _print_block(out, *result)
     if args.format == "json":
-        records = [_json_record(*result) for result in results]
-        json.dump({"verdicts": records}, out, indent=2)
-        print(file=out)
+        _write_json(out, {"verdicts": [_json_record(*r) for r in results]})
     elif args.format == "csv":
         print("name,status,witness_lambda,rule", file=out)
         for result in results:
             print(_csv_row(*result), file=out)
-    return 1 if any(len(result) == 2 for result in results) else 0
+    return 1 if any(error is not None for _, _, _, error in results) else 0
 
 
-def _entry_named(scenario_file, name, path):
-    for entry in scenario_file.entries:
-        if entry.name == name:
+def _entry_named(args):
+    for entry in load_scenario_file(args.file).entries:
+        if entry.name == args.scenario:
             return entry
-    raise InvalidScenario(f"{path}: no scenario named {name!r}")
+    raise InvalidScenario(f"{args.file}: no scenario named {args.scenario!r}")
 
 
 def _parse_grid(text):
@@ -605,8 +614,7 @@ def _parse_grid(text):
 
 def cmd_sweep(args, out=None):
     out = out if out is not None else sys.stdout
-    scenario_file = load_scenario_file(args.file)
-    entry = _entry_named(scenario_file, args.scenario, args.file)
+    entry = _entry_named(args)
     estimate = resolve_estimate(entry)
     scenario = entry.scenario
     grid = _parse_grid(args.grid)
@@ -636,59 +644,36 @@ def cmd_sweep(args, out=None):
             }
         )
     if args.format == "json":
-        json.dump({"scenario": entry.name, "rows": rows}, out, indent=2)
-        print(file=out)
+        _write_json(out, {"scenario": entry.name, "rows": rows})
     else:
         print("lambda,mu_lambda,mu_lambda_decimal,f_lambda,sign", file=out)
         for row in rows:
-            print(
-                f"{row['lambda']},{row['mu_lambda']},"
-                f"{row['mu_lambda_decimal']},{row['f_lambda']},{row['sign']}",
-                file=out,
-            )
+            print(",".join(row.values()), file=out)
     return 0
 
 
 def cmd_seshadri(args, out=None):
     out = out if out is not None else sys.stdout
-    scenario_file = load_scenario_file(args.file)
-    entry = _entry_named(scenario_file, args.scenario, args.file)
+    entry = _entry_named(args)
     estimate = resolve_estimate(entry)
     if args.format == "json":
-        json.dump(
-            {
-                "scenario": entry.name,
-                "lower": dump_value(estimate.lower),
-                "upper": (
-                    None
-                    if estimate.upper is None
-                    else dump_value(estimate.upper)
-                ),
-                "exact": (
-                    None
-                    if not estimate.is_exact
-                    else dump_value(estimate.exact)
-                ),
-                "provenance": [list(p) for p in estimate.provenance],
-            },
-            out,
-            indent=2,
-        )
-        print(file=out)
+        _write_json(out, {
+            "scenario": entry.name,
+            "lower": estimate.lower,
+            "upper": estimate.upper,
+            "exact": estimate.exact,
+            "provenance": estimate.provenance,
+        })
     elif args.format == "csv":
         print("name,lower,upper,exact", file=out)
-        upper = "" if estimate.upper is None else render_value(estimate.upper)
-        exact = "" if not estimate.is_exact else render_value(estimate.exact)
         print(
             f"{_csv_field(entry.name)},{render_value(estimate.lower)},"
-            f"{upper},{exact}",
+            f"{_csv_value(estimate.upper)},{_csv_value(estimate.exact)}",
             file=out,
         )
     else:
         print(f"scenario: {entry.name}", file=out)
-        print(f"  seshadri: {estimate.describe()}", file=out)
-        for rule, statement in estimate.provenance:
-            print(f"    - {rule}: {statement}", file=out)
+        _print_estimate(out, estimate)
     return 0
 
 

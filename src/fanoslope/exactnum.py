@@ -42,6 +42,12 @@ __all__ = [
 ]
 
 
+# Input radicands, and the threshold radicand n*n - 1, stay below this bound:
+# _squarefree_decompose trial-divides up to sqrt(m), and at this size its
+# worst case, the prime 999999999989, takes about 0.1 s.
+_MAX_RADICAND = 10**12
+
+
 def _squarefree_decompose(m):
     """Write m = s*s*k with k square-free; return (s, k). m must be >= 0."""
     s, k = 1, 1
@@ -144,12 +150,6 @@ class Surd:
     @property
     def is_rational(self):
         return self.coef == 0
-
-    def as_fraction(self):
-        """The value as a Fraction; raises ValueError if irrational."""
-        if self.coef != 0:
-            raise ValueError("surd is irrational")
-        return self.rat
 
     def sign(self):
         """Exact sign: -1, 0, or 1."""

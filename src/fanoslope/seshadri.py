@@ -11,7 +11,7 @@ refuse to fire (HypothesisNotCertified) rather than silently weaken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -91,12 +91,6 @@ class SeshadriEstimate:
     def is_exact(self):
         return self.exact is not None
 
-    def tagged(self, rule, statement):
-        """The same interval with one more provenance entry."""
-        return replace(
-            self, provenance=self.provenance + (ProvenanceEntry(rule, statement),)
-        )
-
     def merge(self, other):
         """Intersect two certificates for the same subvariety.
 
@@ -123,6 +117,17 @@ class SeshadriEstimate:
         return f"[{render_value(self.lower)}, {hi}]"
 
 
+def _certificate(rule, statement, lower=Fraction(0), upper=None, sources=()):
+    """The interval [lower, upper] certified by one rule: its provenance is
+    each source estimate's chain, in argument order, then the rule's entry."""
+    provenance = ()
+    for source in sources:
+        provenance += source.provenance
+    return SeshadriEstimate(
+        lower, upper, provenance + (ProvenanceEntry(rule, statement),)
+    )
+
+
 def linear_subspace_exact(n):
     """epsilon of a proper linear subspace of projective n-space is n + 1.
 
@@ -134,15 +139,12 @@ def linear_subspace_exact(n):
     if n < 1:
         raise DimensionTooSmall("projective space needs dimension >= 1")
     value = Fraction(n + 1)
-    return SeshadriEstimate.exactly(
+    return _certificate(
+        "linear-subspace",
+        f"a linear subspace of projective {n}-space has Seshadri "
+        f"constant {n + 1} in the anticanonical polarization",
         value,
-        (
-            ProvenanceEntry(
-                "linear-subspace",
-                f"a linear subspace of projective {n}-space has Seshadri "
-                f"constant {n + 1} in the anticanonical polarization",
-            ),
-        ),
+        value,
     )
 
 
@@ -155,15 +157,11 @@ def witness_curve_upper(degree):
     degree = Fraction(degree)
     if degree <= 0:
         raise NonPositiveDegree("witness curve must have positive L-degree")
-    return SeshadriEstimate.at_most(
-        degree,
-        (
-            ProvenanceEntry(
-                "witness-curve",
-                f"a curve of degree {degree} meeting the subvariety caps "
-                f"epsilon at {degree}",
-            ),
-        ),
+    return _certificate(
+        "witness-curve",
+        f"a curve of degree {degree} meeting the subvariety caps "
+        f"epsilon at {degree}",
+        upper=degree,
     )
 
 
@@ -177,15 +175,11 @@ def proper_transform_upper(degree, multiplicity):
     if multiplicity <= 0:
         raise NonPositiveMultiplicity("contact multiplicity must be positive")
     value = degree / multiplicity
-    return SeshadriEstimate.at_most(
-        value,
-        (
-            ProvenanceEntry(
-                "proper-transform",
-                f"a degree-{degree} curve meeting the subvariety with "
-                f"multiplicity {multiplicity} caps epsilon at {value}",
-            ),
-        ),
+    return _certificate(
+        "proper-transform",
+        f"a degree-{degree} curve meeting the subvariety with "
+        f"multiplicity {multiplicity} caps epsilon at {value}",
+        upper=value,
     )
 
 
@@ -195,28 +189,25 @@ def intersection_min_lower(first, second):
     lower = (
         first.lower if compare(first.lower, second.lower) <= 0 else second.lower
     )
-    return SeshadriEstimate(
-        lower=lower,
-        upper=None,
-        provenance=first.provenance
-        + second.provenance
-        + (
-            ProvenanceEntry(
-                "intersection-min",
-                "a subvariety of two others inherits the smaller of their "
-                f"Seshadri lower bounds, here {render_value(lower)}",
-            ),
-        ),
+    return _certificate(
+        "intersection-min",
+        "a subvariety of two others inherits the smaller of their "
+        f"Seshadri lower bounds, here {render_value(lower)}",
+        lower,
+        sources=(first, second),
     )
 
 
 def product_fiber_estimate(estimate):
     """On a product X1 x X2 with the split polarization, the Seshadri
     constant of X1 x Z equals that of Z in X2; bounds carry over unchanged."""
-    return estimate.tagged(
+    return _certificate(
         "product-fiber",
         "for a product with split polarization, epsilon of fiber-type "
         "subvarieties is computed on the second factor",
+        estimate.lower,
+        estimate.upper,
+        (estimate,),
     )
 
 
@@ -229,18 +220,14 @@ def blowup_exceptional_shift(estimate):
             "cannot shift a lower bound below zero across the blowup"
         )
     upper = None if estimate.upper is None else estimate.upper - one
-    return SeshadriEstimate(
-        lower=estimate.lower - one,
-        upper=upper,
-        provenance=estimate.provenance
-        + (
-            ProvenanceEntry(
-                "blowup-exceptional-shift",
-                "on the blowup along the subvariety, polarized by "
-                "sigma*L - E, the Seshadri constant of E is exactly one "
-                "less than that of the center",
-            ),
-        ),
+    return _certificate(
+        "blowup-exceptional-shift",
+        "on the blowup along the subvariety, polarized by "
+        "sigma*L - E, the Seshadri constant of E is exactly one "
+        "less than that of the center",
+        estimate.lower - one,
+        upper,
+        (estimate,),
     )
 
 
@@ -256,18 +243,13 @@ def nested_restriction(inner, ambient):
             "nested restriction needs a certified strict inequality "
             "epsilon(Z, X) < epsilon(Y, X)"
         )
-    return SeshadriEstimate(
-        lower=inner.lower,
-        upper=inner.upper,
-        provenance=inner.provenance
-        + ambient.provenance
-        + (
-            ProvenanceEntry(
-                "nested-restriction",
-                "epsilon(Z, X) below epsilon(Y, X) is computed from the "
-                "restricted polarization on Y",
-            ),
-        ),
+    return _certificate(
+        "nested-restriction",
+        "epsilon(Z, X) below epsilon(Y, X) is computed from the "
+        "restricted polarization on Y",
+        inner.lower,
+        inner.upper,
+        (inner, ambient),
     )
 
 
@@ -280,17 +262,12 @@ def moving_curve_upper(scenario):
             "the moving-curve bound needs an anticanonical rational curve "
             "of degree at least 3"
         )
-    value = Fraction(s.degree)
-    return SeshadriEstimate.at_most(
-        value,
-        (
-            ProvenanceEntry(
-                "moving-curve",
-                f"a rational curve of anticanonical degree {s.degree} >= 3 "
-                "deforms to a curve meeting itself, capping epsilon at its "
-                "own degree",
-            ),
-        ),
+    return _certificate(
+        "moving-curve",
+        f"a rational curve of anticanonical degree {s.degree} >= 3 "
+        "deforms to a curve meeting itself, capping epsilon at its "
+        "own degree",
+        upper=Fraction(s.degree),
     )
 
 
@@ -300,25 +277,18 @@ def point_upper_bound(n, is_projective_space=False):
     if n < 3:
         raise DimensionTooSmall("the point bound is stated for n >= 3")
     if is_projective_space:
-        return SeshadriEstimate.exactly(
-            Fraction(n + 1),
-            (
-                ProvenanceEntry(
-                    "point-cap",
-                    f"a point of projective {n}-space has Seshadri constant "
-                    f"{n + 1}",
-                ),
-            ),
+        value = Fraction(n + 1)
+        return _certificate(
+            "point-cap",
+            f"a point of projective {n}-space has Seshadri constant {n + 1}",
+            value,
+            value,
         )
-    return SeshadriEstimate.at_most(
-        Fraction(n),
-        (
-            ProvenanceEntry(
-                "point-cap",
-                f"a point of a Fano {n}-fold other than projective space "
-                f"has Seshadri constant at most {n}",
-            ),
-        ),
+    return _certificate(
+        "point-cap",
+        f"a point of a Fano {n}-fold other than projective space "
+        f"has Seshadri constant at most {n}",
+        upper=Fraction(n),
     )
 
 
@@ -347,18 +317,13 @@ def certify_exact_by_restriction(upper_for_z, ambient, restricted_value):
             "the restricted Seshadri constant must be at least the bound "
             "being certified"
         )
-    return SeshadriEstimate(
-        lower=u,
-        upper=u,
-        provenance=upper_for_z.provenance
-        + ambient.provenance
-        + (
-            ProvenanceEntry(
-                "restriction-contradiction",
-                f"epsilon(Z) < {render_value(u)} would force computing it "
-                "on the intermediate divisor, where it equals "
-                f"{render_value(restricted_value)} >= {render_value(u)}; "
-                f"so epsilon(Z) = {render_value(u)} exactly",
-            ),
-        ),
+    return _certificate(
+        "restriction-contradiction",
+        f"epsilon(Z) < {render_value(u)} would force computing it "
+        "on the intermediate divisor, where it equals "
+        f"{render_value(restricted_value)} >= {render_value(u)}; "
+        f"so epsilon(Z) = {render_value(u)} exactly",
+        u,
+        u,
+        (upper_for_z, ambient),
     )

@@ -84,6 +84,13 @@ def test_parse_value_surd_round_trip():
     assert dump_value(Fraction(3, 4)) == "3/4"
 
 
+@pytest.mark.parametrize("value", [3, "3", None], ids=["int", "str", "None"])
+def test_dump_value_refuses_anything_but_an_exact_value(value):
+    # json calls it as ``default``, so an unexpected object fails loudly
+    with pytest.raises(TypeError):
+        dump_value(value)
+
+
 # -- fixed-point rendering -------------------------------------------------
 
 
@@ -402,6 +409,63 @@ def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
     assert code == 1
     assert err.startswith("error: conic") and field in err
     assert "internal error" not in err and out == ""
+
+
+@pytest.mark.parametrize("twists", [[0], [0, 0, 0]])
+def test_splitting_of_the_wrong_rank_is_rejected_at_load(
+    capsys, tmp_path, twists
+):
+    # a curve in a 3-fold has a normal bundle of rank 2
+    with pytest.raises(InvalidScenario, match=f"rank {len(twists)}.*rank 2"):
+        parse_scenario_file({"scenarios": [conic(splitting=twists)]})
+    path = tmp_path / "rank.json"
+    path.write_text(
+        json.dumps({"scenarios": [conic(name="ok"), conic(splitting=twists)]}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: conic: splitting has rank")
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"seshadri": {"lower": {"rat": 0, "coef": 1, "rad": 10**30}}},
+         "radicand"),
+        ({"seshadri": [{"rule": "certify_exact_by_restriction",
+                        "restricted": {"coef": 1, "rad": 10**12}}]},
+         "radicand"),
+        # the threshold radicand n*n - 1 is past the bound
+        ({"n": 10**7, "degree": 1, "seshadri": {"lower": "1"}},
+         "ambient dimension"),
+    ],
+)
+def test_oversized_radicands_are_rejected_at_load(
+    capsys, tmp_path, overrides, message
+):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps({"scenarios": [conic(name="ok"), conic(**overrides)]}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "internal error" not in err
+
+
+def test_radicands_just_below_the_bound_still_classify(capsys, tmp_path):
+    largest_prime = {"rat": 0, "coef": 1, "rad": 999999999989}
+    code, records, err = classify_json(
+        capsys, tmp_path,
+        conic(name="prime", seshadri={"lower": largest_prime}),
+        conic(name="wide", n=10**6, degree=1, seshadri={"lower": "1"}),
+    )
+    assert code == 0 and err == ""
+    assert records["prime"]["status"] == "strictly-destabilized"
+    assert records["wide"]["status"] == "conditional-on-seshadri"
+    assert "sqrt(111111111111)" in records["wide"]["condition"]
 
 
 def test_empty_description_is_a_string(capsys, tmp_path):

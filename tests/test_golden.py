@@ -53,7 +53,7 @@ def _cases():
                 "classify", path, "--format", fmt, "--open-interval",
             ]
         for name, grid in scenarios.items():
-            for fmt in ("text", "json"):
+            for fmt in ("text", "json", "csv"):
                 cases[f"{stem}.seshadri.{name}.{fmt}"] = [
                     "seshadri", path, "--scenario", name, "--format", fmt,
                 ]

@@ -193,3 +193,101 @@ def test_every_rule_leaves_provenance():
     for e in estimates:
         assert e.provenance
         assert all(entry.rule and entry.statement for entry in e.provenance)
+
+
+_LINE_IN_P3 = (
+    "linear-subspace",
+    "a linear subspace of projective 3-space has Seshadri constant 4 in the "
+    "anticanonical polarization",
+)
+_SHIFT = (
+    "blowup-exceptional-shift",
+    "on the blowup along the subvariety, polarized by sigma*L - E, the "
+    "Seshadri constant of E is exactly one less than that of the center",
+)
+
+# Each rule on fixed inputs, chained through other rules where it takes
+# estimates: (call, lower, upper, full provenance, oldest first).
+RULE_CERTIFICATES = {
+    "linear_subspace_exact": (
+        lambda: linear_subspace_exact(3), 4, 4, (_LINE_IN_P3,),
+    ),
+    "witness_curve_upper": (
+        lambda: witness_curve_upper(Fraction(5, 2)), 0, Fraction(5, 2),
+        (("witness-curve", "a curve of degree 5/2 meeting the subvariety caps "
+          "epsilon at 5/2"),),
+    ),
+    "proper_transform_upper": (
+        lambda: proper_transform_upper(Fraction(4), Fraction(3)),
+        0, Fraction(4, 3),
+        (("proper-transform", "a degree-4 curve meeting the subvariety with "
+          "multiplicity 3 caps epsilon at 4/3"),),
+    ),
+    "intersection_min_lower": (
+        lambda: intersection_min_lower(
+            linear_subspace_exact(3),
+            blowup_exceptional_shift(SeshadriEstimate.at_least(Surd(0, 1, 15))),
+        ),
+        Surd(-1, 1, 15), None,
+        (_LINE_IN_P3, _SHIFT,
+         ("intersection-min", "a subvariety of two others inherits the smaller "
+          "of their Seshadri lower bounds, here -1 + sqrt(15)")),
+    ),
+    "product_fiber_estimate": (
+        lambda: product_fiber_estimate(linear_subspace_exact(2)), 3, 3,
+        (("linear-subspace", "a linear subspace of projective 2-space has "
+          "Seshadri constant 3 in the anticanonical polarization"),
+         ("product-fiber", "for a product with split polarization, epsilon of "
+          "fiber-type subvarieties is computed on the second factor")),
+    ),
+    "blowup_exceptional_shift": (
+        lambda: blowup_exceptional_shift(linear_subspace_exact(3)), 3, 3,
+        (_LINE_IN_P3, _SHIFT),
+    ),
+    "nested_restriction": (
+        lambda: nested_restriction(witness_curve_upper(2), linear_subspace_exact(3)),
+        0, 2,
+        (("witness-curve", "a curve of degree 2 meeting the subvariety caps "
+          "epsilon at 2"),
+         _LINE_IN_P3,
+         ("nested-restriction", "epsilon(Z, X) below epsilon(Y, X) is computed "
+          "from the restricted polarization on Y")),
+    ),
+    "moving_curve_upper": (
+        lambda: moving_curve_upper(CurveScenario.anticanonical_curve(3, 0, 4, 64)),
+        0, 4,
+        (("moving-curve", "a rational curve of anticanonical degree 4 >= 3 "
+          "deforms to a curve meeting itself, capping epsilon at its own "
+          "degree"),),
+    ),
+    "point_upper_bound": (
+        lambda: point_upper_bound(4), 0, 4,
+        (("point-cap", "a point of a Fano 4-fold other than projective space "
+          "has Seshadri constant at most 4"),),
+    ),
+    "point_upper_bound-projective-space": (
+        lambda: point_upper_bound(4, is_projective_space=True), 5, 5,
+        (("point-cap", "a point of projective 4-space has Seshadri constant 5"),),
+    ),
+    "certify_exact_by_restriction": (
+        lambda: certify_exact_by_restriction(
+            witness_curve_upper(3),
+            blowup_exceptional_shift(linear_subspace_exact(3)),
+            Surd(0, 1, 10),
+        ),
+        3, 3,
+        (("witness-curve", "a curve of degree 3 meeting the subvariety caps "
+          "epsilon at 3"),
+         _LINE_IN_P3, _SHIFT,
+         ("restriction-contradiction", "epsilon(Z) < 3 would force computing it "
+          "on the intermediate divisor, where it equals sqrt(10) >= 3; so "
+          "epsilon(Z) = 3 exactly")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_CERTIFICATES))
+def test_rule_certificate_is_pinned(case):
+    call, lower, upper, provenance = RULE_CERTIFICATES[case]
+    e = call()
+    assert (e.lower, e.upper, e.provenance) == (lower, upper, provenance)
