@@ -25,7 +25,9 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DimensionTooSmall, InvalidScenario, ScenarioInconsistent
-from .exactnum import _MAX_RADICAND, Polynomial, _require_rational, compare
+from .exactnum import (
+    _MAX_RADICAND, Polynomial, _require_int, _require_rational, compare,
+)
 
 __all__ = [
     "CurveScenario",
@@ -182,9 +184,10 @@ def anticanonical_square_exceptional(deg_kc, genus):
     Here deg_kc = (-K_X).C and the answer is deg_kc + 2 - 2*genus, obtained by
     expanding (sigma*(-K_X) - E)**2 . E with the threefold power table.
     """
-    if not isinstance(genus, int) or genus < 0:
+    deg_kc = _require_rational(deg_kc, "deg_kc")
+    if _require_int(genus, "genus") < 0:
         raise InvalidScenario("genus must be a non-negative integer")
-    return Fraction(deg_kc) + 2 - 2 * genus
+    return deg_kc + 2 - 2 * genus
 
 
 def check_epsilon_consistency(scenario, epsilon):

@@ -25,13 +25,15 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from . import seshadri as _seshadri
 from .blowup import CurveScenario, check_epsilon_consistency
 from .classify import BundleSplitting, ClassifyFlags, classify_curve
 from .errors import FanoslopeError, GridOutOfRange, InvalidScenario
-from .exactnum import _MAX_RADICAND, Surd, compare, render_value
+from .exactnum import (
+    _MAX_RADICAND, Surd, _require_rational, compare, render_value,
+)
 from .slope import destabilizing_quadratic, quotient_slope
 
 __all__ = [
@@ -161,16 +163,14 @@ def _parse_bool(raw, context):
 
 
 def _parse_flags(raw, context):
-    if raw is None:
-        return ClassifyFlags()
     if not isinstance(raw, dict):
         raise InvalidScenario(f"{context}: flags must be an object")
     extra = set(raw) - _FLAG_KEYS
     if extra:
         raise InvalidScenario(f"{context}: unknown flags {sorted(extra)}")
-    index = raw.get("fanoIndex")
-    if index is not None:
-        index = _parse_int(index, context + ".fanoIndex")
+    index = None
+    if "fanoIndex" in raw:
+        index = _parse_int(raw["fanoIndex"], context + ".fanoIndex")
     return ClassifyFlags(
         is_pn=_parse_bool(raw.get("isPn", False), context + ".isPn"),
         picard_rank_one=_parse_bool(
@@ -261,7 +261,7 @@ def _parse_entry(raw):
         name=name,
         scenario=scenario,
         seshadri_spec=_read_seshadri_spec(raw["seshadri"], name),
-        flags=_parse_flags(raw.get("flags"), name),
+        flags=_parse_flags(raw["flags"], name) if "flags" in raw else ClassifyFlags(),
         splitting=splitting,
         description=description,
     )
@@ -270,6 +270,9 @@ def _parse_entry(raw):
 def parse_scenario_file(data):
     if not isinstance(data, dict) or "scenarios" not in data:
         raise InvalidScenario('a scenario file is {"scenarios": [...]}')
+    extra = set(data) - {"scenarios"}
+    if extra:
+        raise InvalidScenario(f"unknown top-level fields {sorted(extra)}")
     entries = data["scenarios"]
     if not isinstance(entries, list):
         raise InvalidScenario("scenarios must be a list")
@@ -472,7 +475,7 @@ def resolve_estimate(entry):
 
 def format_fixed(value, places=6):
     """Exact half-even fixed-point rendering of a rational, e.g. '3.600000'."""
-    value = Fraction(value)
+    value = _require_rational(value, "value")
     negative = value < 0
     scaled = abs(value) * 10**places
     q, r = divmod(scaled.numerator, scaled.denominator)
@@ -677,7 +680,9 @@ def cmd_seshadri(args, out=None):
     return 0
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fanoslope",
         description=(
@@ -705,7 +710,6 @@ def build_parser():
         "classify", parents=[common], help="stability verdict per scenario"
     )
     p_classify.add_argument("file", help="JSON scenario file")
-    p_classify.set_defaults(func=cmd_classify)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="quotient-slope table over a grid"
@@ -715,7 +719,6 @@ def build_parser():
     p_sweep.add_argument(
         "--grid", required=True, help="comma-separated rational lambda values"
     )
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_sesh = sub.add_parser(
         "seshadri",
@@ -724,15 +727,15 @@ def build_parser():
     )
     p_sesh.add_argument("file", help="JSON scenario file")
     p_sesh.add_argument("--scenario", required=True, help="scenario name")
-    p_sesh.set_defaults(func=cmd_seshadri)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up when main runs, so a patched cmd_* is the one called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        code = args.func(args)
+        code = command(args)
     except FanoslopeError as error:
         print(f"error: {error}", file=sys.stderr)
         code = 1

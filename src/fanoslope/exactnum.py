@@ -72,11 +72,21 @@ _ZERO = Fraction(0)
 def _require_rational(value, name):
     """``value`` as a Fraction; floats, strings and the like are refused
     rather than converted, so no input is silently reinterpreted."""
+    if type(value) is Fraction:
+        return value
     if not isinstance(value, (int, Fraction)):
         raise TypeError(
             f"{name} must be an int or a Fraction, got {type(value).__name__}"
         )
     return Fraction(value)
+
+
+def _require_int(value, name):
+    """``value`` if it is an int other than a bool; a dimension or a genus
+    such as 2.5 or 3.0 is refused rather than read as a number."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return value
 
 
 def _sign(a, b, m):

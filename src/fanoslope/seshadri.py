@@ -24,7 +24,9 @@ from .errors import (
     ShiftBelowZero,
     DimensionTooSmall,
 )
-from .exactnum import Surd, compare, render_value
+from .exactnum import (
+    Surd, _require_int, _require_rational, compare, render_value,
+)
 
 __all__ = [
     "ProvenanceEntry",
@@ -136,7 +138,7 @@ def linear_subspace_exact(n):
     gives the matching lower bound. A point counts as the 0-dimensional
     linear subspace, so this also covers epsilon of a point.
     """
-    if n < 1:
+    if _require_int(n, "n") < 1:
         raise DimensionTooSmall("projective space needs dimension >= 1")
     value = Fraction(n + 1)
     return _certificate(
@@ -154,7 +156,7 @@ def witness_curve_upper(degree):
     The proper transform of C has non-negative degree against any nef class,
     and it meets E at least once.
     """
-    degree = Fraction(degree)
+    degree = _require_rational(degree, "degree")
     if degree <= 0:
         raise NonPositiveDegree("witness curve must have positive L-degree")
     return _certificate(
@@ -168,8 +170,8 @@ def witness_curve_upper(degree):
 def proper_transform_upper(degree, multiplicity):
     """Refined witness bound epsilon <= L.C / mult for a curve meeting Z with
     multiplicity mult (the proper transform meets E at least mult times)."""
-    degree = Fraction(degree)
-    multiplicity = Fraction(multiplicity)
+    degree = _require_rational(degree, "degree")
+    multiplicity = _require_rational(multiplicity, "multiplicity")
     if degree <= 0:
         raise NonPositiveDegree("witness curve must have positive L-degree")
     if multiplicity <= 0:
@@ -274,7 +276,7 @@ def moving_curve_upper(scenario):
 def point_upper_bound(n, is_projective_space=False):
     """epsilon of a point of a Fano n-fold, n >= 3: at most n in general,
     exactly n + 1 on projective n-space."""
-    if n < 3:
+    if _require_int(n, "n") < 3:
         raise DimensionTooSmall("the point bound is stated for n >= 3")
     if is_projective_space:
         value = Fraction(n + 1)

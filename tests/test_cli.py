@@ -1,5 +1,6 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -396,6 +397,9 @@ def test_picard_rank_one_flag_false_keeps_the_verdict(capsys, tmp_path):
         ({"seshadri": {"lower": "2", "exact": "3"}}, "lower"),
         ({"seshadri": {"rat": "1", "coef": "1", "rad": -3}}, "radicand"),
         ({"seshadri": {"lower": {"rat": "1", "coef": "1", "rad": -2}}}, "radicand"),
+        # null is a value, not an absent key
+        ({"flags": None}, "flags"),
+        ({"flags": {"fanoIndex": None}}, "fanoIndex"),
     ],
 )
 def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
@@ -821,6 +825,22 @@ def test_undecodable_file_exits_one(capsys, tmp_path, content, message):
         assert "internal error" not in err
 
 
+def test_unknown_top_level_field_exits_one(capsys, tmp_path):
+    data = {"scenarios": [conic()], "senarios": []}
+    with pytest.raises(InvalidScenario, match="senarios"):
+        parse_scenario_file(data)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (
+        ["classify", str(path)],
+        ["seshadri", str(path), "--scenario", "conic"],
+        ["sweep", str(path), "--scenario", "conic", "--grid", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: unknown top-level fields ['senarios']\n"
+
+
 def test_bad_scenario_inside_file_reports_and_continues(capsys, tmp_path):
     data = minimal_entry()
     bad = {
@@ -862,3 +882,60 @@ def test_module_entry_point_via_subprocess():
     assert result.returncode == 0
     names = {v["name"] for v in json.loads(result.stdout)["verdicts"]}
     assert names == {"quartic_line", "cubic_elliptic", "quadric_conic"}
+
+
+# -- the parser, built once per process ------------------------------------
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_calls_construct_no_parser(capsys, monkeypatch):
+    constructed = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    argv = ("classify", fixture("gallery.json"))
+    assert run_cli(capsys, *argv)[0] == 0
+    first = len(constructed)
+    assert first > 0
+    assert [run_cli(capsys, *argv)[0] for _ in range(2)] == [0, 0]
+    assert len(constructed) == first
+
+
+def test_a_command_patched_after_the_first_call_is_the_one_run(
+    capsys, monkeypatch
+):
+    # a profiler may wrap cmd_classify only once the parser already exists
+    argv = ("classify", fixture("gallery.json"), "--format", "json")
+    expected = run_cli(capsys, *argv)
+    seen = []
+    original = cli.cmd_classify
+
+    def wrapped(args, out=None):
+        seen.append(args.file)
+        return original(args, out)
+
+    monkeypatch.setattr(cli, "cmd_classify", wrapped)
+    assert run_cli(capsys, *argv) == expected
+    assert seen == [fixture("gallery.json")]
+
+
+def test_a_usage_error_leaves_the_parser_as_fresh(capsys):
+    valid = ("classify", fixture("p1xpn.json"), "--open-interval")
+    cli.build_parser.cache_clear()
+    fresh = run_cli(capsys, *valid)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", fixture("p1xpn.json"), "--format", "yaml"])
+        assert exit_info.value.code == 2
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1] and "invalid choice: 'yaml'" in errors[0].err
+    assert run_cli(capsys, *valid) == fresh

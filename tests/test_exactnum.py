@@ -8,9 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fanoslope.blowup import CurveScenario
+from fanoslope.blowup import CurveScenario, anticanonical_square_exceptional
+from fanoslope.cli import format_fixed
 from fanoslope.errors import AllCoefficientsZero, IncomparableRadicands
 from fanoslope.exactnum import Polynomial, Surd, compare, quadratic_roots, render_value
+from fanoslope.seshadri import (
+    linear_subspace_exact,
+    point_upper_bound,
+    proper_transform_upper,
+    witness_curve_upper,
+)
 
 fractions_st = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -320,8 +327,24 @@ def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
         lambda: CurveScenario(3, 0, 4, 2, bad, -64),
         lambda: CurveScenario(3, 0, 4, 2, 64, bad),
         lambda: CurveScenario.anticanonical_curve(3, 0, 4, bad),
+        lambda: format_fixed(bad),
+        lambda: witness_curve_upper(bad),
+        lambda: proper_transform_upper(bad, 1),
+        lambda: proper_transform_upper(3, bad),
+        lambda: anticanonical_square_exceptional(bad, 0),
     ):
         with pytest.raises(TypeError, match="int or a Fraction"):
+            build()
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", Fraction(3)])
+def test_dimensions_and_genus_are_plain_ints(bad):
+    for build in (
+        lambda: linear_subspace_exact(bad),
+        lambda: point_upper_bound(bad),
+        lambda: anticanonical_square_exceptional(4, bad),
+    ):
+        with pytest.raises(TypeError, match="must be an int"):
             build()
 
 
