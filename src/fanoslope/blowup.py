@@ -65,8 +65,10 @@ class CurveScenario:
 
     def __post_init__(self):
         for name in ("n", "genus", "degree", "normal_degree"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:  # a plain int, never a bool
                 raise InvalidScenario(f"{name} must be an integer")
+        if type(self.anticanonical) is not bool:  # "no" would read as true
+            raise InvalidScenario("anticanonical must be true or false")
         for name in ("ln", "k_ln1"):
             value = getattr(self, name)
             if type(value) is not Fraction:

@@ -99,8 +99,9 @@ def parse_value(value, context="value"):
 
 
 def dump_value(value):
-    """The JSON spelling of an exact value in command output. Any other
-    object raises TypeError, as json's ``default`` contract asks."""
+    """The JSON spelling of an exact value in command output: a string, or
+    for an irrational Surd an object of its parts. Any other object raises
+    TypeError."""
     if isinstance(value, Surd):
         if value.is_rational:
             return str(value.rat)
@@ -296,7 +297,8 @@ def load_scenario_file(path):
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle, object_pairs_hook=_object_without_repeats)
-        except ValueError as exc:  # bad JSON or UTF-8, an over-long integer
+        # bad JSON or UTF-8, an over-long integer, nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise InvalidScenario(f"{path}: not valid JSON ({exc})") from exc
     return parse_scenario_file(data)
 
@@ -490,27 +492,75 @@ def format_fixed(value, places=6):
 # -- rendering -------------------------------------------------------------
 
 
-def _write_json(out, document):
-    """Write one JSON document; exact values go through ``dump_value``."""
-    out.write(json.dumps(document, indent=2, default=dump_value) + "\n")
+# Each command writes one JSON document in the layout and escaping of
+# json.dumps(document, indent=2). Line breaks with indents are constants: an
+# f-string replacement field may hold no backslash before Python 3.12.
+_text = json.encoder.encode_basestring_ascii
+_N1, _N2, _N3, _N4 = ("\n" + "  " * depth for depth in range(1, 5))
+_SWEEP_COLUMNS = ("lambda", "mu_lambda", "mu_lambda_decimal", "f_lambda", "sign")
+_SWEEP_ROW = (  # a str.format template with one {} per column
+    _N2 + "{{" + ",".join(f'{_N3}"{key}": {{}}' for key in _SWEEP_COLUMNS) + _N2 + "}}"
+)
 
 
-def _json_record(entry, estimate, verdict, error):
+def _json_array(items, close):
+    """Encoded items, each led by a line break, as an array closing after ``close``."""
+    return "[" + ",".join(items) + close + "]" if items else "[]"
+
+
+def _json_value(value, close):
+    """An exact value or None as JSON; a surd object closes after ``close``."""
+    if value is None:
+        return "null"
+    spelled = dump_value(value)
+    if type(spelled) is str:
+        return _text(spelled)
+    rat, coef, rad = _text(spelled["rat"]), _text(spelled["coef"]), spelled["rad"]
+    i = close + "  "
+    return f'{{{i}"rat": {rat},{i}"coef": {coef},{i}"rad": {rad}{close}}}'
+
+
+def _json_provenance(provenance, close):
+    """A provenance chain as a JSON array closing after ``close``."""
+    step, item = close + "  ", close + "    "
+    items = [f"{step}[{item}{_text(r)},{item}{_text(s)}{step}]" for r, s in provenance]
+    return _json_array(items, close)
+
+
+def _json_verdict(entry, estimate, verdict, error):
+    head = f'{_N2}{{{_N3}"name": {_text(entry.name)},{_N3}'
     if error is not None:
-        return {"name": entry.name, "error": str(error),
-                "error_type": type(error).__name__}
-    return {
-        "name": entry.name,
-        "status": verdict.status.value,
-        "witness_lambda": verdict.witness_lambda,
-        "rule": verdict.rule,
-        "condition": verdict.condition,
-        "seshadri": {
-            "lower": estimate.lower,
-            "upper": estimate.upper,
-            "provenance": estimate.provenance,
-        },
-    }
+        kind = _text(type(error).__name__)
+        return f'{head}"error": {_text(str(error))},{_N3}"error_type": {kind}{_N2}}}'
+    condition = "null" if verdict.condition is None else _text(verdict.condition)
+    return (
+        f'{head}"status": {_text(verdict.status.value)},'
+        f'{_N3}"witness_lambda": {_json_value(verdict.witness_lambda, _N3)},'
+        f'{_N3}"rule": {_text(verdict.rule)},{_N3}"condition": {condition},'
+        f'{_N3}"seshadri": {{{_N4}"lower": {_json_value(estimate.lower, _N4)},'
+        f'{_N4}"upper": {_json_value(estimate.upper, _N4)},{_N4}"provenance": '
+        f"{_json_provenance(estimate.provenance, _N4)}{_N3}}}{_N2}}}"
+    )
+
+
+def _classify_json(results):
+    records = _json_array([_json_verdict(*result) for result in results], _N1)
+    return f'{{{_N1}"verdicts": {records}\n}}\n'
+
+
+def _sweep_json(name, rows):
+    records = _json_array([_SWEEP_ROW.format(*map(_text, row)) for row in rows], _N1)
+    return f'{{{_N1}"scenario": {_text(name)},{_N1}"rows": {records}\n}}\n'
+
+
+def _seshadri_json(name, estimate):
+    return (
+        f'{{{_N1}"scenario": {_text(name)},'
+        f'{_N1}"lower": {_json_value(estimate.lower, _N1)},'
+        f'{_N1}"upper": {_json_value(estimate.upper, _N1)},'
+        f'{_N1}"exact": {_json_value(estimate.exact, _N1)},'
+        f'{_N1}"provenance": {_json_provenance(estimate.provenance, _N1)}\n}}\n'
+    )
 
 
 def _csv_row(entry, estimate, verdict, error):
@@ -588,7 +638,7 @@ def cmd_classify(args, out=None):
         if args.format == "text":
             _print_block(out, *result)
     if args.format == "json":
-        _write_json(out, {"verdicts": [_json_record(*r) for r in results]})
+        out.write(_classify_json(results))
     elif args.format == "csv":
         print("name,status,witness_lambda,rule", file=out)
         for result in results:
@@ -634,24 +684,16 @@ def cmd_sweep(args, out=None):
                 f"(0, {render_value(ceiling)}"
                 + (")" if args.open_interval else "]")
             )
-        report = quotient_slope(scenario, lam)
+        mu = quotient_slope(scenario, lam).value
         f_value = quadratic(lam)
         sign = "+" if f_value > 0 else ("-" if f_value < 0 else "0")
-        rows.append(
-            {
-                "lambda": str(lam),
-                "mu_lambda": str(report.value),
-                "mu_lambda_decimal": format_fixed(report.value),
-                "f_lambda": str(f_value),
-                "sign": sign,
-            }
-        )
+        rows.append((str(lam), str(mu), format_fixed(mu), str(f_value), sign))
     if args.format == "json":
-        _write_json(out, {"scenario": entry.name, "rows": rows})
+        out.write(_sweep_json(entry.name, rows))
     else:
-        print("lambda,mu_lambda,mu_lambda_decimal,f_lambda,sign", file=out)
+        print(",".join(_SWEEP_COLUMNS), file=out)
         for row in rows:
-            print(",".join(row.values()), file=out)
+            print(",".join(row), file=out)
     return 0
 
 
@@ -660,13 +702,7 @@ def cmd_seshadri(args, out=None):
     entry = _entry_named(args)
     estimate = resolve_estimate(entry)
     if args.format == "json":
-        _write_json(out, {
-            "scenario": entry.name,
-            "lower": estimate.lower,
-            "upper": estimate.upper,
-            "exact": estimate.exact,
-            "provenance": estimate.provenance,
-        })
+        out.write(_seshadri_json(entry.name, estimate))
     elif args.format == "csv":
         print("name,lower,upper,exact", file=out)
         print(

@@ -70,11 +70,11 @@ _ZERO = Fraction(0)
 
 
 def _require_rational(value, name):
-    """``value`` as a Fraction; floats, strings and the like are refused
-    rather than converted, so no input is silently reinterpreted."""
+    """``value`` as a Fraction; floats, strings, bools and the like are
+    refused rather than converted, so no input is silently reinterpreted."""
     if type(value) is Fraction:
         return value
-    if not isinstance(value, (int, Fraction)):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(
             f"{name} must be an int or a Fraction, got {type(value).__name__}"
         )
@@ -248,10 +248,12 @@ class Surd:
 
 def _parts(value):
     """``(rat, coef, rad)`` of an int, Fraction or Surd, without conversion;
-    anything else raises TypeError."""
+    anything else, a bool included, raises TypeError."""
     if isinstance(value, Surd):
         return value.rat, value.coef, value.rad
-    if type(value) is Fraction or isinstance(value, (int, Fraction)):
+    if type(value) is Fraction or (
+        isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    ):
         return value, 0, 0
     raise TypeError(
         f"an operand must be a Surd, an int or a Fraction, got {type(value).__name__}"

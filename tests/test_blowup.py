@@ -105,6 +105,14 @@ def test_anticanonical_adjunction_holds_for_higher_genus():
         dict(n=3, genus=0, degree=1, normal_degree=0, ln=0, k_ln1=0),
         dict(n=3, genus=0, degree=1, normal_degree=0, ln=1, k_ln1=-1,
              anticanonical=True),
+        # bools are not integers, and only a bool says whether L = -K_X
+        dict(n=3, genus=False, degree=4, normal_degree=True, ln=64, k_ln1=-64),
+        dict(n=3, genus=True, degree=1, normal_degree=0, ln=1, k_ln1=0),
+        dict(n=3, genus=0, degree=True, normal_degree=0, ln=1, k_ln1=0),
+        dict(n=3, genus=0, degree=4, normal_degree=2, ln=64, k_ln1=-64,
+             anticanonical="no"),
+        dict(n=3, genus=0, degree=4, normal_degree=2, ln=64, k_ln1=-64,
+             anticanonical=1),
     ],
 )
 def test_invalid_scenarios_are_rejected(kwargs):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from types import SimpleNamespace
 from importlib.resources import files
 from pathlib import Path
 
@@ -26,8 +27,10 @@ from fanoslope.cli import (
     parse_scenario_file,
     parse_value,
 )
-from fanoslope.errors import FanoslopeError, InvalidScenario
+from fanoslope.classify import Verdict, VerdictStatus
+from fanoslope.errors import FanoslopeError, GridOutOfRange, InvalidScenario
 from fanoslope.exactnum import Surd
+from fanoslope.seshadri import ProvenanceEntry
 
 FIXTURES = files("fanoslope") / "fixtures"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -87,7 +90,8 @@ def test_parse_value_surd_round_trip():
 
 @pytest.mark.parametrize("value", [3, "3", None], ids=["int", "str", "None"])
 def test_dump_value_refuses_anything_but_an_exact_value(value):
-    # json calls it as ``default``, so an unexpected object fails loudly
+    # the JSON writer spells every value through it, so an unexpected object
+    # fails loudly
     with pytest.raises(TypeError):
         dump_value(value)
 
@@ -324,6 +328,123 @@ def test_seshadri_json(capsys):
     assert record["lower"] == "3"
     assert record["upper"] == "3"
     assert len(record["provenance"]) >= 3
+
+
+# -- JSON output against json.dumps ----------------------------------------
+
+
+def _json_record(entry, estimate, verdict, error):
+    """A classify record as a dict: with json.dumps(indent=2), the oracle
+    for the fixed-shape writer."""
+    if error is not None:
+        return {"name": entry.name, "error": str(error),
+                "error_type": type(error).__name__}
+    return {
+        "name": entry.name,
+        "status": verdict.status.value,
+        "witness_lambda": verdict.witness_lambda,
+        "rule": verdict.rule,
+        "condition": verdict.condition,
+        "seshadri": {
+            "lower": estimate.lower,
+            "upper": estimate.upper,
+            "provenance": estimate.provenance,
+        },
+    }
+
+
+def _dumps(document):
+    return json.dumps(document, indent=2, default=dump_value) + "\n"
+
+
+# every code point, lone surrogates included, and a bias towards the
+# characters JSON escapes
+json_texts = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600\ud800\udfff'),
+    max_size=8,
+)
+exact_values = st.one_of(
+    st.none(),
+    st.fractions(max_denominator=50),
+    st.builds(
+        Surd,
+        st.fractions(max_denominator=9),
+        st.fractions(max_denominator=9),
+        st.sampled_from([0, 1, 4, 2, 3, 12, 1_000_003]),
+    ),
+)
+estimates = st.builds(
+    SimpleNamespace,
+    lower=exact_values,
+    upper=exact_values,
+    exact=exact_values,
+    provenance=st.lists(
+        st.builds(ProvenanceEntry, json_texts, json_texts), max_size=3
+    ).map(tuple),
+)
+entries = st.builds(SimpleNamespace, name=json_texts)
+verdicts = st.builds(
+    Verdict,
+    status=st.sampled_from(VerdictStatus),
+    rule=json_texts,
+    witness_lambda=exact_values,
+    condition=st.none() | json_texts,
+)
+errors = st.builds(
+    lambda kind, message: kind(message),
+    st.sampled_from([InvalidScenario, GridOutOfRange, FanoslopeError]),
+    json_texts,
+)
+results = st.one_of(
+    st.tuples(entries, estimates, verdicts, st.none()),
+    st.tuples(entries, st.none(), st.none(), errors),
+)
+
+
+_EDGE_ESTIMATE = SimpleNamespace(
+    lower=Surd(1, 2, 3), upper=Surd(5, 0, 7), exact=None,
+    provenance=(ProvenanceEntry('r\u00e9gle "\\', "\ud800\x00\n\U0001f600"),),
+)
+_EDGE_RESULTS = [
+    (SimpleNamespace(name="\udfff\t"), _EDGE_ESTIMATE,
+     Verdict(VerdictStatus.STABLE, "rule", Fraction(-7, 3), "\u2028"), None),
+    (SimpleNamespace(name='"'), None, None, InvalidScenario("\x7f\\")),
+]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(results, max_size=4),
+    json_texts,
+    st.lists(st.tuples(*[json_texts] * 5), max_size=3),
+    estimates,
+)
+@example([], "", [], SimpleNamespace(lower=None, upper=None, exact=None, provenance=()))
+@example(_EDGE_RESULTS, "\ud800", [("1/2", "-3", "0.5", "\u00e9", "+")], _EDGE_ESTIMATE)
+def test_json_writer_matches_json_dumps(results, name, rows, estimate):
+    assert cli._classify_json(results) == _dumps(
+        {"verdicts": [_json_record(*result) for result in results]}
+    )
+    columns = ("lambda", "mu_lambda", "mu_lambda_decimal", "f_lambda", "sign")
+    assert cli._sweep_json(name, rows) == _dumps(
+        {"scenario": name, "rows": [dict(zip(columns, row)) for row in rows]}
+    )
+    assert cli._seshadri_json(name, estimate) == _dumps({
+        "scenario": name,
+        "lower": estimate.lower,
+        "upper": estimate.upper,
+        "exact": estimate.exact,
+        "provenance": estimate.provenance,
+    })
+
+
+def test_an_empty_scenario_list_gives_no_verdicts(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"scenarios": []}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == '{\n  "verdicts": []\n}\n' == _dumps({"verdicts": []})
 
 
 # -- strict input boundary -------------------------------------------------
@@ -806,8 +927,13 @@ def _conic_file(tail):
         (_conic_file(b', "description": "\xff"'), "not valid JSON"),
         (_conic_file(b', "seshadri": "2"'), "repeated key 'seshadri'"),
         (b'{"scenarios": [], "scenarios": []}', "repeated key 'scenarios'"),
+        (b'{"scenarios": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "not valid JSON"),
+        (json.dumps({"scenarios": [conic(seshadri="@")]}).encode("utf-8").replace(
+            b'"@"', b'{"a": ' * 50_000 + b"1" + b"}" * 50_000), "not valid JSON"),
     ],
-    ids=["oversized-integer", "invalid-utf8", "repeated-key", "repeated-top-key"],
+    ids=["oversized-integer", "invalid-utf8", "repeated-key", "repeated-top-key",
+         "deeply-nested-arrays", "deeply-nested-seshadri"],
 )
 def test_undecodable_file_exits_one(capsys, tmp_path, content, message):
     path = tmp_path / "undecodable.json"

@@ -296,6 +296,9 @@ def test_compare_of_conjugates_and_near_misses(a, b, m):
         (Surd(0, 1, 2), 0.5),
         (0.5, Surd(0, 1, 2)),
         ("1/2", 1),
+        (True, 0),
+        (Fraction(1, 2), False),
+        (Surd(0, 1, 2), True),
     ],
 )
 def test_compare_rejects_non_numbers(left, right):
@@ -303,7 +306,7 @@ def test_compare_rejects_non_numbers(left, right):
         compare(left, right)
 
 
-@pytest.mark.parametrize("bad", [0.1, 2.0, "1/2", "3", Decimal("0.5")])
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/2", "3", Decimal("0.5"), True, False])
 def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
     surd = Surd(1, 1, 2)
     for build in (
