@@ -32,7 +32,6 @@ from .classify import (
 )
 from .exactnum import (
     Polynomial,
-    Rational,
     Surd,
     compare,
     quadratic_roots,
@@ -88,7 +87,6 @@ __all__ = [
     "fano_bundle_check",
     "non_stable_shape_filter",
     "Polynomial",
-    "Rational",
     "Surd",
     "compare",
     "quadratic_roots",

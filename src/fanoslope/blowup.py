@@ -132,8 +132,7 @@ def exceptional_power_table(scenario):
     s = scenario
     table = [Fraction(0)] * s.n
     table[0] = Fraction(-s.normal_degree)
-    if s.n >= 2:
-        table[1] = Fraction(s.degree)
+    table[1] = Fraction(s.degree)
     return tuple(table)
 
 

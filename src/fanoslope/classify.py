@@ -22,13 +22,14 @@ from typing import NamedTuple
 from .blowup import check_epsilon_consistency
 from .errors import (
     DimensionTooSmall,
+    InvalidScenario,
     NonRationalCurve,
     NotAnticanonical,
     ScenarioInconsistent,
     TooFewSummands,
     WrongRank,
 )
-from .exactnum import Surd, compare, render_value
+from .exactnum import Surd, _require_int, compare, render_value
 
 __all__ = [
     "VerdictStatus",
@@ -75,6 +76,13 @@ class ClassifyFlags:
     picard_rank_one: bool = False
     fano_index: int | None = None
 
+    def __post_init__(self):
+        # "false" would read as true, and 3.5 would pass the index range test
+        if type(self.is_pn) is not bool or type(self.picard_rank_one) is not bool:
+            raise InvalidScenario("isPn and picardRankOne must be true or false")
+        if self.fano_index is not None and type(self.fano_index) is not int:
+            raise InvalidScenario("fanoIndex must be an integer or None")
+
     def echo(self):
         return (
             f"[isPn={str(self.is_pn).lower()} "
@@ -93,7 +101,7 @@ class BundleSplitting:
     twists: tuple[int, ...]
 
     def __init__(self, twists):
-        twists = tuple(sorted(int(t) for t in twists))
+        twists = tuple(sorted(_require_int(t, "a twist") for t in twists))
         if not twists:
             raise ValueError("a splitting needs at least one summand")
         object.__setattr__(self, "twists", twists)
@@ -137,7 +145,7 @@ def admissible_normal_bundle(n, splitting):
     """Can this rank-(n-1) splitting be the normal bundle of a rational curve
     whose blowup is Fano? The only shapes are O(a)**(n-1) and
     O(a)**(n-2) + O(a+1)."""
-    if splitting.rank != n - 1:
+    if splitting.rank != _require_int(n, "n") - 1:
         raise WrongRank(
             f"a curve in an {n}-fold has normal bundle of rank {n - 1}"
         )
@@ -161,7 +169,9 @@ def non_stable_shape_filter(n, splitting, is_pn_line=False):
     splitting passes the filter when it matches one of the allowed shapes or
     the line flag is set.
     """
-    if n < 3:
+    if type(is_pn_line) is not bool:
+        raise TypeError(f"is_pn_line must be a bool, got {type(is_pn_line).__name__}")
+    if _require_int(n, "n") < 3:
         raise DimensionTooSmall("the shape filter is stated for n >= 3")
     if splitting.rank != n - 1:
         raise WrongRank(
@@ -288,9 +298,7 @@ def _regime_verdict(s, estimate, include_endpoint):
         return _stable(rule + ": the quadratic is positive on (0, d]")
     if not include_endpoint:
         return _stable(rule + ": the only zero sits at the excluded endpoint")
-    hi = estimate.upper
-    eff_hi = Fraction(d) if hi is None or compare(hi, d) > 0 else hi
-    if compare(eff_hi, d) < 0:
+    if estimate.upper is not None and compare(estimate.upper, d) < 0:
         return _stable(rule + ": epsilon stays below d = n + 1")
     if compare(estimate.lower, d) == 0:
         return Verdict(

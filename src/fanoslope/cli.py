@@ -116,8 +116,8 @@ def dump_value(value):
 
 @dataclass(frozen=True)
 class NamedScenario:
-    """One scenario as read from a file. ``seshadri_spec`` is
-    ``{"exact": v}``, ``{"lower": v, "upper": v or None}`` or a tuple of
+    """One scenario as read from a file. ``seshadri_spec`` is a declared
+    ``{"lower": v, "upper": v or None, "statement": s}`` or a tuple of
     pipeline steps whose rational and value slots are already read; every
     value is a Fraction or a Surd."""
 
@@ -249,15 +249,18 @@ def _parse_entry(raw):
     if "seshadri" not in raw:
         raise InvalidScenario(f"{name}: every scenario needs a seshadri entry")
 
-    scenario = CurveScenario(
-        n=n,
-        genus=genus,
-        degree=degree,
-        normal_degree=normal_degree,
-        ln=ln,
-        k_ln1=k_ln1,
-        anticanonical=anticanonical,
-    )
+    try:
+        scenario = CurveScenario(
+            n=n,
+            genus=genus,
+            degree=degree,
+            normal_degree=normal_degree,
+            ln=ln,
+            k_ln1=k_ln1,
+            anticanonical=anticanonical,
+        )
+    except InvalidScenario as exc:
+        raise InvalidScenario(f"{name}: {exc}") from exc
     return NamedScenario(
         name=name,
         scenario=scenario,
@@ -341,16 +344,17 @@ def _read_seshadri_spec(spec, name):
         extra = set(spec) - ({"exact"} if "exact" in spec else {"lower", "upper"})
         if extra:
             raise InvalidScenario(f"{context}: unknown fields {sorted(extra)}")
-        if "exact" in spec:
-            return {"exact": parse_value(spec["exact"], context)}
-        return {
-            "lower": parse_value(spec.get("lower", 0), context),
-            "upper": parse_value(spec["upper"], context) if "upper" in spec else None,
-        }
-    if isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec):
-        # a literal or a bare surd object, whose fields parse_value checks
-        return {"exact": parse_value(spec, context)}
-    raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
+        if "exact" not in spec:
+            lower = parse_value(spec.get("lower", 0), context)
+            upper = parse_value(spec["upper"], context) if "upper" in spec else None
+            return {"lower": lower, "upper": upper, "statement": "declared interval"}
+        spec = spec["exact"]
+    elif not (isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec)):
+        raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
+    # an exact value: a literal, or a bare surd whose fields parse_value checks
+    value = parse_value(spec, context)
+    statement = f"declared exact value {render_value(value)}"
+    return {"lower": value, "upper": value, "statement": statement}
 
 
 def _read_step(step, context):
@@ -450,23 +454,12 @@ def resolve_estimate(entry):
     context = f"{entry.name}.seshadri"
     if isinstance(spec, tuple):
         estimate = _run_pipeline(spec, entry.scenario)
-    elif "exact" not in spec:
-        estimate = _seshadri.SeshadriEstimate(
-            lower=_declared_value(spec["lower"], context),
-            upper=_declared_value(spec["upper"], context),
-            provenance=(
-                _seshadri.ProvenanceEntry("declared", "declared interval"),
-            ),
-        )
     else:
-        value = _declared_value(spec["exact"], context)
-        estimate = _seshadri.SeshadriEstimate.exactly(
-            value,
-            (
-                _seshadri.ProvenanceEntry(
-                    "declared", f"declared exact value {render_value(value)}"
-                ),
-            ),
+        estimate = _seshadri._certificate(
+            "declared",
+            spec["statement"],
+            _declared_value(spec["lower"], context),
+            _declared_value(spec["upper"], context),
         )
     check_epsilon_consistency(entry.scenario, estimate.lower)
     return estimate
@@ -617,8 +610,8 @@ def _csv_quoted(text):
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_classify(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_classify(args):
+    out = sys.stdout
     scenario_file = load_scenario_file(args.file)
     include_endpoint = not args.open_interval
     results = []  # (entry, estimate, verdict, error), error None on success
@@ -665,8 +658,8 @@ def _parse_grid(text):
     return points
 
 
-def cmd_sweep(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_sweep(args):
+    out = sys.stdout
     entry = _entry_named(args)
     estimate = resolve_estimate(entry)
     scenario = entry.scenario
@@ -697,8 +690,8 @@ def cmd_sweep(args, out=None):
     return 0
 
 
-def cmd_seshadri(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_seshadri(args):
+    out = sys.stdout
     entry = _entry_named(args)
     estimate = resolve_estimate(entry)
     if args.format == "json":
@@ -730,12 +723,6 @@ def build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--open-interval",
-        action="store_true",
-        help="use the open interval (0, epsilon); ties at the endpoint no "
-        "longer destabilize",
-    )
-    common.add_argument(
         "--format",
         choices=("text", "csv", "json"),
         default="text",
@@ -755,6 +742,13 @@ def build_parser():
     p_sweep.add_argument(
         "--grid", required=True, help="comma-separated rational lambda values"
     )
+    for p_interval in (p_classify, p_sweep):
+        p_interval.add_argument(
+            "--open-interval",
+            action="store_true",
+            help="use the open interval (0, epsilon); ties at the endpoint no "
+            "longer destabilize",
+        )
 
     p_sesh = sub.add_parser(
         "seshadri",

@@ -30,10 +30,7 @@ from fractions import Fraction
 
 from .errors import AllCoefficientsZero, IncomparableRadicands
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Polynomial",
     "Surd",
     "compare",
@@ -43,17 +40,21 @@ __all__ = [
 
 
 # Input radicands, and the threshold radicand n*n - 1, stay below this bound:
-# _squarefree_decompose trial-divides up to sqrt(m), and at this size its
-# worst case, the prime 999999999989, takes about 0.1 s.
+# _squarefree_decompose trial-divides up to the cube root of m, about 5000
+# steps at this size (under a millisecond for the prime 999999999989).
 _MAX_RADICAND = 10**12
 
 
 def _squarefree_decompose(m):
-    """Write m = s*s*k with k square-free; return (s, k). m must be >= 0."""
+    """Write m = s*s*k with k square-free; return (s, k). m must be >= 0.
+
+    Trial division stops once d**3 exceeds what is left: with no prime
+    factor below d, that rest has at most two prime factors, so it is
+    square-free unless it is the square of a prime."""
     s, k = 1, 1
     rest = m
     d = 2
-    while d * d <= rest:
+    while d * d * d <= rest:
         if rest % d == 0:
             count = 0
             while rest % d == 0:
@@ -63,6 +64,9 @@ def _squarefree_decompose(m):
             if count % 2:
                 k *= d
         d += 1 if d == 2 else 2
+    root = math.isqrt(rest)
+    if root > 1 and root * root == rest:
+        return s * root, k
     return s, k * rest
 
 
@@ -126,8 +130,8 @@ class Surd:
             rat = _require_rational(rat, "rat")
         if type(coef) is not Fraction:
             coef = _require_rational(coef, "coef")
-        if not isinstance(rad, int):
-            raise TypeError("radicand must be an int")
+        if type(rad) is not int:
+            _require_int(rad, "radicand")
         if rad < 0:
             raise ValueError("radicand must be non-negative")
         if coef and rad:
@@ -317,11 +321,11 @@ class Polynomial:
 
     The zero polynomial is the empty coefficient tuple and reports degree -1.
     Instances are immutable; arithmetic returns new objects. Evaluation uses
-    Horner's scheme and accepts rational or Surd points, returning whatever
-    type the point arithmetic produces. Zero coefficients are passed through
-    without arithmetic, and at a rational point a run of them costs one
-    power of the point, so sparse polynomials cost what their non-zero terms
-    cost.
+    Horner's scheme at an int, Fraction or Surd point (anything else raises
+    TypeError) and returns the type the point arithmetic produces. Zero
+    coefficients are passed through without arithmetic, and at a rational
+    point a run of them costs one power of the point, so sparse polynomials
+    cost what their non-zero terms cost.
     """
 
     __slots__ = ("coeffs",)
@@ -337,14 +341,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial instances are immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def constant(cls, value):
-        return cls([value])
 
     @classmethod
     def monomial(cls, power, coefficient=1):
@@ -399,7 +395,7 @@ class Polynomial:
                     term = a * b
                     out[i + j] = out[i + j] + term if out[i + j] else term
             return Polynomial(out)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             return Polynomial([c * other if c else c for c in self.coeffs])
         return NotImplemented
 
@@ -408,6 +404,11 @@ class Polynomial:
     def __call__(self, point):
         coeffs = self.coeffs
         if type(point) is not int and type(point) is not Fraction:
+            if not isinstance(point, Surd):
+                raise TypeError(
+                    "a point must be a Surd, an int or a Fraction, "
+                    f"got {type(point).__name__}"
+                )
             # Horner step by step, so a Surd point needs no Surd power.
             acc = _ZERO
             for c in reversed(coeffs):
@@ -438,28 +439,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
-
-    def __str__(self):
-        return self.format()
-
-    def format(self, variable="x"):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for power in range(self.degree, -1, -1):
-            c = self.coefficient(power)
-            if c == 0:
-                continue
-            if power == 0:
-                body = str(abs(c))
-            else:
-                x = variable if power == 1 else f"{variable}^{power}"
-                body = x if abs(c) == 1 else f"{abs(c)}*{x}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
 
 
 def _sum_coeffs(left, right, subtract):

@@ -70,18 +70,6 @@ class SeshadriEstimate:
                 f"upper bound {render_value(self.upper)}"
             )
 
-    @classmethod
-    def exactly(cls, value, provenance=()):
-        return cls(lower=value, upper=value, provenance=tuple(provenance))
-
-    @classmethod
-    def at_most(cls, value, provenance=()):
-        return cls(upper=value, provenance=tuple(provenance))
-
-    @classmethod
-    def at_least(cls, value, provenance=()):
-        return cls(lower=value, provenance=tuple(provenance))
-
     @property
     def exact(self):
         """The exact value when both bounds agree, else None."""

@@ -36,7 +36,7 @@ from .blowup import (
     hilbert_subleading_poly,
 )
 from .errors import DimensionTooSmall, NotAnticanonical, ZeroDenominator
-from .exactnum import Polynomial, _require_rational
+from .exactnum import Polynomial, _require_int, _require_rational
 
 __all__ = [
     "manifold_slope",
@@ -197,8 +197,9 @@ def fano_quadratic_at_degree(n, p):
     It vanishes exactly when p = n - 1 (the middle factor), because the last
     factor would need p = n - 1 - 2/n, never an integer for n >= 3.
     """
-    if n < 3:
+    if _require_int(n, "n") < 3:
         raise DimensionTooSmall("the factored boundary value needs n >= 3")
+    _require_int(p, "p")
     return Fraction((p + 2) * (p - n + 1) * (n * (p - n + 1) + 2))
 
 

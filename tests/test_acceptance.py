@@ -225,15 +225,15 @@ def test_criterion_10_surd_threshold():
     for n in (3, 4, 5):
         s = CurveScenario.anticanonical_curve(n, 0, 1, Fraction(4 * n))
         t = Surd(0, 1, n * n - 1)
-        at = classify_curve(s, SeshadriEstimate.exactly(t))
+        at = classify_curve(s, SeshadriEstimate(t, t))
         assert at.status is VerdictStatus.SEMISTABLE_NOT_STABLE
         assert isinstance(at.witness_lambda, Surd)
         assert at.witness_lambda.rad != 0  # genuinely irrational witness
         assert compare(destabilizing_quadratic(s)(at.witness_lambda), 0) == 0
         nudge = Fraction(1, 1000)
-        below = classify_curve(s, SeshadriEstimate.exactly(t - nudge))
+        below = classify_curve(s, SeshadriEstimate(t - nudge, t - nudge))
         assert below.status is VerdictStatus.STABLE
-        above = classify_curve(s, SeshadriEstimate.exactly(t + nudge))
+        above = classify_curve(s, SeshadriEstimate(t + nudge, t + nudge))
         assert above.status is VerdictStatus.STRICTLY_DESTABILIZED
         assert compare(
             destabilizing_quadratic(s)(above.witness_lambda), 0
@@ -269,7 +269,7 @@ def test_criterion_11_randomized_properties():
             else Fraction(n + 2)
         )
         eps = cap * Fraction(rng.randint(1, 14), 14)
-        verdict = classify_curve(s, SeshadriEstimate.exactly(eps))
+        verdict = classify_curve(s, SeshadriEstimate(eps, eps))
         quadratic = destabilizing_quadratic(s)
         if verdict.status is VerdictStatus.STRICTLY_DESTABILIZED:
             assert compare(quadratic(verdict.witness_lambda), 0) < 0
@@ -302,7 +302,7 @@ def test_criterion_11_randomized_properties():
             (diag, [Fraction(n), Fraction(n + 1)]),
         ):
             ranks = [
-                order[classify_curve(s, SeshadriEstimate.exactly(e)).status]
+                order[classify_curve(s, SeshadriEstimate(e, e)).status]
                 for e in ladder
             ]
             assert ranks == sorted(ranks)

@@ -18,6 +18,7 @@ from fanoslope.classify import (
 )
 from fanoslope.errors import (
     DimensionTooSmall,
+    InvalidScenario,
     NonRationalCurve,
     NotAnticanonical,
     ScenarioInconsistent,
@@ -26,7 +27,7 @@ from fanoslope.errors import (
 )
 from fanoslope.exactnum import Surd, compare
 from fanoslope.seshadri import SeshadriEstimate
-from fanoslope.slope import destabilizing_quadratic
+from fanoslope.slope import destabilizing_quadratic, fano_quadratic_at_degree
 
 from generators import make_rng
 
@@ -36,7 +37,7 @@ def anticanonical(n, degree, ln=60, genus=0):
 
 
 def exact(value):
-    return SeshadriEstimate.exactly(value)
+    return SeshadriEstimate(value, value)
 
 
 # -- bundle splittings -----------------------------------------------------
@@ -114,6 +115,45 @@ def test_shape_filter():
         non_stable_shape_filter(2, BundleSplitting([0]))
     with pytest.raises(WrongRank):
         non_stable_shape_filter(4, BundleSplitting([0, 0]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BundleSplitting([1.7]),
+        lambda: BundleSplitting(["2"]),
+        lambda: BundleSplitting([True]),
+        lambda: BundleSplitting([Fraction(2)]),
+        lambda: non_stable_shape_filter(4, BundleSplitting([0, 0, 0]), is_pn_line="no"),
+        lambda: non_stable_shape_filter(4, BundleSplitting([0, 0, 0]), is_pn_line=1),
+        lambda: non_stable_shape_filter(4.0, BundleSplitting([0, 0, 0])),
+        lambda: admissible_normal_bundle(4.0, BundleSplitting([0, 0, 0])),
+        lambda: admissible_normal_bundle(True, BundleSplitting([0])),
+        lambda: fano_quadratic_at_degree(3, 0.5),
+        lambda: fano_quadratic_at_degree(3.0, 1),
+    ],
+)
+def test_bundle_helpers_refuse_what_they_would_reinterpret(build):
+    # int() would read 1.7 as 1 and "2" as 2; "no" would pass as a true flag
+    with pytest.raises(TypeError, match="must be"):
+        build()
+
+
+def test_classify_flags_refuse_truthy_strings_and_non_integers():
+    line = anticanonical(4, 5)  # the line in P4, epsilon = d = n + 1
+    flags = ClassifyFlags(is_pn=False, picard_rank_one=True)
+    verdict = classify_curve(line, exact(Fraction(5)), flags)
+    assert verdict.status is VerdictStatus.STABLE
+    assert verdict.rule.startswith("picard-rank-one")
+    for bad in (
+        {"is_pn": "false", "picard_rank_one": True},
+        {"picard_rank_one": 1},
+        {"fano_index": 3.5},
+        {"fano_index": True},
+        {"fano_index": "3"},
+    ):
+        with pytest.raises(InvalidScenario):
+            ClassifyFlags(**bad)
 
 
 # -- degree regimes --------------------------------------------------------
@@ -231,7 +271,7 @@ def test_cascade_high_genus_first():
 
 def test_cascade_codimension_cap():
     s = anticanonical(4, 2)
-    verdict = classify_curve(s, SeshadriEstimate.at_most(Fraction(3)))
+    verdict = classify_curve(s, SeshadriEstimate(upper=Fraction(3)))
     assert verdict.status is VerdictStatus.STABLE
     assert verdict.rule.startswith("codimension-cap")
 

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import copy
 import csv
@@ -580,6 +581,51 @@ def test_oversized_radicands_are_rejected_at_load(
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "scenarios, command, message",
+    [
+        # an error CurveScenario finds names the scenario it belongs to
+        ([conic(n=1)], ["classify"], "error: conic: ambient dimension must be"),
+        ([conic(genus=-1)], ["classify"], "error: conic: genus must be non-negative"),
+        ([conic(normalBundleDegree=5)], ["classify"],
+         "error: conic: anticanonical adjunction forces normal bundle degree 0, got 5"),
+        ([conic(seshadri=[])], ["classify"], "conic.seshadri: empty rule pipeline"),
+        ([conic(seshadri={"rat": "1", "root": 2})], ["classify"],
+         "unknown surd fields ['root']"),
+        ([3], ["classify"], "each scenario must be a JSON object"),
+        ([{k: v for k, v in conic().items() if k != "seshadri"}], ["classify"],
+         "conic: every scenario needs a seshadri entry"),
+        ([conic(anticanonical=False, normalBundleDegree=0)], ["classify"],
+         "conic: need KLn1 unless the scenario is anticanonical"),
+        ([conic(anticanonical=False, KLn1="-54")], ["classify"],
+         "conic: need normalBundleDegree or a splitting"),
+        ([conic()], ["sweep", "--scenario", "conic", "--grid", " , "],
+         "the sweep grid is empty"),
+        # slots read when the step runs fail only their scenario
+        ([conic(seshadri=[{"rule": "product_fiber_estimate"}])], ["classify"],
+         "seshadri rule product_fiber_estimate: no previous estimate to use"),
+        ([conic(seshadri=[{"rule": "combine", "of": "a"}])], ["classify"],
+         "seshadri rule combine: needs a list of names"),
+    ],
+)
+def test_each_input_error_exits_one_with_its_message(
+    capsys, tmp_path, scenarios, command, message
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scenarios": scenarios}), encoding="utf-8")
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 1 and message in out + err
+    assert "internal error" not in err
+
+
+def test_seshadri_takes_no_open_interval(capsys):
+    argv = ("seshadri", fixture("pn_line.json"), "--scenario", "pn_line")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--open-interval"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --open-interval" in capsys.readouterr().err
+
+
 def test_radicands_just_below_the_bound_still_classify(capsys, tmp_path):
     largest_prime = {"rat": 0, "coef": 1, "rad": 999999999989}
     code, records, err = classify_json(
@@ -701,6 +747,26 @@ def test_readme_rule_table_matches_the_rule_table():
     assert rows == [
         (rule, [key for key, _ in slots]) for rule, slots in cli._RULES.items()
     ]
+
+
+def test_readme_library_example_shows_what_it_computes():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    namespace = {}
+    shown = []
+    for node in ast.parse(block).body:
+        # "expression  # value" shows the value's repr, before any ": remark"
+        comment = lines[node.end_lineno - 1].partition("  # ")[2]
+        if isinstance(node, ast.Expr) and comment:
+            value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+            shown.append((repr(value), comment.split(": ")[0]))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert len(shown) == 7
+    for got, want in shown:
+        assert got == want
 
 
 def test_csv_names_are_quoted_per_rfc_4180(capsys, tmp_path):
@@ -1044,9 +1110,9 @@ def test_a_command_patched_after_the_first_call_is_the_one_run(
     seen = []
     original = cli.cmd_classify
 
-    def wrapped(args, out=None):
+    def wrapped(args):
         seen.append(args.file)
-        return original(args, out)
+        return original(args)
 
     monkeypatch.setattr(cli, "cmd_classify", wrapped)
     assert run_cli(capsys, *argv) == expected

@@ -6,12 +6,14 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanoslope.blowup import CurveScenario, anticanonical_square_exceptional
 from fanoslope.cli import format_fixed
 from fanoslope.errors import AllCoefficientsZero, IncomparableRadicands
-from fanoslope.exactnum import Polynomial, Surd, compare, quadratic_roots, render_value
+from fanoslope.exactnum import (
+    Polynomial, Surd, _squarefree_decompose, compare, quadratic_roots, render_value,
+)
 from fanoslope.seshadri import (
     linear_subspace_exact,
     point_upper_bound,
@@ -30,8 +32,8 @@ poly_st = st.lists(fractions_st, max_size=7).map(Polynomial)
 
 def test_trailing_zeros_are_stripped():
     assert Polynomial([1, 2, 0, 0]) == Polynomial([1, 2])
-    assert Polynomial([0, 0]) == Polynomial.zero()
-    assert Polynomial.zero().degree == -1
+    assert Polynomial([0, 0]) == Polynomial()
+    assert Polynomial().degree == -1
 
 
 def test_basic_arithmetic():
@@ -39,7 +41,7 @@ def test_basic_arithmetic():
     q = Polynomial([0, 0, 3])    # 3x^2
     assert (p + q) == Polynomial([1, 2, 3])
     assert (p * q) == Polynomial([0, 0, 3, 6])
-    assert (p - p) == Polynomial.zero()
+    assert (p - p) == Polynomial()
     assert p * Fraction(1, 2) == Polynomial([Fraction(1, 2), 1])
 
 
@@ -238,6 +240,24 @@ def oracle_surd_parts(rat, coef, rad):
     return rat, coef, rad
 
 
+def oracle_squarefree_decompose(m):
+    """(s, k) with m = s*s*k and k square-free, by trial division up to sqrt(m)."""
+    s, k = 1, 1
+    rest = m
+    d = 2
+    while d * d <= rest:
+        if rest % d == 0:
+            count = 0
+            while rest % d == 0:
+                rest //= d
+                count += 1
+            s *= d ** (count // 2)
+            if count % 2:
+                k *= d
+        d += 1 if d == 2 else 2
+    return s, k * rest
+
+
 def oracle_horner(poly, point):
     acc = Fraction(0)
     for c in reversed(poly.coeffs):
@@ -256,6 +276,21 @@ numbers_st = st.one_of(st.integers(-6, 6), small_fractions, any_surd_st)
 
 def same_surd(x, y):
     return (x.rat, x.coef, x.rad) == (y.rat, y.coef, y.rad)
+
+
+@given(st.one_of(
+    st.integers(0, 10**12 - 1),
+    st.integers(1, 10**6).map(lambda p: p * p),
+    st.tuples(st.integers(2, 10**6), st.integers(2, 10**6)).map(lambda t: t[0] * t[1]),
+))
+@example(999_999_999_989)  # the largest prime below the radicand bound
+@example(999_983 * 999_983)  # the square of a prime above its cube root
+@example(999_983 * 999_979)
+@example(0)
+@example(1)
+@settings(deadline=None)  # the oracle takes ~0.1 s on the largest primes
+def test_squarefree_decompose_matches_trial_division(m):
+    assert _squarefree_decompose(m) == oracle_squarefree_decompose(m)
 
 
 @given(any_surd_st)
@@ -314,8 +349,9 @@ def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
         lambda: Surd(0, bad, 2),
         lambda: Surd.sqrt(bad),
         lambda: Polynomial([1, bad]),
-        lambda: Polynomial.constant(bad),
+        lambda: Polynomial([bad]),
         lambda: Polynomial.monomial(2, bad),
+        lambda: Polynomial([1, 2])(bad),
         lambda: quadratic_roots(bad, 0, -1),
         lambda: quadratic_roots(1, bad, -1),
         lambda: render_value(bad),
@@ -338,6 +374,12 @@ def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
     ):
         with pytest.raises(TypeError, match="int or a Fraction"):
             build()
+    poly = Polynomial([1, 2])
+    for build in (lambda: poly * bad, lambda: bad * poly):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(TypeError, match="radicand must be an int"):
+        Surd(1, 1, bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", Fraction(3)])
@@ -578,7 +620,7 @@ def test_sparse_calculus_matches_dense(p):
 def test_constants_keep_the_type_of_the_point(c, point):
     # a non-zero constant at a Surd point is a Surd; the zero polynomial
     # is Fraction(0) at every point
-    value = Polynomial.constant(c)(point)
+    value = Polynomial([c])(point)
     assert type(value) is (Surd if c and isinstance(point, Surd) else Fraction)
     assert value == c
 

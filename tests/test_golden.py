@@ -34,6 +34,7 @@ SCENARIOS = {
     "pn_line": {"pn_line": "1/4,1,3,7/2,4"},
     "surd_bounds": {"d1_above": "1,2,3,4,9/2"},
     "high_dimension": {"n12_general": "1/3,1,2,9/2,6"},
+    "pipelines": {"chain": "1/2,1,2,3", "declared_pinned": "1,2,3"},
 }
 
 

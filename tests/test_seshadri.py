@@ -35,16 +35,16 @@ def test_estimate_invariants():
         SeshadriEstimate(lower=Fraction(-1))
     with pytest.raises(ScenarioInconsistent):
         SeshadriEstimate(lower=Fraction(5), upper=Fraction(4))
-    e = SeshadriEstimate.exactly(Fraction(3))
+    e = SeshadriEstimate(Fraction(3), Fraction(3))
     assert e.exact == 3 and e.is_exact
-    assert SeshadriEstimate.at_most(Fraction(2)).exact is None
-    assert SeshadriEstimate.at_least(Fraction(2)).upper is None
+    assert SeshadriEstimate(upper=Fraction(2)).exact is None
+    assert SeshadriEstimate(lower=Fraction(2)).upper is None
 
 
 def test_estimate_describe():
-    assert SeshadriEstimate.exactly(Fraction(3)).describe() == "exact 3"
-    assert SeshadriEstimate.at_most(Fraction(7, 2)).describe() == "[0, 7/2]"
-    assert SeshadriEstimate.at_least(Fraction(1)).describe() == "[1, unbounded]"
+    assert SeshadriEstimate(Fraction(3), Fraction(3)).describe() == "exact 3"
+    assert SeshadriEstimate(upper=Fraction(7, 2)).describe() == "[0, 7/2]"
+    assert SeshadriEstimate(lower=Fraction(1)).describe() == "[1, unbounded]"
 
 
 def test_merge_narrows_and_never_widens():
@@ -53,8 +53,8 @@ def test_merge_narrows_and_never_widens():
     merged = a.merge(b)
     assert merged.lower == 2 and merged.upper == 5
     with pytest.raises(ScenarioInconsistent):
-        SeshadriEstimate.at_most(Fraction(1)).merge(
-            SeshadriEstimate.at_least(Fraction(2))
+        SeshadriEstimate(upper=Fraction(1)).merge(
+            SeshadriEstimate(lower=Fraction(2))
         )
 
 
@@ -156,18 +156,18 @@ def test_restriction_contradiction_certifies_blowup_fiber():
 
 
 def test_restriction_contradiction_hypotheses():
-    ambient = SeshadriEstimate.exactly(Fraction(3))
+    ambient = SeshadriEstimate(Fraction(3), Fraction(3))
     with pytest.raises(HypothesisNotCertified):
         certify_exact_by_restriction(
-            SeshadriEstimate.at_least(Fraction(1)), ambient, Fraction(3)
+            SeshadriEstimate(lower=Fraction(1)), ambient, Fraction(3)
         )
     with pytest.raises(HypothesisNotCertified):
         certify_exact_by_restriction(
-            SeshadriEstimate.at_most(Fraction(4)), ambient, Fraction(4)
+            SeshadriEstimate(upper=Fraction(4)), ambient, Fraction(4)
         )
     with pytest.raises(HypothesisNotCertified):
         certify_exact_by_restriction(
-            SeshadriEstimate.at_most(Fraction(3)), ambient, Fraction(2)
+            SeshadriEstimate(upper=Fraction(3)), ambient, Fraction(2)
         )
 
 
@@ -226,7 +226,7 @@ RULE_CERTIFICATES = {
     "intersection_min_lower": (
         lambda: intersection_min_lower(
             linear_subspace_exact(3),
-            blowup_exceptional_shift(SeshadriEstimate.at_least(Surd(0, 1, 15))),
+            blowup_exceptional_shift(SeshadriEstimate(lower=Surd(0, 1, 15))),
         ),
         Surd(-1, 1, 15), None,
         (_LINE_IN_P3, _SHIFT,
