@@ -26,7 +26,7 @@ from math import factorial
 
 from .errors import DimensionTooSmall, InvalidScenario, ScenarioInconsistent
 from .exactnum import (
-    _MAX_RADICAND, Polynomial, _require_int, _require_rational, compare,
+    _MAX_RADICAND, Polynomial, _parts, _require_int, _require_rational, compare,
 )
 
 __all__ = [
@@ -199,10 +199,14 @@ def check_epsilon_consistency(scenario, epsilon):
     open interval, hence (n-1)*d - epsilon*p >= 0 in the limit. A declared
     exact value or lower bound violating that is rejected. Equality at the
     endpoint itself is fine (it happens for a line in projective 3-space).
+    So epsilon meets the cap (n-1)*d/p on the side the sign of p sets; p = 0
+    leaves the margin (n-1)*d >= 1 with no cap and needs no arithmetic.
     """
     s = scenario
-    margin = Fraction((s.n - 1) * s.degree) + epsilon * (-s.normal_degree)
-    if compare(margin, 0) < 0:
+    p = s.normal_degree
+    if not p:
+        _parts(epsilon)  # no cap, but a non-number is still refused
+    elif compare(epsilon, Fraction((s.n - 1) * s.degree, p)) * p > 0:
         raise ScenarioInconsistent(
             "declared Seshadri value "
             f"{epsilon} makes (n-1)*d - epsilon*p negative; "

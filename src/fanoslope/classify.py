@@ -322,15 +322,15 @@ def classify_curve(scenario, estimate, flags=None, include_endpoint=True):
     First match wins: (1) positive genus, (2) Seshadri constant at most the
     codimension n - 1, (3) Picard rank one away from the projective-space
     line, (4) Fano index between 3 and n, (5) the genus-zero degree regimes.
-    Before any rule, the estimate's lower bound must pass
-    check_epsilon_consistency: no rule certifies inconsistent data.
+    Before anything, the anticanonical test included, the lower bound must
+    pass check_epsilon_consistency: no rule certifies inconsistent data.
     """
     s = scenario
     if flags is None:
         flags = ClassifyFlags()
+    check_epsilon_consistency(s, estimate.lower)
     if not s.anticanonical:
         raise NotAnticanonical("stability verdicts assume L = -K_X")
-    check_epsilon_consistency(s, estimate.lower)
     if s.genus >= 1:
         return _stable("high-genus: only rational curves can destabilize")
     if estimate.upper is not None and compare(estimate.upper, s.n - 1) <= 0:

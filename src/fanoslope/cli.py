@@ -13,8 +13,8 @@ Scenario files carry exact numbers only: rationals as strings like "18/5"
 {"rat": "a/b", "coef": "c/d", "rad": k}. Floats are rejected rather than
 silently rounded. A file is read once, when it loads, into exact values:
 resolving and rendering a scenario never parse JSON again. Exit codes: 0 on
-success, 1 when any scenario fails validation, 2 on an internal invariant
-violation.
+success, 1 when any scenario fails validation or the command line is
+malformed, 2 on an internal invariant violation.
 """
 
 from __future__ import annotations
@@ -449,7 +449,8 @@ def _declared_value(value, context):
 
 
 def resolve_estimate(entry):
-    """Evaluate a NamedScenario's seshadri spec into a SeshadriEstimate."""
+    """Evaluate a NamedScenario's seshadri spec into a SeshadriEstimate,
+    unchecked: each command runs check_epsilon_consistency on it once."""
     spec = entry.seshadri_spec
     context = f"{entry.name}.seshadri"
     if isinstance(spec, tuple):
@@ -461,7 +462,6 @@ def resolve_estimate(entry):
             _declared_value(spec["lower"], context),
             _declared_value(spec["upper"], context),
         )
-    check_epsilon_consistency(entry.scenario, estimate.lower)
     return estimate
 
 
@@ -662,9 +662,11 @@ def cmd_sweep(args):
     out = sys.stdout
     entry = _entry_named(args)
     estimate = resolve_estimate(entry)
+    check_epsilon_consistency(entry.scenario, estimate.lower)
     scenario = entry.scenario
     grid = _parse_grid(args.grid)
-    ceiling = estimate.exact if estimate.is_exact else estimate.lower
+    exact = estimate.exact
+    ceiling = estimate.lower if exact is None else exact
     quadratic = destabilizing_quadratic(scenario)
     rows = []
     for lam in grid:
@@ -694,6 +696,7 @@ def cmd_seshadri(args):
     out = sys.stdout
     entry = _entry_named(args)
     estimate = resolve_estimate(entry)
+    check_epsilon_consistency(entry.scenario, estimate.lower)
     if args.format == "json":
         out.write(_seshadri_json(entry.name, estimate))
     elif args.format == "csv":
@@ -761,7 +764,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit_:  # argparse's usage error exits 1, as a domain error
+        raise SystemExit(1 if exit_.code == 2 else exit_.code) from None
     # looked up when main runs, so a patched cmd_* is the one called
     command = globals()[f"cmd_{args.command}"]
     try:

@@ -227,9 +227,6 @@ class Surd:
     def __ge__(self, other):
         return compare(self, other) >= 0
 
-    def __float__(self):
-        return float(self.rat) + float(self.coef) * math.sqrt(self.rad)
-
     def __repr__(self):
         return f"Surd({self.rat!r}, {self.coef!r}, {self.rad!r})"
 
@@ -297,8 +294,9 @@ def compare(left, right):
     signals a modelling mistake rather than a gap to work around.
 
     Two rationals are compared by cross-multiplying numerators and
-    denominators; otherwise the sign of ``(a-c) + (b-d)*sqrt(m)`` is read
-    from the parts. No Surd is built either way.
+    denominators. Otherwise ``a - c = x/q`` and ``b - d = y/r`` with positive
+    integer denominators, and the sign of ``x*r + y*q*sqrt(m)`` is read from
+    integer products. No Surd and no Fraction is built either way.
     """
     a, b, m = _parts(left)
     c, d, k = _parts(right)
@@ -306,7 +304,11 @@ def compare(left, right):
         x = a.numerator * c.denominator
         y = c.numerator * a.denominator
         return (x > y) - (x < y)
-    return _sign(a - c, b - d, _radicand(b, m, d, k))
+    q = a.denominator * c.denominator
+    x = a.numerator * c.denominator - c.numerator * a.denominator
+    r = b.denominator * d.denominator
+    y = b.numerator * d.denominator - d.numerator * b.denominator
+    return _sign(x * r, y * q, _radicand(b, m, d, k))
 
 
 def render_value(value):

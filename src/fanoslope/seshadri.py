@@ -101,8 +101,9 @@ class SeshadriEstimate:
         )
 
     def describe(self):
-        if self.is_exact:
-            return f"exact {render_value(self.exact)}"
+        exact = self.exact
+        if exact is not None:
+            return f"exact {render_value(exact)}"
         hi = "unbounded" if self.upper is None else render_value(self.upper)
         return f"[{render_value(self.lower)}, {hi}]"
 

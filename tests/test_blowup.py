@@ -6,11 +6,13 @@ against the exceptional divisor, so the closed forms in the package are never
 compared against themselves.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
 import pytest
 import sympy
+from hypothesis import example, given, strategies as st
 
 from fanoslope.blowup import (
     CurveScenario,
@@ -26,7 +28,7 @@ from fanoslope.errors import (
     InvalidScenario,
     ScenarioInconsistent,
 )
-from fanoslope.exactnum import Polynomial, Surd
+from fanoslope.exactnum import Polynomial, Surd, compare
 
 from generators import make_rng, random_anticanonical_scenario, random_general_scenario
 
@@ -243,3 +245,76 @@ def test_epsilon_consistency_handles_surds():
 def test_epsilon_consistency_no_cap_for_nonpositive_normal_degree():
     s = CurveScenario.anticanonical_curve(3, 0, 1, 54)  # p = -1
     check_epsilon_consistency(s, Fraction(1000))
+
+
+def oracle_consistent(scenario, epsilon):
+    """The sign test check_epsilon_consistency replaced: build the margin
+    (n-1)*d - epsilon*p as a number and compare it with 0."""
+    s = scenario
+    margin = Fraction((s.n - 1) * s.degree) + epsilon * (-s.normal_degree)
+    return compare(margin, 0) >= 0
+
+
+general_scenarios_st = st.builds(
+    CurveScenario,
+    n=st.integers(2, 8),
+    genus=st.integers(0, 3),
+    degree=st.integers(1, 8),
+    normal_degree=st.integers(-6, 6),  # every sign of p
+    ln=st.just(Fraction(1)),
+    k_ln1=st.just(Fraction(0)),
+)
+epsilon_fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+epsilon_radicands_st = st.sampled_from([0, 2, 3, 8, 15, 89999])
+nudges_st = st.builds(
+    Surd,
+    st.just(0),
+    st.fractions(min_value=-1, max_value=1, max_denominator=1000),
+    epsilon_radicands_st,
+)
+
+
+@st.composite
+def scenario_and_epsilon(draw):
+    """A scenario and an epsilon, often at or right next to its cap."""
+    s = draw(general_scenarios_st)
+    p = s.normal_degree
+    cap = Fraction((s.n - 1) * s.degree, p) if p else Fraction(s.n)
+    epsilon = draw(st.one_of(
+        st.integers(-10, 10),
+        epsilon_fractions_st,
+        st.builds(Surd, epsilon_fractions_st, epsilon_fractions_st, epsilon_radicands_st),
+        st.sampled_from([cap, int(cap)] if cap.denominator == 1 else [cap]),
+        nudges_st.map(lambda surd: cap + surd),  # a surd just above or below the cap
+        nudges_st.map(lambda surd: surd.coef + cap),  # a rational next to the cap
+    ))
+    return s, epsilon
+
+
+@given(scenario_and_epsilon())
+@example((CurveScenario(3, 0, 4, 2, Fraction(1), Fraction(0)), 4))  # at the cap
+@example((CurveScenario(3, 0, 4, 2, Fraction(1), Fraction(0)), Fraction(4001, 1000)))
+@example((CurveScenario(3, 0, 6, 4, Fraction(1), Fraction(0)), Surd(0, Fraction(1, 100), 89999)))
+@example((CurveScenario(3, 0, 6, 4, Fraction(1), Fraction(0)), Surd(0, Fraction(1, 100), 90001)))
+@example((CurveScenario(3, 0, 2, -3, Fraction(1), Fraction(0)), -Surd(0, 1, 2)))  # p < 0
+@example((CurveScenario(3, 0, 2, -3, Fraction(1), Fraction(0)), Surd(-2, 1, 2)))
+@example((CurveScenario(3, 0, 2, 0, Fraction(1), Fraction(0)), Surd(-9, 1, 2)))  # p = 0
+def test_epsilon_consistency_matches_the_margin_formula(case):
+    scenario, epsilon = case
+    if oracle_consistent(scenario, epsilon):
+        check_epsilon_consistency(scenario, epsilon)
+        return
+    with pytest.raises(ScenarioInconsistent) as raised:
+        check_epsilon_consistency(scenario, epsilon)
+    assert str(raised.value) == (
+        f"declared Seshadri value {epsilon} makes (n-1)*d - epsilon*p "
+        "negative; no ample class restricts that way"
+    )
+
+
+@pytest.mark.parametrize("p", [-2, 0, 2])
+@pytest.mark.parametrize("bad", [0.5, True, "1", Decimal(1), None])
+def test_epsilon_consistency_refuses_what_is_not_a_number(p, bad):
+    s = CurveScenario(3, 0, 1, p, Fraction(1), Fraction(0))
+    with pytest.raises(TypeError):
+        check_epsilon_consistency(s, bad)

@@ -335,6 +335,16 @@ def test_cascade_requires_anticanonical():
         )
 
 
+def test_cascade_reports_inconsistency_before_the_polarization():
+    # p = 5 caps epsilon at (n-1)*d/p = 9/5: the data contradict themselves,
+    # which is the graver fault, whatever the polarization
+    general = CurveScenario(4, 2, 3, 5, Fraction(7, 2), Fraction(-9, 4))
+    with pytest.raises(NotAnticanonical):
+        classify_curve(general, exact(Fraction(9, 5)))
+    with pytest.raises(ScenarioInconsistent):
+        classify_curve(general, exact(Fraction(2)))
+
+
 def test_verdict_witness_coherence_randomized():
     rng = make_rng(211)
     checked = 0

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fanoslope.classify
 import fanoslope.cli as cli
 from fanoslope.cli import (
     dump_value,
@@ -622,8 +623,47 @@ def test_seshadri_takes_no_open_interval(capsys):
     argv = ("seshadri", fixture("pn_line.json"), "--scenario", "pn_line")
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--open-interval"])
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == 1  # a usage error is a domain error
     assert "unrecognized arguments: --open-interval" in capsys.readouterr().err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["classify", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fanoslope classify")
+
+
+def test_each_command_checks_consistency_once_per_scenario(capsys, monkeypatch):
+    # classify checks through classify_curve, sweep and seshadri by
+    # themselves; resolve_estimate alone checks nothing
+    calls = []
+    check = cli.check_epsilon_consistency
+
+    def counted(scenario, epsilon):
+        calls.append(epsilon)
+        return check(scenario, epsilon)
+
+    for module in (cli, fanoslope.classify):
+        monkeypatch.setattr(module, "check_epsilon_consistency", counted)
+    path = str(GOLDEN_INPUTS / "consistency.json")
+    entries = cli.load_scenario_file(path).entries
+    for entry in entries:
+        cli.resolve_estimate(entry)
+    assert calls == []
+    assert run_cli(capsys, "classify", path)[0] == 1
+    assert len(calls) == len(entries)
+    message = (
+        "error: declared Seshadri value 2 makes (n-1)*d - epsilon*p negative; "
+        "no ample class restricts that way\n"
+    )
+    for argv in (("seshadri",), ("sweep", "--grid", "1")):
+        calls.clear()
+        code, out, err = run_cli(
+            capsys, argv[0], path, "--scenario", "not_anticanonical_inconsistent",
+            *argv[1:],
+        )
+        assert (code, out, err, calls) == (1, "", message, [2])
 
 
 def test_radicands_just_below_the_bound_still_classify(capsys, tmp_path):
@@ -1127,7 +1167,7 @@ def test_a_usage_error_leaves_the_parser_as_fresh(capsys):
     for _ in range(2):
         with pytest.raises(SystemExit) as exit_info:
             main(["classify", fixture("p1xpn.json"), "--format", "yaml"])
-        assert exit_info.value.code == 2
+        assert exit_info.value.code == 1
         errors.append(capsys.readouterr())
     assert errors[0] == errors[1] and "invalid choice: 'yaml'" in errors[0].err
     assert run_cli(capsys, *valid) == fresh

@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from fanoslope.blowup import CurveScenario, anticanonical_square_exceptional
@@ -153,11 +154,43 @@ def test_comparison_is_a_total_order(a, b, c):
     assert (compare(a, b) == 0) == (a == b)
 
 
-@given(surd_st, surd_st)
-def test_field_operations_respect_float_shadow(a, b):
-    # coarse but independent: exact ops track the float approximations
-    assert abs(float(a + b) - (float(a) + float(b))) < 1e-6
-    assert abs(float(a * b) - (float(a) * float(b))) < 1e-6
+def as_sympy(value):
+    """An int, Fraction or Surd as an exact sympy number."""
+    if isinstance(value, Surd):
+        return as_sympy(value.rat) + as_sympy(value.coef) * sympy.sqrt(value.rad)
+    value = Fraction(value)
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+one_field_st = st.sampled_from([2, 3, 8, 12]).flatmap(
+    lambda m: st.tuples(
+        st.builds(Surd, fractions_st, fractions_st, st.just(m)),
+        st.one_of(
+            st.integers(-6, 6),
+            fractions_st,
+            st.builds(Surd, fractions_st, fractions_st, st.just(m)),
+        ),
+    )
+)
+
+
+@given(one_field_st)
+def test_field_operations_match_sympy(pair):
+    # exact and independent: sympy's radicals are the oracle, no tolerance;
+    # a is a Surd, so each operation runs a Surd method, reflected ones too
+    a, b = pair
+    x, y = as_sympy(a), as_sympy(b)
+    for got, want in (
+        (a + b, x + y), (b + a, y + x), (a - b, x - y), (b - a, y - x),
+        (a * b, x * y), (b * a, y * x),
+    ):
+        assert sympy.expand(as_sympy(got) - want) == 0
+    if b != 0:
+        assert sympy.expand(as_sympy(a / b) * y - x) == 0
+    if a != 0:
+        assert sympy.expand(as_sympy(b / a) * x - y) == 0
+    assert compare(a, b) == sympy.sign(x - y)
+    assert compare(b, a) == sympy.sign(y - x)
 
 
 # -- quadratic_roots -------------------------------------------------------
@@ -299,6 +332,13 @@ def test_sign_matches_the_fraction_case_analysis(value):
 
 
 @given(numbers_st, numbers_st)
+@example(3, Fraction(-5, 2))  # an int against a Fraction
+@example(Fraction(1, 3), Fraction(2, 5))  # unequal denominators
+@example(Surd(Fraction(1, 2), Fraction(1, 3), 2), Surd(Fraction(-2, 5), Fraction(3, 7), 8))
+@example(Surd(Fraction(5, 4), Fraction(-1, 3), 2), Surd(Fraction(1, 6), Fraction(1, 5), 2))
+@example(Surd(Fraction(1, 3), Fraction(1, 2), 3), Fraction(5, 4))
+@example(Fraction(-3, 2), Surd(Fraction(-1, 3), Fraction(-1, 4), 12))
+@example(2, Surd(0, Fraction(1, 100), 89999))
 def test_compare_matches_subtract_then_sign(left, right):
     try:
         expected = oracle_compare(left, right)

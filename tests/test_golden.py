@@ -35,6 +35,15 @@ SCENARIOS = {
     "surd_bounds": {"d1_above": "1,2,3,4,9/2"},
     "high_dimension": {"n12_general": "1/3,1,2,9/2,6"},
     "pipelines": {"chain": "1/2,1,2,3", "declared_pinned": "1,2,3"},
+    "consistency": {
+        "p_negative_surd": "1,2",
+        "p_zero": "1,3,5",
+        "p_positive_at_cap": "1,2,4",
+        "p_positive_above_cap": "1",
+        "surd_below_cap": "1,2,2999/1000",
+        "surd_above_cap": "1",
+        "not_anticanonical_inconsistent": "1",
+    },
 }
 
 
