@@ -87,7 +87,8 @@ class CurveScenario:
         if self.ln <= 0:
             raise InvalidScenario("L**n must be positive for an ample class")
         if self.anticanonical:
-            if self.k_ln1 != -self.ln:
+            k_ln1, ln = self.k_ln1, self.ln  # Fractions in lowest terms
+            if (k_ln1.numerator, k_ln1.denominator) != (-ln.numerator, ln.denominator):
                 raise InvalidScenario(
                     "anticanonical scenario requires K.L**(n-1) = -L**n"
                 )

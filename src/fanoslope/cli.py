@@ -134,51 +134,80 @@ class ScenarioFile:
     entries: tuple[NamedScenario, ...]
 
 
-_FLAG_KEYS = {"isPn", "picardRankOne", "fanoIndex"}
-_ENTRY_KEYS = {
-    "name",
-    "description",
-    "n",
-    "genus",
-    "degree",
-    "normalBundleDegree",
-    "splitting",
-    "Ln",
-    "KLn1",
-    "anticanonical",
-    "seshadri",
-    "flags",
-}
-
-
-def _parse_int(raw, context):
+def _read_int(raw, context):
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise InvalidScenario(f"{context}: expected an integer, got {raw!r}")
     return raw
 
 
-def _parse_bool(raw, context):
+def _read_bool(raw, context):
     if not isinstance(raw, bool):
         raise InvalidScenario(f"{context}: expected true or false, got {raw!r}")
     return raw
 
 
-def _parse_flags(raw, context):
+def _read_text(raw, context):
+    if not isinstance(raw, str):
+        raise InvalidScenario(f"{context}: expected a string")
+    return raw
+
+
+def _read_twists(raw, context):
+    if not isinstance(raw, list) or not raw:
+        # a key has no dot, so this finds the owner even when a name holds one
+        owner, _, key = context.rpartition(".")
+        raise InvalidScenario(f"{owner}: {key} must be a non-empty list")
+    return BundleSplitting(_read_int(twist, context) for twist in raw)
+
+
+def _read_flags(raw, context):
+    owner = context.rpartition(".")[0]
     if not isinstance(raw, dict):
-        raise InvalidScenario(f"{context}: flags must be an object")
-    extra = set(raw) - _FLAG_KEYS
-    if extra:
-        raise InvalidScenario(f"{context}: unknown flags {sorted(extra)}")
-    index = None
-    if "fanoIndex" in raw:
-        index = _parse_int(raw["fanoIndex"], context + ".fanoIndex")
-    return ClassifyFlags(
-        is_pn=_parse_bool(raw.get("isPn", False), context + ".isPn"),
-        picard_rank_one=_parse_bool(
-            raw.get("picardRankOne", False), context + ".picardRankOne"
-        ),
-        fano_index=index,
-    )
+        raise InvalidScenario(f"{owner}: flags must be an object")
+    flags = _read_fields(raw, _FLAG_FIELDS, owner, "flags")
+    return ClassifyFlags(flags["isPn"], flags["picardRankOne"], flags["fanoIndex"])
+
+
+_REQUIRED = object()  # the default of a key every entry must carry
+
+# Every field of a scenario entry and of its flags, as key: (kind, default),
+# read in this order by the reader of that kind; an absent key takes its
+# default unread. The rules across fields are _parse_entry's code.
+_ENTRY_FIELDS = {
+    "name": ("text", _REQUIRED),
+    "n": ("int", _REQUIRED),
+    "genus": ("int", _REQUIRED),
+    "degree": ("int", _REQUIRED),
+    "anticanonical": ("bool", False),
+    "description": ("text", None),
+    "Ln": ("rational", _REQUIRED),
+    "splitting": ("twists", None),
+    "normalBundleDegree": ("int", None),
+    "KLn1": ("rational", None),
+    "seshadri": ("seshadri", _REQUIRED),
+    "flags": ("flags", ClassifyFlags()),
+}
+_FLAG_FIELDS = {
+    "fanoIndex": ("int", None),
+    "isPn": ("bool", False),
+    "picardRankOne": ("bool", False),
+}
+
+
+def _read_fields(raw, fields, context, what):
+    """The values of ``fields`` in the object ``raw``, keyed as the table."""
+    if not raw.keys() <= fields.keys():
+        extra = sorted(raw.keys() - fields.keys())
+        raise InvalidScenario(f"{context}: unknown {what} {extra}")
+    values = {}
+    for key, (kind, default) in fields.items():
+        if key in raw:
+            values[key] = _READERS[kind](raw[key], f"{context}.{key}")
+        elif default is _REQUIRED:
+            raise InvalidScenario(f"{context}: every scenario needs a {key} entry")
+        else:
+            values[key] = default
+    return values
 
 
 def _parse_entry(raw):
@@ -187,41 +216,18 @@ def _parse_entry(raw):
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise InvalidScenario("each scenario needs a non-empty name")
-    extra = set(raw) - _ENTRY_KEYS
-    if extra:
-        raise InvalidScenario(f"{name}: unknown fields {sorted(extra)}")
-    n = _parse_int(raw.get("n"), f"{name}.n")
-    genus = _parse_int(raw.get("genus"), f"{name}.genus")
-    degree = _parse_int(raw.get("degree"), f"{name}.degree")
-    anticanonical = _parse_bool(
-        raw.get("anticanonical", False), f"{name}.anticanonical"
-    )
-    description = raw.get("description")
-    if "description" in raw and not isinstance(description, str):
-        raise InvalidScenario(f"{name}.description: expected a string")
-    ln = parse_rational(raw.get("Ln"), f"{name}.Ln")
+    fields = _read_fields(raw, _ENTRY_FIELDS, name, "fields")
+    n, genus, degree = fields["n"], fields["genus"], fields["degree"]
+    ln, k_ln1, anticanonical = fields["Ln"], fields["KLn1"], fields["anticanonical"]
+    splitting, normal_degree = fields["splitting"], fields["normalBundleDegree"]
 
-    splitting = None
-    if "splitting" in raw:
-        twists = raw["splitting"]
-        if not isinstance(twists, list) or not twists:
-            raise InvalidScenario(f"{name}: splitting must be a non-empty list")
-        splitting = BundleSplitting(
-            _parse_int(t, f"{name}.splitting") for t in twists
-        )
-
-    if "normalBundleDegree" in raw:
-        normal_degree = _parse_int(
-            raw["normalBundleDegree"], f"{name}.normalBundleDegree"
-        )
-    elif splitting is not None:
-        normal_degree = sum(splitting.twists)
-    elif anticanonical:
-        normal_degree = degree - 2 + 2 * genus
-    else:
-        raise InvalidScenario(
-            f"{name}: need normalBundleDegree or a splitting"
-        )
+    if normal_degree is None:
+        if splitting is not None:
+            normal_degree = sum(splitting.twists)
+        elif anticanonical:
+            normal_degree = degree - 2 + 2 * genus
+        else:
+            raise InvalidScenario(f"{name}: need normalBundleDegree or a splitting")
     if splitting is not None and splitting.rank != n - 1:
         raise InvalidScenario(
             f"{name}: splitting has rank {splitting.rank}, but a curve in an "
@@ -233,41 +239,29 @@ def _parse_entry(raw):
             f"but normalBundleDegree is {normal_degree}"
         )
 
-    if anticanonical:
+    if anticanonical and k_ln1 is None:
         k_ln1 = -ln
-        if "KLn1" in raw and parse_rational(raw["KLn1"], f"{name}.KLn1") != k_ln1:
-            raise InvalidScenario(
-                f"{name}: anticanonical scenarios have KLn1 = -Ln"
-            )
-    elif "KLn1" in raw:
-        k_ln1 = parse_rational(raw["KLn1"], f"{name}.KLn1")
-    else:
+    elif anticanonical and k_ln1 != -ln:
+        raise InvalidScenario(f"{name}: anticanonical scenarios have KLn1 = -Ln")
+    elif k_ln1 is None:
         raise InvalidScenario(
             f"{name}: need KLn1 unless the scenario is anticanonical"
         )
 
-    if "seshadri" not in raw:
-        raise InvalidScenario(f"{name}: every scenario needs a seshadri entry")
-
     try:
         scenario = CurveScenario(
-            n=n,
-            genus=genus,
-            degree=degree,
-            normal_degree=normal_degree,
-            ln=ln,
-            k_ln1=k_ln1,
-            anticanonical=anticanonical,
+            n, genus, degree, normal_degree, ln, k_ln1, anticanonical
         )
     except InvalidScenario as exc:
         raise InvalidScenario(f"{name}: {exc}") from exc
+    flags = fields["flags"]  # a Fano n-fold has index 1..n+1 (Kobayashi-Ochiai)
+    if flags.fano_index is not None and not 1 <= flags.fano_index <= n + 1:
+        raise InvalidScenario(
+            f"{name}.fanoIndex: a Fano {n}-fold has index 1 to {n + 1}, "
+            f"got {flags.fano_index}"
+        )
     return NamedScenario(
-        name=name,
-        scenario=scenario,
-        seshadri_spec=_read_seshadri_spec(raw["seshadri"], name),
-        flags=_parse_flags(raw["flags"], name) if "flags" in raw else ClassifyFlags(),
-        splitting=splitting,
-        description=description,
+        name, scenario, fields["seshadri"], flags, splitting, fields["description"]
     )
 
 
@@ -328,12 +322,10 @@ _RULES = {
     ),
     "combine": (("of", "refs"),),
 }
-_LOAD_PARSERS = {"rational": parse_rational, "value": parse_value}
 
 
-def _read_seshadri_spec(spec, name):
+def _read_seshadri_spec(spec, context):
     """The seshadri entry in the form ``NamedScenario.seshadri_spec`` holds."""
-    context = f"{name}.seshadri"
     if isinstance(spec, dict) and "rule" in spec:
         spec = [spec]
     if isinstance(spec, list):
@@ -366,14 +358,26 @@ def _read_step(step, context):
     slots = _RULES[rule]
     extra = set(step) - {"rule", "as"} - {key for key, _ in slots}
     if extra:
-        raise InvalidScenario(
-            f"{context}: rule {rule} has no slots {sorted(extra)}"
-        )
+        raise InvalidScenario(f"{context}: rule {rule} has no slots {sorted(extra)}")
     out = dict(step)
     for key, kind in slots:
-        if key in out and kind in _LOAD_PARSERS:
-            out[key] = _LOAD_PARSERS[kind](out[key], f"{context}.{key}")
+        if key in out and kind in ("rational", "value"):
+            out[key] = _READERS[kind](out[key], f"{context}.{key}")
     return out
+
+
+# The reader of each field kind: it checks a raw JSON value and returns what
+# the scenario holds, or raises InvalidScenario naming ``context``.
+_READERS = {
+    "int": _read_int,
+    "bool": _read_bool,
+    "rational": parse_rational,
+    "value": parse_value,
+    "text": _read_text,
+    "twists": _read_twists,
+    "seshadri": _read_seshadri_spec,
+    "flags": _read_flags,
+}
 
 
 def _run_pipeline(steps, scenario):
@@ -405,15 +409,11 @@ def _run_pipeline(steps, scenario):
             if not isinstance(refs, list) or len(refs) < 2:
                 raise InvalidScenario(f"{context}: needs a list of names")
             return [fetch(ref, context) for ref in refs]
-        if kind == "bool":
-            return _parse_bool(step.get(key, False), f"{context}.{key}")
-        if kind == "int":
-            return _parse_int(step.get(key), f"{context}.{key}")
-        if key not in step:  # a present rational or value slot was read at load
-            raise InvalidScenario(
-                f"{context}.{key}: cannot read a rational from None"
-            )
-        return step[key]
+        if kind in ("rational", "value") and key in step:
+            return step[key]  # read when the file loaded
+        # an absent bool slot is false; any other absent slot fails to read
+        raw = step.get(key, False if kind == "bool" else None)
+        return _READERS[kind](raw, f"{context}.{key}")
 
     for step in steps:
         rule = step["rule"]
@@ -647,12 +647,8 @@ def _entry_named(args):
 
 
 def _parse_grid(text):
-    points = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        points.append(parse_rational(piece, "grid"))
+    pieces = [piece.strip() for piece in text.split(",")]
+    points = [parse_rational(piece, "grid") for piece in pieces if piece]
     if not points:
         raise InvalidScenario("the sweep grid is empty")
     return points

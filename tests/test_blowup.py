@@ -107,6 +107,13 @@ def test_anticanonical_adjunction_holds_for_higher_genus():
         dict(n=3, genus=0, degree=1, normal_degree=0, ln=0, k_ln1=0),
         dict(n=3, genus=0, degree=1, normal_degree=0, ln=1, k_ln1=-1,
              anticanonical=True),
+        # L = -K_X forces K.L**(n-1) = -L**n, in sign, numerator and denominator
+        dict(n=3, genus=0, degree=4, normal_degree=2, ln=64, k_ln1=64,
+             anticanonical=True),
+        dict(n=3, genus=0, degree=4, normal_degree=2, ln=Fraction(3, 2),
+             k_ln1=Fraction(-5, 2), anticanonical=True),
+        dict(n=3, genus=0, degree=4, normal_degree=2, ln=Fraction(3, 2),
+             k_ln1=Fraction(-3, 4), anticanonical=True),
         # bools are not integers, and only a bool says whether L = -K_X
         dict(n=3, genus=False, degree=4, normal_degree=True, ln=64, k_ln1=-64),
         dict(n=3, genus=True, degree=1, normal_degree=0, ln=1, k_ln1=0),

@@ -29,7 +29,10 @@ from fanoslope.cli import (
     parse_scenario_file,
     parse_value,
 )
-from fanoslope.classify import Verdict, VerdictStatus
+from fanoslope.blowup import CurveScenario
+from fanoslope.classify import (
+    BundleSplitting, ClassifyFlags, Verdict, VerdictStatus,
+)
 from fanoslope.errors import FanoslopeError, GridOutOfRange, InvalidScenario
 from fanoslope.exactnum import Surd
 from fanoslope.seshadri import ProvenanceEntry
@@ -523,6 +526,13 @@ def test_picard_rank_one_flag_false_keeps_the_verdict(capsys, tmp_path):
         # null is a value, not an absent key
         ({"flags": None}, "flags"),
         ({"flags": {"fanoIndex": None}}, "fanoIndex"),
+        # a Fano n-fold has index 1..n+1 (Kobayashi-Ochiai); the conic's n is 3
+        ({"flags": {"fanoIndex": 0}}, "fanoIndex"),
+        ({"flags": {"fanoIndex": -3}}, "fanoIndex"),
+        ({"flags": {"fanoIndex": 5}}, "fanoIndex"),
+        ({"flags": {"fanoIndex": 99}}, "fanoIndex"),
+        ({"n": 4, "flags": {"fanoIndex": 0}}, "fanoIndex"),
+        ({"n": 4, "flags": {"fanoIndex": 99}}, "fanoIndex"),
     ],
 )
 def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
@@ -536,6 +546,19 @@ def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
     assert code == 1
     assert err.startswith("error: conic") and field in err
     assert "internal error" not in err and out == ""
+
+
+def test_every_fano_index_a_fano_manifold_can_have_loads():
+    for n in (3, 4):
+        for index in range(1, n + 2):
+            entry = conic(n=n, flags={"fanoIndex": index})
+            parsed = parse_scenario_file({"scenarios": [entry]}).entries[0]
+            assert parsed.flags.fano_index == index
+    with pytest.raises(InvalidScenario) as error:
+        parse_scenario_file({"scenarios": [conic(flags={"fanoIndex": 0})]})
+    assert str(error.value) == (
+        "conic.fanoIndex: a Fano 3-fold has index 1 to 4, got 0"
+    )
 
 
 @pytest.mark.parametrize("twists", [[0], [0, 0, 0]])
@@ -719,6 +742,18 @@ def test_bad_pipeline_step_fails_its_scenario_only(capsys, tmp_path, step):
     assert field in records["bad"]["error"]
 
 
+def test_an_absent_bool_slot_reads_as_false():
+    step = {"rule": "point_upper_bound", "n": 3}
+    absent, false, true = parse_scenario_file({"scenarios": [
+        conic(name="absent", seshadri=[step]),
+        conic(name="false", seshadri=[{**step, "isPn": False}]),
+        conic(name="true", seshadri=[{**step, "isPn": True}]),
+    ]}).entries
+    estimates = [cli.resolve_estimate(entry) for entry in (absent, false, true)]
+    got, want, other = [(e.lower, e.upper, e.provenance) for e in estimates]
+    assert got == want != other
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -786,6 +821,34 @@ def test_readme_rule_table_matches_the_rule_table():
         rows.append((rule.strip().strip("`"), keys))
     assert rows == [
         (rule, [key for key, _ in slots]) for rule, slots in cli._RULES.items()
+    ]
+
+
+def _shown(default):
+    """A field default as README's field table shows it."""
+    if default is cli._REQUIRED:
+        return "required"
+    if default is False:
+        return "`false`"
+    assert default is None or default == ClassifyFlags()
+    return "optional"
+
+
+def test_readme_field_table_matches_the_field_tables():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| key | kind | required / default |", 1)[1]
+    rows = []
+    for line in table.strip().splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        key, kind, default = (cell.strip() for cell in line.split("|")[1:4])
+        rows.append((key.strip("`"), kind, default))
+    assert rows == [
+        (key, kind, _shown(default))
+        for key, (kind, default) in cli._ENTRY_FIELDS.items()
+    ] + [
+        (f"flags.{key}", kind, _shown(default))
+        for key, (kind, default) in cli._FLAG_FIELDS.items()
     ]
 
 
@@ -962,6 +1025,200 @@ def test_malformed_field_never_escapes_as_internal_error(case):
             assert "internal error" not in err and "Traceback" not in err
 
 
+# -- the entry reader against its hand-written predecessor -----------------
+#
+# The field table replaced a hand-written chain of reads, kept here as the
+# oracle: every malformed field must meet the same message, and every entry
+# that still parses must parse to the same NamedScenario.
+
+
+def _oracle_int(raw, context):
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise InvalidScenario(f"{context}: expected an integer, got {raw!r}")
+    return raw
+
+
+def _oracle_bool(raw, context):
+    if not isinstance(raw, bool):
+        raise InvalidScenario(f"{context}: expected true or false, got {raw!r}")
+    return raw
+
+
+def _oracle_flags(raw, context):
+    if not isinstance(raw, dict):
+        raise InvalidScenario(f"{context}: flags must be an object")
+    extra = set(raw) - {"isPn", "picardRankOne", "fanoIndex"}
+    if extra:
+        raise InvalidScenario(f"{context}: unknown flags {sorted(extra)}")
+    index = None
+    if "fanoIndex" in raw:
+        index = _oracle_int(raw["fanoIndex"], context + ".fanoIndex")
+    return ClassifyFlags(
+        is_pn=_oracle_bool(raw.get("isPn", False), context + ".isPn"),
+        picard_rank_one=_oracle_bool(
+            raw.get("picardRankOne", False), context + ".picardRankOne"
+        ),
+        fano_index=index,
+    )
+
+
+def _oracle_entry(raw):
+    if not isinstance(raw, dict):
+        raise InvalidScenario("each scenario must be a JSON object")
+    name = raw.get("name")
+    if not isinstance(name, str) or not name:
+        raise InvalidScenario("each scenario needs a non-empty name")
+    extra = set(raw) - {
+        "name", "description", "n", "genus", "degree", "normalBundleDegree",
+        "splitting", "Ln", "KLn1", "anticanonical", "seshadri", "flags",
+    }
+    if extra:
+        raise InvalidScenario(f"{name}: unknown fields {sorted(extra)}")
+    n = _oracle_int(raw.get("n"), f"{name}.n")
+    genus = _oracle_int(raw.get("genus"), f"{name}.genus")
+    degree = _oracle_int(raw.get("degree"), f"{name}.degree")
+    anticanonical = _oracle_bool(
+        raw.get("anticanonical", False), f"{name}.anticanonical"
+    )
+    description = raw.get("description")
+    if "description" in raw and not isinstance(description, str):
+        raise InvalidScenario(f"{name}.description: expected a string")
+    ln = parse_rational(raw.get("Ln"), f"{name}.Ln")
+
+    splitting = None
+    if "splitting" in raw:
+        twists = raw["splitting"]
+        if not isinstance(twists, list) or not twists:
+            raise InvalidScenario(f"{name}: splitting must be a non-empty list")
+        splitting = BundleSplitting(
+            _oracle_int(t, f"{name}.splitting") for t in twists
+        )
+
+    if "normalBundleDegree" in raw:
+        normal_degree = _oracle_int(
+            raw["normalBundleDegree"], f"{name}.normalBundleDegree"
+        )
+    elif splitting is not None:
+        normal_degree = sum(splitting.twists)
+    elif anticanonical:
+        normal_degree = degree - 2 + 2 * genus
+    else:
+        raise InvalidScenario(f"{name}: need normalBundleDegree or a splitting")
+    if splitting is not None and splitting.rank != n - 1:
+        raise InvalidScenario(
+            f"{name}: splitting has rank {splitting.rank}, but a curve in an "
+            f"{n}-fold has normal bundle of rank {n - 1}"
+        )
+    if splitting is not None and sum(splitting.twists) != normal_degree:
+        raise InvalidScenario(
+            f"{name}: splitting twists sum to {sum(splitting.twists)}, "
+            f"but normalBundleDegree is {normal_degree}"
+        )
+
+    if anticanonical:
+        k_ln1 = -ln
+        if "KLn1" in raw and parse_rational(raw["KLn1"], f"{name}.KLn1") != k_ln1:
+            raise InvalidScenario(f"{name}: anticanonical scenarios have KLn1 = -Ln")
+    elif "KLn1" in raw:
+        k_ln1 = parse_rational(raw["KLn1"], f"{name}.KLn1")
+    else:
+        raise InvalidScenario(
+            f"{name}: need KLn1 unless the scenario is anticanonical"
+        )
+
+    if "seshadri" not in raw:
+        raise InvalidScenario(f"{name}: every scenario needs a seshadri entry")
+
+    try:
+        scenario = CurveScenario(
+            n=n, genus=genus, degree=degree, normal_degree=normal_degree,
+            ln=ln, k_ln1=k_ln1, anticanonical=anticanonical,
+        )
+    except InvalidScenario as exc:
+        raise InvalidScenario(f"{name}: {exc}") from exc
+    return cli.NamedScenario(
+        name=name,
+        scenario=scenario,
+        seshadri_spec=cli._read_seshadri_spec(raw["seshadri"], f"{name}.seshadri"),
+        flags=(
+            _oracle_flags(raw["flags"], name) if "flags" in raw
+            else ClassifyFlags()
+        ),
+        splitting=splitting,
+        description=description,
+    )
+
+
+def _read_with(reader, raw):
+    """What ``reader`` makes of an entry: a NamedScenario, or its message."""
+    try:
+        return reader(raw)
+    except InvalidScenario as error:
+        return str(error)
+
+
+def _entries_to_break():
+    """Every scenario entry of the fixtures and the golden inputs."""
+    paths = [fixture(name) for name in ALL_FIXTURES]
+    paths += sorted(str(path) for path in GOLDEN_INPUTS.glob("*.json"))
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            yield from json.load(handle)["scenarios"]
+
+
+def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
+    compared = 0
+    for entry in _entries_to_break():
+        for path in _fields(entry):
+            for value in MALFORMED:
+                raw = _replaced(entry, path, value)
+                got = _read_with(cli._parse_entry, raw)
+                want = _read_with(_oracle_entry, raw)
+                compared += 1
+                if got == want:
+                    continue
+                # the one refusal the oracle lacks: a Fano n-fold's index is 1..n+1
+                assert isinstance(want, cli.NamedScenario), (path, value, got, want)
+                index, n = want.flags.fano_index, want.scenario.n
+                assert not 1 <= index <= n + 1, (path, value, got)
+                assert got == (
+                    f"{want.name}.fanoIndex: a Fano {n}-fold has index 1 to "
+                    f"{n + 1}, got {index}"
+                )
+    assert compared > 20_000
+
+
+def test_a_type_fault_is_reported_before_a_fault_across_fields():
+    # n = -1 breaks the splitting's rank, flags = -1 breaks a type; the field
+    # table reads every type first, where the hand-written chain read flags last
+    with open(fixture("pn_line.json"), encoding="utf-8") as handle:
+        entry = json.load(handle)["scenarios"][0]
+    raw = _replaced(_replaced(entry, ("n",), -1), ("flags",), -1)
+    assert _read_with(cli._parse_entry, raw) == "pn_line: flags must be an object"
+    assert _read_with(_oracle_entry, raw) == (
+        "pn_line: splitting has rank 2, but a curve in an -1-fold has normal "
+        "bundle of rank -2"
+    )
+
+
+@pytest.mark.parametrize(
+    "key, old",
+    [
+        ("n", "conic.n: expected an integer, got None"),
+        ("genus", "conic.genus: expected an integer, got None"),
+        ("degree", "conic.degree: expected an integer, got None"),
+        ("Ln", "conic.Ln: cannot read a rational from None"),
+        ("seshadri", "conic: every scenario needs a seshadri entry"),
+    ],
+)
+def test_a_missing_required_field_is_named(key, old):
+    raw = {k: v for k, v in conic().items() if k != key}
+    assert _read_with(_oracle_entry, raw) == old
+    assert _read_with(cli._parse_entry, raw) == (
+        f"conic: every scenario needs a {key} entry"
+    )
+
+
 # -- parse once ------------------------------------------------------------
 
 
@@ -997,7 +1254,7 @@ def test_a_loaded_scenario_is_never_parsed_again(monkeypatch):
     monkeypatch.setattr(cli, "parse_value", refuse)
     monkeypatch.setattr(cli, "parse_rational", refuse)
     for kind in ("rational", "value"):
-        monkeypatch.setitem(cli._LOAD_PARSERS, kind, refuse)
+        monkeypatch.setitem(cli._READERS, kind, refuse)
     assert outcomes() == before
 
 

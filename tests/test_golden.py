@@ -2,8 +2,9 @@
 
 Each case runs ``fanoslope.cli.main`` in-process on a bundled fixture (or on
 ``tests/golden/inputs/``) and compares its stdout and exit code with the
-files recorded under ``tests/golden/``. Performance work must leave every
-one of them untouched. After an output change that is intended, rewrite the
+files recorded under ``tests/golden/``, and its stderr with
+``tests/golden/stderr.json``. Performance work must leave every one of them
+untouched. After an output change that is intended, rewrite the
 files and review the diff:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -23,6 +24,7 @@ from fanoslope.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
 EXIT_CODES = GOLDEN / "exit_codes.json"
+STDERR = GOLDEN / "stderr.json"
 FIXTURES = files("fanoslope") / "fixtures"
 
 # file stem -> scenario name -> sweep grid inside its certified interval
@@ -81,33 +83,37 @@ CASES = _cases()
 
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return out.getvalue(), code
+    return out.getvalue(), err.getvalue(), code
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_is_byte_identical(case):
-    stdout, code = _run(CASES[case])
+    stdout, stderr, code = _run(CASES[case])
     expected = (GOLDEN / f"{case}.out").read_bytes()
     assert stdout.encode("utf-8") == expected
     assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[case]
+    assert stderr == json.loads(STDERR.read_text(encoding="utf-8"))[case]
 
 
 def test_every_golden_file_has_a_case():
     recorded = {p.name[: -len(".out")] for p in GOLDEN.glob("*.out")}
     assert recorded == set(CASES)
+    for table in (EXIT_CODES, STDERR):
+        assert set(json.loads(table.read_text(encoding="utf-8"))) == set(CASES)
 
 
 def record():
     for stale in GOLDEN.glob("*.out"):
         stale.unlink()
-    codes = {}
+    codes, stderr = {}, {}
     for case, argv in sorted(CASES.items()):
-        stdout, codes[case] = _run(argv)
+        stdout, stderr[case], codes[case] = _run(argv)
         (GOLDEN / f"{case}.out").write_bytes(stdout.encode("utf-8"))
-    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+    for table, recorded in ((EXIT_CODES, codes), (STDERR, stderr)):
+        table.write_text(json.dumps(recorded, indent=2) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
