@@ -26,7 +26,6 @@ from .classify import (
     VerdictStatus,
     admissible_normal_bundle,
     classify_curve,
-    degree_regime_verdict,
     fano_bundle_check,
     non_stable_shape_filter,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "VerdictStatus",
     "admissible_normal_bundle",
     "classify_curve",
-    "degree_regime_verdict",
     "fano_bundle_check",
     "non_stable_shape_filter",
     "Polynomial",

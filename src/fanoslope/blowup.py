@@ -27,6 +27,7 @@ from math import factorial
 from .errors import DimensionTooSmall, InvalidScenario, ScenarioInconsistent
 from .exactnum import (
     _MAX_RADICAND, Polynomial, _parts, _require_int, _require_rational, compare,
+    render_value,
 )
 
 __all__ = [
@@ -193,7 +194,7 @@ def anticanonical_square_exceptional(deg_kc, genus):
 
 
 def check_epsilon_consistency(scenario, epsilon):
-    """Reject a certified Seshadri value that contradicts ampleness.
+    """Reject a certified Seshadri value that contradicts the scenario.
 
     For 0 < x < epsilon the class sigma*L - x*E is ample, so its (n-1)-st
     power meets the effective divisor E positively: (n-1)*d - x*p > 0 on the
@@ -202,6 +203,8 @@ def check_epsilon_consistency(scenario, epsilon):
     endpoint itself is fine (it happens for a line in projective 3-space).
     So epsilon meets the cap (n-1)*d/p on the side the sign of p sets; p = 0
     leaves the margin (n-1)*d >= 1 with no cap and needs no arithmetic.
+    Second, a rational curve of anticanonical degree d >= 3 moves to meet
+    itself, so epsilon <= d; a value breaking both bounds fails the cap.
     """
     s = scenario
     p = s.normal_degree
@@ -210,6 +213,12 @@ def check_epsilon_consistency(scenario, epsilon):
     elif compare(epsilon, Fraction((s.n - 1) * s.degree, p)) * p > 0:
         raise ScenarioInconsistent(
             "declared Seshadri value "
-            f"{epsilon} makes (n-1)*d - epsilon*p negative; "
+            f"{render_value(epsilon)} makes (n-1)*d - epsilon*p negative; "
             "no ample class restricts that way"
+        )
+    d = s.degree
+    if s.anticanonical and not s.genus and d >= 3 and compare(epsilon, d) > 0:
+        raise ScenarioInconsistent(
+            f"a rational curve of anticanonical degree {d} has "
+            f"epsilon <= {d}; the declared lower bound exceeds that"
         )

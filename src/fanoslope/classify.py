@@ -21,13 +21,7 @@ from typing import NamedTuple
 
 from .blowup import check_epsilon_consistency
 from .errors import (
-    DimensionTooSmall,
-    InvalidScenario,
-    NonRationalCurve,
-    NotAnticanonical,
-    ScenarioInconsistent,
-    TooFewSummands,
-    WrongRank,
+    DimensionTooSmall, InvalidScenario, NotAnticanonical, TooFewSummands, WrongRank,
 )
 from .exactnum import Surd, _require_int, compare, render_value
 
@@ -39,7 +33,6 @@ __all__ = [
     "FanoBundleReport",
     "fano_bundle_check",
     "admissible_normal_bundle",
-    "degree_regime_verdict",
     "classify_curve",
     "ShapeFilterResult",
     "non_stable_shape_filter",
@@ -245,7 +238,7 @@ def _threshold_verdict(threshold, estimate, rule, include_endpoint):
     )
 
 
-def degree_regime_verdict(scenario, estimate, include_endpoint=True):
+def _regime_verdict(s, estimate, include_endpoint):
     """Stability of an anticanonical genus-zero curve by its degree regime.
 
     With p = d - 2 the destabilizing quadratic specializes to:
@@ -258,23 +251,6 @@ def degree_regime_verdict(scenario, estimate, include_endpoint=True):
     Estimates that do not pin the answer down yield a conditional verdict
     carrying the exact residual inequality.
     """
-    _check_regime_hypotheses(scenario)
-    check_epsilon_consistency(scenario, estimate.lower)
-    return _regime_verdict(scenario, estimate, include_endpoint)
-
-
-def _check_regime_hypotheses(s):
-    if not s.anticanonical:
-        raise NotAnticanonical("degree regimes assume L = -K_X")
-    if s.genus != 0:
-        raise NonRationalCurve("degree regimes assume a genus-zero curve")
-    if s.n < 3:
-        raise DimensionTooSmall("degree regimes assume ambient dimension >= 3")
-
-
-def _regime_verdict(s, estimate, include_endpoint):
-    """degree_regime_verdict once its hypotheses and the consistency of
-    estimate.lower are checked."""
     n, d, p = s.n, s.degree, s.normal_degree
     if p == 0:
         return _threshold_verdict(
@@ -288,11 +264,6 @@ def _regime_verdict(s, estimate, include_endpoint):
             include_endpoint,
         )
     # p >= 1, d = p + 2 >= 3
-    if compare(estimate.lower, d) > 0:
-        raise ScenarioInconsistent(
-            f"a rational curve of anticanonical degree {d} has "
-            f"epsilon <= {d}; the declared lower bound exceeds that"
-        )
     rule = f"degree-regime(d>=3, d={d})"
     if d != n + 1:
         return _stable(rule + ": the quadratic is positive on (0, d]")
@@ -317,13 +288,14 @@ def _regime_verdict(s, estimate, include_endpoint):
 
 
 def classify_curve(scenario, estimate, flags=None, include_endpoint=True):
-    """Full verdict cascade for an anticanonical curve scenario.
+    """The verdict for an anticanonical curve scenario: the one entry point.
 
     First match wins: (1) positive genus, (2) Seshadri constant at most the
     codimension n - 1, (3) Picard rank one away from the projective-space
-    line, (4) Fano index between 3 and n, (5) the genus-zero degree regimes.
-    Before anything, the anticanonical test included, the lower bound must
-    pass check_epsilon_consistency: no rule certifies inconsistent data.
+    line, (4) Fano index between 3 and n, (5) the genus-zero degree regimes;
+    (3) to (5) need n >= 3. Before anything, the anticanonical test included,
+    the lower bound must pass check_epsilon_consistency: no rule certifies
+    inconsistent data.
     """
     s = scenario
     if flags is None:
@@ -338,22 +310,17 @@ def classify_curve(scenario, estimate, flags=None, include_endpoint=True):
             "codimension-cap: epsilon <= n - 1 makes the stability margin "
             "positive"
         )
-    if (
-        flags.picard_rank_one
-        and s.n >= 3
-        and not (flags.is_pn and s.degree == s.n + 1)
-    ):
+    if s.n < 3:
+        raise DimensionTooSmall("degree regimes assume ambient dimension >= 3")
+    if flags.picard_rank_one and not (flags.is_pn and s.degree == s.n + 1):
         return _stable(
             "picard-rank-one: curves in Picard-rank-one Fanos are stable "
             "except the line in projective space " + flags.echo()
         )
     idx = flags.fano_index
-    if idx is not None and (
-        (s.n >= 4 and 3 <= idx <= s.n) or (s.n == 3 and idx == 3)
-    ):
+    if idx is not None and 3 <= idx <= s.n:
         return _stable(
             "fano-index: index between 3 and n certifies stability "
             + flags.echo()
         )
-    _check_regime_hypotheses(s)
     return _regime_verdict(s, estimate, include_endpoint)

@@ -90,12 +90,21 @@ def parse_value(value, context="value"):
                 f"below {_MAX_RADICAND}"
             )
         surd = Surd(
-            parse_rational(value.get("rat", 0), context),
-            parse_rational(value.get("coef", 0), context),
+            _read_part(parse_rational, value.get("rat", 0), context, "rat"),
+            _read_part(parse_rational, value.get("coef", 0), context, "coef"),
             rad,
         )
         return surd.rat if surd.is_rational else surd
     return parse_rational(value, context)
+
+
+def _read_part(read, raw, context, part):
+    """``read(raw, context)``, whose error names ``part`` of ``context``: only a
+    failed read builds that name, and reading again with it fails the same."""
+    try:
+        return read(raw, context)
+    except InvalidScenario:
+        return read(raw, f"{context}.{part}")
 
 
 def dump_value(value):
@@ -104,10 +113,11 @@ def dump_value(value):
     TypeError."""
     if isinstance(value, Surd):
         if value.is_rational:
-            return str(value.rat)
-        return {"rat": str(value.rat), "coef": str(value.coef), "rad": value.rad}
+            return render_value(value.rat)
+        rat, coef = render_value(value.rat), render_value(value.coef)
+        return {"rat": rat, "coef": coef, "rad": value.rad}
     if isinstance(value, Fraction):
-        return str(value)
+        return render_value(value)
     raise TypeError(f"{type(value).__name__} is not an exact value")
 
 
@@ -337,14 +347,16 @@ def _read_seshadri_spec(spec, context):
         if extra:
             raise InvalidScenario(f"{context}: unknown fields {sorted(extra)}")
         if "exact" not in spec:
-            lower = parse_value(spec.get("lower", 0), context)
-            upper = parse_value(spec["upper"], context) if "upper" in spec else None
+            lower = _read_part(parse_value, spec.get("lower", 0), context, "lower")
+            upper = None
+            if "upper" in spec:
+                upper = _read_part(parse_value, spec["upper"], context, "upper")
             return {"lower": lower, "upper": upper, "statement": "declared interval"}
-        spec = spec["exact"]
+        value = _read_part(parse_value, spec["exact"], context, "exact")
     elif not (isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec)):
         raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
-    # an exact value: a literal, or a bare surd whose fields parse_value checks
-    value = parse_value(spec, context)
+    else:  # an exact value: a literal, or a bare surd whose fields parse_value checks
+        value = parse_value(spec, context)
     statement = f"declared exact value {render_value(value)}"
     return {"lower": value, "upper": value, "statement": statement}
 
@@ -477,7 +489,7 @@ def format_fixed(value, places=6):
     double = 2 * r
     if double > scaled.denominator or (double == scaled.denominator and q % 2):
         q += 1
-    digits = str(q).rjust(places + 1, "0")
+    digits = render_value(q).rjust(places + 1, "0")
     text = f"{digits[:-places]}.{digits[-places:]}"
     return f"-{text}" if negative and q else text
 
@@ -654,15 +666,20 @@ def _parse_grid(text):
     return points
 
 
-def cmd_sweep(args):
-    out = sys.stdout
+def _checked_estimate(args):
+    """The entry --scenario names and its estimate, checked for consistency."""
     entry = _entry_named(args)
     estimate = resolve_estimate(entry)
     check_epsilon_consistency(entry.scenario, estimate.lower)
+    return entry, estimate
+
+
+def cmd_sweep(args):
+    out = sys.stdout
+    entry, estimate = _checked_estimate(args)
     scenario = entry.scenario
     grid = _parse_grid(args.grid)
-    exact = estimate.exact
-    ceiling = estimate.lower if exact is None else exact
+    ceiling = estimate.lower
     quadratic = destabilizing_quadratic(scenario)
     rows = []
     for lam in grid:
@@ -678,7 +695,8 @@ def cmd_sweep(args):
         mu = quotient_slope(scenario, lam).value
         f_value = quadratic(lam)
         sign = "+" if f_value > 0 else ("-" if f_value < 0 else "0")
-        rows.append((str(lam), str(mu), format_fixed(mu), str(f_value), sign))
+        rows.append((render_value(lam), render_value(mu), format_fixed(mu),
+                     render_value(f_value), sign))
     if args.format == "json":
         out.write(_sweep_json(entry.name, rows))
     else:
@@ -690,9 +708,7 @@ def cmd_sweep(args):
 
 def cmd_seshadri(args):
     out = sys.stdout
-    entry = _entry_named(args)
-    estimate = resolve_estimate(entry)
-    check_epsilon_consistency(entry.scenario, estimate.lower)
+    entry, estimate = _checked_estimate(args)
     if args.format == "json":
         out.write(_seshadri_json(entry.name, estimate))
     elif args.format == "csv":

@@ -69,9 +69,5 @@ class NotAnticanonical(FanoslopeError):
     """The operation only makes sense for the anticanonical polarization."""
 
 
-class NonRationalCurve(FanoslopeError):
-    """The operation only makes sense for genus-zero curves."""
-
-
 class GridOutOfRange(FanoslopeError):
     """A sweep grid point lies outside the certified interval (0, epsilon]."""

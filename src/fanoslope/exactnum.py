@@ -26,9 +26,10 @@ they are, without building a wrapper Surd.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import AllCoefficientsZero, IncomparableRadicands
+from .errors import AllCoefficientsZero, IncomparableRadicands, InvalidScenario
 
 __all__ = [
     "Polynomial",
@@ -312,10 +313,18 @@ def compare(left, right):
 
 
 def render_value(value):
-    """Human-readable exact rendering: '18/5', '3', '2*sqrt(2)', ..."""
-    if isinstance(value, (Surd, Fraction)):
+    """Human-readable exact rendering: '18/5', '3', '2*sqrt(2)', ...; every
+    exact value printed goes through here. Exact arithmetic can outgrow
+    Python's limit on printing an int, and such a value raises InvalidScenario."""
+    if not isinstance(value, (Surd, Fraction)):
+        value = _require_rational(value, "a rendered value")
+    try:
         return str(value)
-    return str(_require_rational(value, "a rendered value"))
+    except ValueError:  # an int past sys.get_int_max_str_digits(), nothing else
+        raise InvalidScenario(
+            "cannot print an exact value with a numerator or denominator of "
+            f"more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 class Polynomial:

@@ -133,7 +133,7 @@ def linear_subspace_exact(n):
     return _certificate(
         "linear-subspace",
         f"a linear subspace of projective {n}-space has Seshadri "
-        f"constant {n + 1} in the anticanonical polarization",
+        f"constant {render_value(value)} in the anticanonical polarization",
         value,
         value,
     )
@@ -150,8 +150,8 @@ def witness_curve_upper(degree):
         raise NonPositiveDegree("witness curve must have positive L-degree")
     return _certificate(
         "witness-curve",
-        f"a curve of degree {degree} meeting the subvariety caps "
-        f"epsilon at {degree}",
+        f"a curve of degree {render_value(degree)} meeting the subvariety caps "
+        f"epsilon at {render_value(degree)}",
         upper=degree,
     )
 
@@ -168,8 +168,9 @@ def proper_transform_upper(degree, multiplicity):
     value = degree / multiplicity
     return _certificate(
         "proper-transform",
-        f"a degree-{degree} curve meeting the subvariety with "
-        f"multiplicity {multiplicity} caps epsilon at {value}",
+        f"a degree-{render_value(degree)} curve meeting the subvariety with "
+        f"multiplicity {render_value(multiplicity)} caps epsilon at "
+        f"{render_value(value)}",
         upper=value,
     )
 
@@ -271,7 +272,8 @@ def point_upper_bound(n, is_projective_space=False):
         value = Fraction(n + 1)
         return _certificate(
             "point-cap",
-            f"a point of projective {n}-space has Seshadri constant {n + 1}",
+            f"a point of projective {n}-space has Seshadri constant "
+            f"{render_value(value)}",
             value,
             value,
         )

@@ -4,22 +4,25 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fanoslope.blowup import CurveScenario
+from fanoslope.blowup import CurveScenario, check_epsilon_consistency
 from fanoslope.classify import (
     BundleSplitting,
     ClassifyFlags,
+    Verdict,
     VerdictStatus,
+    _stable,
+    _threshold_verdict,
     admissible_normal_bundle,
     classify_curve,
-    degree_regime_verdict,
     fano_bundle_check,
     non_stable_shape_filter,
 )
 from fanoslope.errors import (
     DimensionTooSmall,
+    FanoslopeError,
     InvalidScenario,
-    NonRationalCurve,
     NotAnticanonical,
     ScenarioInconsistent,
     TooFewSummands,
@@ -159,15 +162,22 @@ def test_classify_flags_refuse_truthy_strings_and_non_integers():
 # -- degree regimes --------------------------------------------------------
 
 
+def regime_verdict(scenario, estimate, include_endpoint=True):
+    """classify_curve on an estimate that no structural rule decides."""
+    verdict = classify_curve(scenario, estimate, include_endpoint=include_endpoint)
+    assert verdict.rule.startswith("degree-regime"), verdict.rule
+    return verdict
+
+
 def test_degree_two_regime_trichotomy():
     for n in (3, 4, 5):
         s = anticanonical(n, 2)
-        below = degree_regime_verdict(s, exact(Fraction(n) - Fraction(1, 1000)))
+        below = regime_verdict(s, exact(Fraction(n) - Fraction(1, 1000)))
         assert below.status is VerdictStatus.STABLE
-        at = degree_regime_verdict(s, exact(Fraction(n)))
+        at = regime_verdict(s, exact(Fraction(n)))
         assert at.status is VerdictStatus.SEMISTABLE_NOT_STABLE
         assert at.witness_lambda == n
-        above = degree_regime_verdict(s, exact(Fraction(n) + Fraction(1, 1000)))
+        above = regime_verdict(s, exact(Fraction(n) + Fraction(1, 1000)))
         assert above.status is VerdictStatus.STRICTLY_DESTABILIZED
         assert destabilizing_quadratic(s)(above.witness_lambda) < 0
 
@@ -176,29 +186,29 @@ def test_degree_one_regime_surd_threshold():
     for n in (3, 4, 5):
         s = anticanonical(n, 1)
         t = Surd(0, 1, n * n - 1)
-        at = degree_regime_verdict(s, exact(t))
+        at = regime_verdict(s, exact(t))
         assert at.status is VerdictStatus.SEMISTABLE_NOT_STABLE
         assert at.witness_lambda == t
         assert compare(destabilizing_quadratic(s)(t), 0) == 0
-        below = degree_regime_verdict(s, exact(t - Fraction(1, 1000)))
+        below = regime_verdict(s, exact(t - Fraction(1, 1000)))
         assert below.status is VerdictStatus.STABLE
-        above = degree_regime_verdict(s, exact(t + Fraction(1, 1000)))
+        above = regime_verdict(s, exact(t + Fraction(1, 1000)))
         assert above.status is VerdictStatus.STRICTLY_DESTABILIZED
         assert compare(destabilizing_quadratic(s)(above.witness_lambda), 0) < 0
 
 
 def test_degree_three_and_up_regime():
     line = anticanonical(3, 4, ln=64)  # d = n + 1
-    at = degree_regime_verdict(line, exact(Fraction(4)))
+    at = regime_verdict(line, exact(Fraction(4)))
     assert at.status is VerdictStatus.SEMISTABLE_NOT_STABLE
     assert at.witness_lambda == 4
-    below = degree_regime_verdict(line, exact(Fraction(7, 2)))
+    below = regime_verdict(line, exact(Fraction(7, 2)))
     assert below.status is VerdictStatus.STABLE
     with pytest.raises(ScenarioInconsistent):
-        degree_regime_verdict(line, exact(Fraction(5)))
+        regime_verdict(line, exact(Fraction(5)))
     other = anticanonical(4, 4)  # d = 4 != n + 1 = 5
     assert (
-        degree_regime_verdict(other, exact(Fraction(4))).status
+        regime_verdict(other, exact(Fraction(4))).status
         is VerdictStatus.STABLE
     )
 
@@ -206,26 +216,26 @@ def test_degree_three_and_up_regime():
 def test_degree_regime_interval_estimates():
     s = anticanonical(3, 2)
     straddling = SeshadriEstimate(lower=Fraction(2), upper=Fraction(4))
-    verdict = degree_regime_verdict(s, straddling)
+    verdict = regime_verdict(s, straddling)
     assert verdict.status is VerdictStatus.CONDITIONAL
     assert "epsilon < 3" in verdict.condition
     line = anticanonical(3, 4, ln=64)
     loose = SeshadriEstimate(lower=Fraction(3), upper=None)
-    verdict = degree_regime_verdict(line, loose)
+    verdict = regime_verdict(line, loose)
     assert verdict.status is VerdictStatus.CONDITIONAL
     assert "epsilon < 4" in verdict.condition
     certain = SeshadriEstimate(lower=Fraction(0), upper=Fraction(5, 2))
     assert (
-        degree_regime_verdict(s, certain).status is VerdictStatus.STABLE
+        regime_verdict(s, certain).status is VerdictStatus.STABLE
     )
 
 
 def test_degree_regime_open_interval_convention():
     for n in (3, 4):
         s = anticanonical(n, 2)
-        tie = degree_regime_verdict(s, exact(Fraction(n)), include_endpoint=False)
+        tie = regime_verdict(s, exact(Fraction(n)), include_endpoint=False)
         assert tie.status is VerdictStatus.STABLE
-        above = degree_regime_verdict(
+        above = regime_verdict(
             s, exact(Fraction(n + 1)), include_endpoint=False
         )
         assert above.status is VerdictStatus.STRICTLY_DESTABILIZED
@@ -233,30 +243,29 @@ def test_degree_regime_open_interval_convention():
         assert compare(above.witness_lambda, n + 1) < 0
         assert destabilizing_quadratic(s)(above.witness_lambda) < 0
     line = anticanonical(3, 4, ln=64)
-    tie = degree_regime_verdict(line, exact(Fraction(4)), include_endpoint=False)
+    tie = regime_verdict(line, exact(Fraction(4)), include_endpoint=False)
     assert tie.status is VerdictStatus.STABLE
 
 
 def test_degree_regime_preconditions():
     with pytest.raises(NotAnticanonical):
-        degree_regime_verdict(
+        regime_verdict(
             CurveScenario(3, 0, 2, 0, Fraction(10), Fraction(-4)),
-            exact(Fraction(1)),
+            exact(Fraction(3)),
         )
-    with pytest.raises(NonRationalCurve):
-        degree_regime_verdict(anticanonical(3, 1, genus=1), exact(Fraction(1)))
-    with pytest.raises(DimensionTooSmall):
-        degree_regime_verdict(
+    # exact(2) passes the codimension cap n - 1 = 1, so the dimension decides
+    with pytest.raises(DimensionTooSmall, match="ambient dimension >= 3"):
+        regime_verdict(
             CurveScenario(2, 0, 2, 0, Fraction(8), Fraction(-8),
                           anticanonical=True),
-            exact(Fraction(1)),
+            exact(Fraction(2)),
         )
 
 
 def test_degree_regime_rejects_inconsistent_lower_bound():
     s = anticanonical(3, 4, ln=64)  # p = 2, cap at 4
     with pytest.raises(ScenarioInconsistent):
-        degree_regime_verdict(s, SeshadriEstimate(lower=Fraction(9, 2)))
+        regime_verdict(s, SeshadriEstimate(lower=Fraction(9, 2)))
 
 
 # -- the full cascade ------------------------------------------------------
@@ -392,3 +401,184 @@ def test_enlarging_epsilon_never_restores_stability():
                 order[classify_curve(s, exact(eps)).status] for eps in ladder
             ]
             assert ranks == sorted(ranks)
+
+
+def test_the_moving_curve_bound_is_part_of_the_gate():
+    s = anticanonical(6, 3)  # p = 1: the ampleness cap is 15, the degree 3
+    check_epsilon_consistency(s, Fraction(3))
+    with pytest.raises(ScenarioInconsistent) as error:
+        check_epsilon_consistency(s, Fraction(4))
+    assert str(error.value) == (
+        "a rational curve of anticanonical degree 3 has epsilon <= 3; the "
+        "declared lower bound exceeds that"
+    )
+    # a value past both bounds gets the ampleness message
+    with pytest.raises(ScenarioInconsistent, match="no ample class"):
+        check_epsilon_consistency(s, Fraction(16))
+    # the bound needs a rational anticanonical curve of degree at least 3
+    for other in (
+        anticanonical(6, 2),
+        anticanonical(6, 3, genus=1),
+        CurveScenario(6, 0, 3, 1, Fraction(10), Fraction(-4)),
+    ):
+        check_epsilon_consistency(other, Fraction(4))
+
+
+@pytest.mark.parametrize(
+    "estimate, flags",
+    [
+        # the codimension cap n - 1 = 5 would certify [4, 5]
+        (SeshadriEstimate(Fraction(4), Fraction(5)), ClassifyFlags()),
+        (SeshadriEstimate(Fraction(4)), ClassifyFlags(picard_rank_one=True)),
+        (SeshadriEstimate(Fraction(4)), ClassifyFlags(fano_index=4)),
+        (SeshadriEstimate(Fraction(4)), ClassifyFlags()),
+    ],
+)
+def test_no_rule_certifies_an_epsilon_beyond_the_degree(estimate, flags):
+    with pytest.raises(ScenarioInconsistent, match="degree 3 has epsilon <= 3"):
+        classify_curve(anticanonical(6, 3), estimate, flags)
+
+
+# -- the cascade against its predecessor -----------------------------------
+#
+# Until the moving-curve bound joined check_epsilon_consistency, the regime
+# rules tested it on their own, after the structural rules, so those could
+# certify an epsilon beyond the degree. That cascade is kept here as the
+# oracle: it agrees with classify_curve everywhere else.
+
+
+def _oracle_gate(s, epsilon):
+    p = s.normal_degree
+    if p and compare(epsilon, Fraction((s.n - 1) * s.degree, p)) * p > 0:
+        raise ScenarioInconsistent(
+            "declared Seshadri value "
+            f"{epsilon} makes (n-1)*d - epsilon*p negative; "
+            "no ample class restricts that way"
+        )
+
+
+def _oracle_regime_verdict(s, estimate, include_endpoint):
+    n, d, p = s.n, s.degree, s.normal_degree
+    if p == 0:
+        return _threshold_verdict(
+            Fraction(n), estimate, "degree-regime(d=2)", include_endpoint
+        )
+    if p == -1:
+        return _threshold_verdict(
+            Surd(0, 1, n * n - 1), estimate, "degree-regime(d=1)", include_endpoint
+        )
+    if compare(estimate.lower, d) > 0:
+        raise ScenarioInconsistent(
+            f"a rational curve of anticanonical degree {d} has "
+            f"epsilon <= {d}; the declared lower bound exceeds that"
+        )
+    rule = f"degree-regime(d>=3, d={d})"
+    if d != n + 1:
+        return _stable(rule + ": the quadratic is positive on (0, d]")
+    if not include_endpoint:
+        return _stable(rule + ": the only zero sits at the excluded endpoint")
+    if estimate.upper is not None and compare(estimate.upper, d) < 0:
+        return _stable(rule + ": epsilon stays below d = n + 1")
+    if compare(estimate.lower, d) == 0:
+        return Verdict(
+            status=VerdictStatus.SEMISTABLE_NOT_STABLE,
+            rule=rule + ": epsilon = d = n + 1",
+            witness_lambda=Fraction(d),
+        )
+    return Verdict(
+        status=VerdictStatus.CONDITIONAL,
+        rule=rule + ": the estimate straddles d = n + 1",
+        condition=(
+            f"stable iff epsilon < {d}; "
+            f"semistable but not stable iff epsilon = {d}"
+        ),
+    )
+
+
+def _oracle_classify(s, estimate, flags, include_endpoint):
+    _oracle_gate(s, estimate.lower)
+    if not s.anticanonical:
+        raise NotAnticanonical("stability verdicts assume L = -K_X")
+    if s.genus >= 1:
+        return _stable("high-genus: only rational curves can destabilize")
+    if estimate.upper is not None and compare(estimate.upper, s.n - 1) <= 0:
+        return _stable(
+            "codimension-cap: epsilon <= n - 1 makes the stability margin "
+            "positive"
+        )
+    if (
+        flags.picard_rank_one
+        and s.n >= 3
+        and not (flags.is_pn and s.degree == s.n + 1)
+    ):
+        return _stable(
+            "picard-rank-one: curves in Picard-rank-one Fanos are stable "
+            "except the line in projective space " + flags.echo()
+        )
+    idx = flags.fano_index
+    if idx is not None and (
+        (s.n >= 4 and 3 <= idx <= s.n) or (s.n == 3 and idx == 3)
+    ):
+        return _stable(
+            "fano-index: index between 3 and n certifies stability "
+            + flags.echo()
+        )
+    if s.n < 3:
+        raise DimensionTooSmall("degree regimes assume ambient dimension >= 3")
+    return _oracle_regime_verdict(s, estimate, include_endpoint)
+
+
+def _outcome(classify, *args):
+    try:
+        return classify(*args)
+    except FanoslopeError as error:
+        return type(error), str(error)
+
+
+@st.composite
+def _bounds(draw, n, degree):
+    """A non-negative rational up to about n + d, or a surd on the radicand
+    n*n - 1 near a multiple of sqrt(n*n - 1)."""
+    if draw(st.booleans()):
+        return Fraction((n + degree) * draw(st.integers(0, 16)), 12)
+    coef = Fraction(draw(st.integers(1, 4)), 2)
+    value = Surd(Fraction(draw(st.integers(-4 * n, 4 * n)), 4), coef, n * n - 1)
+    return value if compare(value, 0) >= 0 else -value
+
+
+@st.composite
+def _anticanonical_cases(draw):
+    n, degree = draw(st.integers(2, 9)), draw(st.integers(1, 10))
+    s = anticanonical(
+        n, degree, ln=draw(st.integers(1, 90)),
+        genus=draw(st.sampled_from((0, 0, 0, 1, 2, 3))),
+    )
+    first = draw(_bounds(n, degree))
+    second = draw(st.none() | _bounds(n, degree))
+    if second is not None and compare(first, second) > 0:
+        first, second = second, first
+    flags = ClassifyFlags(
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(st.none() | st.integers(1, n + 1)),
+    )
+    return s, SeshadriEstimate(first, second), flags, draw(st.booleans())
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_anticanonical_cases())
+@example((anticanonical(6, 3), SeshadriEstimate(4, 5), ClassifyFlags(), True))
+def test_classify_agrees_with_the_cascade_it_replaced(case):
+    s, estimate, flags, include_endpoint = case
+    got = _outcome(classify_curve, s, estimate, flags, include_endpoint)
+    want = _outcome(_oracle_classify, s, estimate, flags, include_endpoint)
+    d = s.degree
+    beyond = s.genus == 0 and d >= 3 and compare(estimate.lower, d) > 0
+    if not beyond or "no ample class" in str(want):
+        assert got == want
+    else:
+        assert got == (
+            ScenarioInconsistent,
+            f"a rational curve of anticanonical degree {d} has epsilon <= {d}; "
+            "the declared lower bound exceeds that",
+        )

@@ -34,7 +34,7 @@ from fanoslope.classify import (
     BundleSplitting, ClassifyFlags, Verdict, VerdictStatus,
 )
 from fanoslope.errors import FanoslopeError, GridOutOfRange, InvalidScenario
-from fanoslope.exactnum import Surd
+from fanoslope.exactnum import _MAX_RADICAND, Surd
 from fanoslope.seshadri import ProvenanceEntry
 
 FIXTURES = files("fanoslope") / "fixtures"
@@ -271,6 +271,20 @@ def test_sweep_rejects_grid_beyond_certified_interval(capsys):
     )
     assert code == 1
     assert "outside the certified interval" in err
+
+
+def test_sweep_stops_at_the_certified_lower_bound(capsys, tmp_path):
+    # epsilon may be anywhere in [2, 3], so only (0, 2] is certified
+    path = tmp_path / "interval.json"
+    entry = conic(seshadri={"lower": "2", "upper": "3"})
+    path.write_text(json.dumps({"scenarios": [entry]}), encoding="utf-8")
+    argv = ("sweep", str(path), "--scenario", "conic", "--grid")
+    assert run_cli(capsys, *argv, "1,2")[0] == 0
+    code, out, err = run_cli(capsys, *argv, "5/2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: grid point 5/2 lies outside the certified interval (0, 2]\n"
+    )
 
 
 @pytest.mark.parametrize("point", ["1e0", "0.5", "+1", "1_0", "\u0661"])
@@ -998,8 +1012,20 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# Exact arithmetic on accepted input can outgrow the interpreter's limit on
+# printable ints (4300 digits by default): a quotient of two 4000-digit
+# rationals, the successor of a 4300-digit dimension.
+_TOO_LONG_TO_PRINT = [
+    [{"rule": "proper_transform_upper", "degree": "7" * 4000,
+      "multiplicity": "1/" + "1" * 4000}],
+    [{"rule": "linear_subspace_exact", "n": int("9" * 4300)}],
+]
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(fuzz_cases())
+@example(("pn_line.json", 0, ("seshadri",), _TOO_LONG_TO_PRINT[0]))
+@example(("gallery.json", 2, ("seshadri",), _TOO_LONG_TO_PRINT[1]))
 @example(("pn_line.json", 0, ("seshadri",), "-1"))
 @example(("gallery.json", 1, ("seshadri",), {"rat": "1", "coef": "1", "rad": -3}))
 @example(("pn_line.json", 0, ("seshadri",), "1e5000"))
@@ -1025,11 +1051,43 @@ def test_malformed_field_never_escapes_as_internal_error(case):
             assert "internal error" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", _TOO_LONG_TO_PRINT)
+def test_a_number_too_long_to_print_fails_its_scenario_only(tmp_path, spec):
+    path = tmp_path / "long.json"
+    entries = [conic(), conic(name="long", seshadri=spec), conic(name="after")]
+    path.write_text(json.dumps({"scenarios": entries}), encoding="utf-8")
+    message = (
+        "cannot print an exact value with a numerator or denominator of more "
+        f"than {sys.get_int_max_str_digits()} digits"
+    )
+    code, out, err = _run_quietly(["classify", str(path), "--format", "csv"])
+    assert (code, err) == (1, "")
+    tie = 'semistable-not-stable,3,"degree-regime(d=2): epsilon equals the threshold"'
+    assert out.splitlines()[1:] == [
+        f"conic,{tie}", "long,error,,InvalidScenario", f"after,{tie}",
+    ]
+    code, out, err = _run_quietly(["seshadri", str(path), "--scenario", "long"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_sweep_value_too_long_to_print_is_an_error(tmp_path):
+    # F at a point with a 2500-digit denominator has a 5000-digit one
+    path = tmp_path / "line.json"
+    entry = conic(name="line", degree=1, seshadri="2")
+    path.write_text(json.dumps({"scenarios": [entry]}), encoding="utf-8")
+    argv = ["sweep", str(path), "--scenario", "line", "--grid", "1/" + "7" * 2500]
+    code, out, err = _run_quietly(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot print an exact value")
+
+
 # -- the entry reader against its hand-written predecessor -----------------
 #
 # The field table replaced a hand-written chain of reads, kept here as the
 # oracle: every malformed field must meet the same message, and every entry
-# that still parses must parse to the same NamedScenario.
+# that still parses must parse to the same NamedScenario. The oracle also
+# keeps the Seshadri-spec reader that named the whole spec in each error; the
+# messages that differ from it must name the part of the spec that fails.
 
 
 def _oracle_int(raw, context):
@@ -1060,6 +1118,71 @@ def _oracle_flags(raw, context):
         ),
         fano_index=index,
     )
+
+
+def _oracle_value(value, context):
+    if isinstance(value, dict):
+        extra = set(value) - {"rat", "coef", "rad"}
+        if extra:
+            raise InvalidScenario(f"{context}: unknown surd fields {sorted(extra)}")
+        rad = value.get("rad", 0)
+        if (
+            not isinstance(rad, int) or isinstance(rad, bool)
+            or not 0 <= rad < _MAX_RADICAND
+        ):
+            raise InvalidScenario(
+                f"{context}: surd radicand must be a non-negative integer "
+                f"below {_MAX_RADICAND}"
+            )
+        surd = Surd(
+            parse_rational(value.get("rat", 0), context),
+            parse_rational(value.get("coef", 0), context),
+            rad,
+        )
+        return surd.rat if surd.is_rational else surd
+    return parse_rational(value, context)
+
+
+def _oracle_seshadri_spec(spec, context):
+    """The spec reader that named the whole spec in each of its errors."""
+    if isinstance(spec, dict) and "rule" in spec:
+        spec = [spec]
+    if isinstance(spec, list):
+        if not spec:
+            raise InvalidScenario(f"{context}: empty rule pipeline")
+        return tuple(_oracle_step(step, context) for step in spec)
+    if isinstance(spec, dict) and spec.keys() & {"exact", "lower", "upper"}:
+        extra = set(spec) - ({"exact"} if "exact" in spec else {"lower", "upper"})
+        if extra:
+            raise InvalidScenario(f"{context}: unknown fields {sorted(extra)}")
+        if "exact" not in spec:
+            lower = _oracle_value(spec.get("lower", 0), context)
+            upper = _oracle_value(spec["upper"], context) if "upper" in spec else None
+            return {"lower": lower, "upper": upper, "statement": "declared interval"}
+        spec = spec["exact"]
+    elif not (isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec)):
+        raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
+    value = _oracle_value(spec, context)
+    statement = f"declared exact value {value}"
+    return {"lower": value, "upper": value, "statement": statement}
+
+
+def _oracle_step(step, context):
+    if not isinstance(step, dict) or "rule" not in step:
+        raise InvalidScenario(f"{context}: each pipeline step needs a rule")
+    rule = step["rule"]
+    if not isinstance(rule, str) or rule not in cli._RULES:
+        raise InvalidScenario(f"{context}: unknown rule {rule!r}")
+    slots = cli._RULES[rule]
+    extra = set(step) - {"rule", "as"} - {key for key, _ in slots}
+    if extra:
+        raise InvalidScenario(f"{context}: rule {rule} has no slots {sorted(extra)}")
+    out = dict(step)
+    for key, kind in slots:
+        if key in out and kind in ("rational", "value"):
+            read = parse_rational if kind == "rational" else _oracle_value
+            out[key] = read(out[key], f"{context}.{key}")
+    return out
 
 
 def _oracle_entry(raw):
@@ -1139,7 +1262,7 @@ def _oracle_entry(raw):
     return cli.NamedScenario(
         name=name,
         scenario=scenario,
-        seshadri_spec=cli._read_seshadri_spec(raw["seshadri"], f"{name}.seshadri"),
+        seshadri_spec=_oracle_seshadri_spec(raw["seshadri"], f"{name}.seshadri"),
         flags=(
             _oracle_flags(raw["flags"], name) if "flags" in raw
             else ClassifyFlags()
@@ -1166,8 +1289,24 @@ def _entries_to_break():
             yield from json.load(handle)["scenarios"]
 
 
+def _names_the_failing_part(value, got, want):
+    """Is ``got`` the oracle's message ``want`` with its context extended by
+    the path to the part of the inserted ``value`` that fails to read?"""
+    context, _, fault = want.partition(": ")
+    longer, _, got_fault = got.partition(": ")
+    if got_fault != fault or not longer.startswith(context + "."):
+        return False
+    part = value
+    for key in longer[len(context) + 1:].split("."):
+        if not isinstance(part, dict) or key not in part:
+            return False
+        part = part[key]
+    read = parse_rational if key in ("rat", "coef") else _oracle_value
+    return _read_with(lambda raw: read(raw, "x"), part) == f"x: {fault}"
+
+
 def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
-    compared = 0
+    compared = named = 0
     for entry in _entries_to_break():
         for path in _fields(entry):
             for value in MALFORMED:
@@ -1177,6 +1316,11 @@ def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
                 compared += 1
                 if got == want:
                     continue
+                # a Seshadri-spec error names the failing part of the spec
+                if isinstance(want, str) and path[0] == "seshadri":
+                    assert _names_the_failing_part(value, got, want), (got, want)
+                    named += 1
+                    continue
                 # the one refusal the oracle lacks: a Fano n-fold's index is 1..n+1
                 assert isinstance(want, cli.NamedScenario), (path, value, got, want)
                 index, n = want.flags.fano_index, want.scenario.n
@@ -1185,7 +1329,33 @@ def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
                     f"{want.name}.fanoIndex: a Fano {n}-fold has index 1 to "
                     f"{n + 1}, got {index}"
                 )
-    assert compared > 20_000
+    assert compared > 20_000 and named > 50
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"lower": "1", "upper": "x"}, "conic.seshadri.upper: bad rational 'x'"),
+        ({"lower": "y"}, "conic.seshadri.lower: bad rational 'y'"),
+        ({"exact": None}, "conic.seshadri.exact: cannot read a rational from None"),
+        ({"lower": {"rat": "1", "coef": "q", "rad": 2}},
+         "conic.seshadri.lower.coef: bad rational 'q'"),
+        ({"exact": {"rat": "1/0", "coef": "1", "rad": 2}},
+         "conic.seshadri.exact.rat: bad rational '1/0'"),
+        ({"rat": "x", "coef": "1", "rad": 2}, "conic.seshadri.rat: bad rational 'x'"),
+        ({"upper": {"coef": "1", "rad": -2}},
+         "conic.seshadri.upper: surd radicand must be a non-negative integer "
+         f"below {_MAX_RADICAND}"),
+        ([{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
+          {"rule": "certify_exact_by_restriction", "upper": "a", "ambient": "a",
+           "restricted": {"rat": "1", "coef": "w", "rad": 2}}],
+         "conic.seshadri.restricted.coef: bad rational 'w'"),
+        # a literal is the whole spec, so the whole spec is named
+        ("x", "conic.seshadri: bad rational 'x'"),
+    ],
+)
+def test_a_seshadri_spec_error_names_the_failing_part(spec, message):
+    assert _read_with(cli._parse_entry, conic(seshadri=spec)) == message
 
 
 def test_a_type_fault_is_reported_before_a_fault_across_fields():

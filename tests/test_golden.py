@@ -46,6 +46,12 @@ SCENARIOS = {
         "surd_above_cap": "1",
         "not_anticanonical_inconsistent": "1",
     },
+    "moving_curve": {
+        "cap_certified": "1,2,4",
+        "flag_certified": "1,2,4",
+        "no_flags": "1,2,4",
+        "d_is_n_plus_one": "1,7/2,7",
+    },
 }
 
 
