@@ -78,7 +78,7 @@ class CurveScenario:
             raise InvalidScenario("ambient dimension must be at least 2")
         if self.n * self.n - 1 >= _MAX_RADICAND:
             raise InvalidScenario(
-                f"ambient dimension {self.n} is too large: the threshold "
+                f"ambient dimension {render_value(self.n)} is too large: the threshold "
                 f"radicand n*n - 1 must be below {_MAX_RADICAND}"
             )
         if self.genus < 0:
@@ -97,7 +97,7 @@ class CurveScenario:
             if self.normal_degree != expected:
                 raise InvalidScenario(
                     "anticanonical adjunction forces normal bundle degree "
-                    f"{expected}, got {self.normal_degree}"
+                    f"{render_value(expected)}, got {render_value(self.normal_degree)}"
                 )
 
     @classmethod

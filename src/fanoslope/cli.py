@@ -231,34 +231,34 @@ def _parse_entry(raw):
     ln, k_ln1, anticanonical = fields["Ln"], fields["KLn1"], fields["anticanonical"]
     splitting, normal_degree = fields["splitting"], fields["normalBundleDegree"]
 
-    if normal_degree is None:
-        if splitting is not None:
-            normal_degree = sum(splitting.twists)
-        elif anticanonical:
-            normal_degree = degree - 2 + 2 * genus
-        else:
-            raise InvalidScenario(f"{name}: need normalBundleDegree or a splitting")
-    if splitting is not None and splitting.rank != n - 1:
-        raise InvalidScenario(
-            f"{name}: splitting has rank {splitting.rank}, but a curve in an "
-            f"{n}-fold has normal bundle of rank {n - 1}"
-        )
-    if splitting is not None and sum(splitting.twists) != normal_degree:
-        raise InvalidScenario(
-            f"{name}: splitting twists sum to {sum(splitting.twists)}, "
-            f"but normalBundleDegree is {normal_degree}"
-        )
-
-    if anticanonical and k_ln1 is None:
-        k_ln1 = -ln
-    elif anticanonical and k_ln1 != -ln:
-        raise InvalidScenario(f"{name}: anticanonical scenarios have KLn1 = -Ln")
-    elif k_ln1 is None:
-        raise InvalidScenario(
-            f"{name}: need KLn1 unless the scenario is anticanonical"
-        )
-
+    # Each message below gets the entry's name in front. A number computed
+    # here can pass Python's limit on printing an int: render_value prints it.
     try:
+        if normal_degree is None:
+            if splitting is not None:
+                normal_degree = sum(splitting.twists)
+            elif anticanonical:
+                normal_degree = degree - 2 + 2 * genus
+            else:
+                raise InvalidScenario("need normalBundleDegree or a splitting")
+        if splitting is not None and splitting.rank != n - 1:
+            raise InvalidScenario(
+                f"splitting has rank {splitting.rank}, but a curve in an "
+                f"{render_value(n)}-fold has normal bundle of rank "
+                f"{render_value(n - 1)}"
+            )
+        if splitting is not None and sum(splitting.twists) != normal_degree:
+            raise InvalidScenario(
+                f"splitting twists sum to {render_value(sum(splitting.twists))}, "
+                f"but normalBundleDegree is {render_value(normal_degree)}"
+            )
+
+        if anticanonical and k_ln1 is None:
+            k_ln1 = -ln
+        elif anticanonical and k_ln1 != -ln:
+            raise InvalidScenario("anticanonical scenarios have KLn1 = -Ln")
+        elif k_ln1 is None:
+            raise InvalidScenario("need KLn1 unless the scenario is anticanonical")
         scenario = CurveScenario(
             n, genus, degree, normal_degree, ln, k_ln1, anticanonical
         )
@@ -548,9 +548,9 @@ def _json_verdict(entry, estimate, verdict, error):
     )
 
 
-def _classify_json(results):
-    records = _json_array([_json_verdict(*result) for result in results], _N1)
-    return f'{{{_N1}"verdicts": {records}\n}}\n'
+def _classify_json(records):
+    """The classify document around records encoded by _json_verdict."""
+    return f'{{{_N1}"verdicts": {_json_array(records, _N1)}\n}}\n'
 
 
 def _sweep_json(name, rows):
@@ -577,29 +577,26 @@ def _csv_row(entry, estimate, verdict, error):
     )
 
 
-def _print_block(out, entry, estimate, verdict, error):
-    print(f"scenario: {entry.name}", file=out)
+def _text_block(entry, estimate, verdict, error):
+    lines = [f"scenario: {entry.name}"]
     if error is not None:
-        print(f"  error: {type(error).__name__}: {error}", file=out)
-        return
+        lines.append(f"  error: {type(error).__name__}: {error}")
+        return "\n".join(lines) + "\n"
     if entry.description:
-        print(f"  about: {entry.description}", file=out)
-    print(f"  status: {verdict.status.value}", file=out)
+        lines.append(f"  about: {entry.description}")
+    lines.append(f"  status: {verdict.status.value}")
     if verdict.witness_lambda is not None:
-        print(
-            f"  witness lambda: {render_value(verdict.witness_lambda)}",
-            file=out,
-        )
+        lines.append(f"  witness lambda: {render_value(verdict.witness_lambda)}")
     if verdict.condition:
-        print(f"  condition: {verdict.condition}", file=out)
-    print(f"  rule: {verdict.rule}", file=out)
-    _print_estimate(out, estimate)
+        lines.append(f"  condition: {verdict.condition}")
+    lines.append(f"  rule: {verdict.rule}")
+    return "\n".join(lines) + "\n" + _text_estimate(estimate)
 
 
-def _print_estimate(out, estimate):
-    print(f"  seshadri: {estimate.describe()}", file=out)
-    for rule, statement in estimate.provenance:
-        print(f"    - {rule}: {statement}", file=out)
+def _text_estimate(estimate):
+    lines = [f"  seshadri: {estimate.describe()}"]
+    lines += [f"    - {rule}: {statement}" for rule, statement in estimate.provenance]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_value(value):
@@ -622,11 +619,15 @@ def _csv_quoted(text):
 # -- subcommands -----------------------------------------------------------
 
 
+_CLASSIFY_RECORDS = {"text": _text_block, "csv": _csv_row, "json": _json_verdict}
+
+
 def cmd_classify(args):
     out = sys.stdout
     scenario_file = load_scenario_file(args.file)
     include_endpoint = not args.open_interval
-    results = []  # (entry, estimate, verdict, error), error None on success
+    render = _CLASSIFY_RECORDS[args.format]
+    records, failed = [], False
     for entry in scenario_file.entries:
         try:
             estimate = resolve_estimate(entry)
@@ -636,19 +637,22 @@ def cmd_classify(args):
                 entry.flags,
                 include_endpoint=include_endpoint,
             )
-            result = (entry, estimate, verdict, None)
+            # rendered here, so a value too long to print fails this entry only
+            record = render(entry, estimate, verdict, None)
         except FanoslopeError as error:
-            result = (entry, None, None, error)
-        results.append(result)
+            record = render(entry, None, None, error)
+            failed = True
         if args.format == "text":
-            _print_block(out, *result)
+            out.write(record)
+        else:
+            records.append(record)
     if args.format == "json":
-        out.write(_classify_json(results))
+        out.write(_classify_json(records))
     elif args.format == "csv":
         print("name,status,witness_lambda,rule", file=out)
-        for result in results:
-            print(_csv_row(*result), file=out)
-    return 1 if any(error is not None for _, _, _, error in results) else 0
+        for record in records:
+            print(record, file=out)
+    return 1 if failed else 0
 
 
 def _entry_named(args):
@@ -719,8 +723,7 @@ def cmd_seshadri(args):
             file=out,
         )
     else:
-        print(f"scenario: {entry.name}", file=out)
-        _print_estimate(out, estimate)
+        out.write(f"scenario: {entry.name}\n" + _text_estimate(estimate))
     return 0
 
 

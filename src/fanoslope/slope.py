@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .blowup import (
@@ -98,16 +99,17 @@ def quotient_slope(scenario, lam, cross_check=False):
     _require_dimension(s)
     lam = _require_positive(lam)
     n, d, p, g = s.n, s.degree, s.normal_degree, s.genus
-    numerator = Fraction(
-        n * n * (n * n - 1) * d
-    ) - lam * n * (n + 1) * ((n - 2) * p + 2 * (g - 1))
-    denominator = 2 * n * lam * (Fraction((n + 1) * d) - lam * p)
-    if denominator == 0:
+    a, b = lam.numerator, lam.denominator  # lam = a/b; clear b in integers
+    top = n * n * (n * n - 1) * d * b - a * n * (n + 1) * ((n - 2) * p + 2 * (g - 1))
+    bottom = 2 * n * a * ((n + 1) * d * b - a * p)
+    if not bottom:
         raise ZeroDenominator(
             f"quotient-slope denominator vanishes at lambda = {lam}; "
             "the declared Seshadri range is inconsistent"
         )
-    value = numerator / denominator
+    numerator = Fraction(top, b)
+    denominator = Fraction(bottom, b * b)
+    value = Fraction(top * b, bottom)
     via_integral = None
     if cross_check:
         via_integral = quotient_slope_via_integrals(s, lam)
@@ -140,25 +142,38 @@ def subleading_deficit_poly(scenario):
     return _deficit(hilbert_subleading_poly(scenario))
 
 
+@lru_cache(maxsize=4)
+def _deficit_integrals(scenario):
+    """int_0^x (atilde1 + atilde0'/2) and int_0^x atilde0, as polynomials.
+
+    Built once per scenario: a loop over lambda reuses them. The cache holds
+    a few scenarios only, far fewer than a batch, so a second pass over a
+    batch builds every scenario's polynomials again.
+    """
+    s = scenario
+    atilde0 = leading_deficit_poly(s)
+    integrand = subleading_deficit_poly(s) + atilde0.differentiate() * Fraction(1, 2)
+    return integrand.integrate_from_zero(), atilde0.integrate_from_zero()
+
+
 def quotient_slope_via_integrals(scenario, lam):
     """Quotient slope computed from the Hilbert-coefficient deficits.
 
     This is the defining ratio of integrals, kept as an independent oracle
-    for the closed form.
+    for the closed form. The two antiderivatives are built from the Hilbert
+    polynomials once per scenario; each call evaluates them at lam.
     """
     s = scenario
     _require_dimension(s)
     lam = _require_positive(lam)
-    atilde0 = leading_deficit_poly(s)
-    integrand = subleading_deficit_poly(s) + atilde0.differentiate() * Fraction(1, 2)
-    numerator = integrand.integrate_from_zero()(lam)
-    denominator = atilde0.integrate_from_zero()(lam)
+    numerator_poly, denominator_poly = _deficit_integrals(s)
+    denominator = denominator_poly(lam)
     if denominator == 0:
         raise ZeroDenominator(
             f"deficit integral vanishes at lambda = {lam}; "
             "the declared Seshadri range is inconsistent"
         )
-    return numerator / denominator
+    return numerator_poly(lam) / denominator
 
 
 def destabilizing_quadratic(scenario):

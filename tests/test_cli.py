@@ -442,7 +442,7 @@ _EDGE_RESULTS = [
 @example([], "", [], SimpleNamespace(lower=None, upper=None, exact=None, provenance=()))
 @example(_EDGE_RESULTS, "\ud800", [("1/2", "-3", "0.5", "\u00e9", "+")], _EDGE_ESTIMATE)
 def test_json_writer_matches_json_dumps(results, name, rows, estimate):
-    assert cli._classify_json(results) == _dumps(
+    assert cli._classify_json([cli._json_verdict(*r) for r in results]) == _dumps(
         {"verdicts": [_json_record(*result) for result in results]}
     )
     columns = ("lambda", "mu_lambda", "mu_lambda_decimal", "f_lambda", "sign")
@@ -1079,6 +1079,61 @@ def test_a_sweep_value_too_long_to_print_is_an_error(tmp_path):
     code, out, err = _run_quietly(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot print an exact value")
+
+
+def test_a_witness_too_long_to_print_fails_its_scenario_only(tmp_path):
+    # the witness is the lower bound 3 + sqrt(2)/5*10**4299; printing it fails
+    path = tmp_path / "witness.json"
+    big = conic(name="big", degree=1, seshadri={
+        "lower": {"rat": "3", "coef": "1/5" + "0" * 4299, "rad": 2},
+    })
+    path.write_text(json.dumps({"scenarios": [big, conic()]}), encoding="utf-8")
+    message = (
+        "cannot print an exact value with a numerator or denominator of more "
+        f"than {sys.get_int_max_str_digits()} digits"
+    )
+    argv = ["classify", str(path), "--open-interval", "--format"]
+    code, text, err = _run_quietly(argv + ["text"])
+    assert (code, err) == (1, "")
+    assert text.startswith(f"scenario: big\n  error: InvalidScenario: {message}\n")
+    assert text.splitlines()[2:4] == ["scenario: conic", "  status: stable"]
+    code, out, err = _run_quietly(argv + ["csv"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1] == "big,error,,InvalidScenario"
+    assert out.splitlines()[2].startswith("conic,stable,")
+    code, out, err = _run_quietly(argv + ["json"])
+    assert (code, err) == (1, "")
+    first, second = json.loads(out)["verdicts"]
+    assert first == {"name": "big", "error": message, "error_type": "InvalidScenario"}
+    assert (second["name"], second["status"]) == ("conic", "stable")
+
+
+_NINES = int("9" * 4300)  # the longest int a scenario file may hold
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # the twist sum has 4301 digits
+        {"splitting": [_NINES, _NINES], "normalBundleDegree": 0},
+        # n - 1 has 4301 digits, in the rank message
+        {"n": -_NINES, "splitting": [0]},
+        # the adjunction degree - 2 + 2*genus has 4301 digits
+        {"genus": _NINES, "normalBundleDegree": 0},
+    ],
+)
+def test_a_load_message_too_long_to_print_is_an_error(tmp_path, overrides):
+    path = tmp_path / "long.json"
+    path.write_text(
+        json.dumps({"scenarios": [conic(**overrides), conic(name="after")]}),
+        encoding="utf-8",
+    )
+    code, out, err = _run_quietly(["classify", str(path)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: conic: cannot print an exact value with a numerator or "
+        f"denominator of more than {sys.get_int_max_str_digits()} digits\n"
+    )
 
 
 # -- the entry reader against its hand-written predecessor -----------------

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fanoslope import slope
 from fanoslope.blowup import CurveScenario
@@ -121,6 +122,112 @@ def test_quotient_slope_zero_denominator():
         quotient_slope(s, Fraction(1))
     with pytest.raises(ZeroDenominator):
         quotient_slope_via_integrals(s, Fraction(1))
+
+
+def _closed_form_oracle(scenario, lam):
+    """The closed form as a chain of Fraction operations, as first written:
+    (value, numerator, denominator)."""
+    s = scenario
+    n, d, p, g = s.n, s.degree, s.normal_degree, s.genus
+    numerator = Fraction(
+        n * n * (n * n - 1) * d
+    ) - lam * n * (n + 1) * ((n - 2) * p + 2 * (g - 1))
+    denominator = 2 * n * lam * (Fraction((n + 1) * d) - lam * p)
+    if denominator == 0:
+        raise ZeroDenominator(
+            f"quotient-slope denominator vanishes at lambda = {lam}; "
+            "the declared Seshadri range is inconsistent"
+        )
+    return numerator / denominator, numerator, denominator
+
+
+@st.composite
+def scenarios_and_twists(draw):
+    """General and anticanonical scenarios with n from 3 to 12, and a
+    positive rational twist; sometimes the pole lambda = (n+1)d/p."""
+    n = draw(st.integers(3, 12))
+    genus, degree = draw(st.integers(0, 6)), draw(st.integers(1, 40))
+    ln = Fraction(draw(st.integers(1, 500)), draw(st.integers(1, 7)))
+    if draw(st.booleans()):
+        s = CurveScenario.anticanonical_curve(n, genus, degree, ln)
+    else:
+        k_ln1 = Fraction(draw(st.integers(-500, 500)), draw(st.integers(1, 7)))
+        s = CurveScenario(n, genus, degree, draw(st.integers(-20, 40)), ln, k_ln1)
+    if s.normal_degree > 0 and draw(st.booleans()):
+        return s, Fraction((n + 1) * degree, s.normal_degree)
+    return s, Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(scenarios_and_twists())
+@example((CurveScenario(3, 0, 1, 4, Fraction(5), Fraction(-3)), Fraction(1)))
+@example((CurveScenario.anticanonical_curve(12, 3, 7, 9), Fraction(65, 11)))
+def test_integer_closed_form_matches_the_fraction_chain(case):
+    s, lam = case
+    try:
+        expected = _closed_form_oracle(s, lam)
+    except ZeroDenominator as oracle_error:
+        with pytest.raises(ZeroDenominator) as raised:
+            quotient_slope(s, lam)
+        assert str(raised.value) == str(oracle_error)
+        return
+    report = quotient_slope(s, lam)
+    assert (report.value, report.numerator, report.denominator) == expected
+    assert all(
+        type(x) is Fraction
+        for x in (report.value, report.numerator, report.denominator)
+    )
+
+
+def _fresh_integral_route(scenario, lam):
+    """The integral route with every polynomial built anew for this call."""
+    atilde0 = leading_deficit_poly(scenario)
+    half_derivative = atilde0.differentiate() * Fraction(1, 2)
+    integrand = subleading_deficit_poly(scenario) + half_derivative
+    return integrand.integrate_from_zero()(lam) / atilde0.integrate_from_zero()(lam)
+
+
+def test_cached_integral_route_matches_a_fresh_build_interleaved(monkeypatch):
+    base = CurveScenario(4, 1, 3, 3, Fraction(7), Fraction(-7))
+    twins = [  # each differs from base in the one field named
+        CurveScenario(4, 1, 3, 3, Fraction(9), Fraction(-7)),  # ln
+        CurveScenario(4, 1, 3, 3, Fraction(7), Fraction(-5)),  # k_ln1
+        CurveScenario(4, 1, 3, 3, Fraction(7), Fraction(-7), anticanonical=True),
+        CurveScenario(5, 1, 3, 3, Fraction(7), Fraction(-7)),  # n
+        CurveScenario(4, 0, 3, 3, Fraction(7), Fraction(-7)),  # genus
+        CurveScenario(4, 1, 2, 3, Fraction(7), Fraction(-7)),  # degree
+        CurveScenario(4, 1, 3, 2, Fraction(7), Fraction(-7)),  # normal_degree
+    ]
+    lams = (Fraction(1, 3), Fraction(1), Fraction(5, 4))
+    expected = {
+        (s, lam): _fresh_integral_route(s, lam) for s in [base, *twins] for lam in lams
+    }
+    builds = []
+    real_leading = slope.hilbert_leading_poly
+    monkeypatch.setattr(
+        slope, "hilbert_leading_poly", lambda s: builds.append(s) or real_leading(s)
+    )
+    for twin in twins:
+        slope._deficit_integrals.cache_clear()
+        builds.clear()
+        for lam in lams:
+            for s in (base, twin):
+                value = expected[s, lam]
+                assert quotient_slope_via_integrals(s, lam) == value
+                assert quotient_slope(s, lam, cross_check=True).via_integral == value
+        # one build for each of the two: the cache key tells them apart
+        assert builds == [base, twin]
+
+
+def test_small_dimension_raises_on_every_call():
+    flat = CurveScenario(2, 0, 1, 0, Fraction(8), Fraction(-6))
+    for _ in range(3):
+        with pytest.raises(DimensionTooSmall):
+            quotient_slope_via_integrals(flat, Fraction(1))
+        with pytest.raises(DimensionTooSmall):
+            slope._deficit_integrals(flat)  # a failed build is not remembered
+        with pytest.raises(DimensionTooSmall):
+            quotient_slope(flat, Fraction(1), cross_check=True)
 
 
 def test_closed_form_equals_integral_route_randomized():
