@@ -90,21 +90,12 @@ def parse_value(value, context="value"):
                 f"below {_MAX_RADICAND}"
             )
         surd = Surd(
-            _read_part(parse_rational, value.get("rat", 0), context, "rat"),
-            _read_part(parse_rational, value.get("coef", 0), context, "coef"),
+            parse_rational(value.get("rat", 0), f"{context}.rat"),
+            parse_rational(value.get("coef", 0), f"{context}.coef"),
             rad,
         )
         return surd.rat if surd.is_rational else surd
     return parse_rational(value, context)
-
-
-def _read_part(read, raw, context, part):
-    """``read(raw, context)``, whose error names ``part`` of ``context``: only a
-    failed read builds that name, and reading again with it fails the same."""
-    try:
-        return read(raw, context)
-    except InvalidScenario:
-        return read(raw, f"{context}.{part}")
 
 
 def dump_value(value):
@@ -347,12 +338,12 @@ def _read_seshadri_spec(spec, context):
         if extra:
             raise InvalidScenario(f"{context}: unknown fields {sorted(extra)}")
         if "exact" not in spec:
-            lower = _read_part(parse_value, spec.get("lower", 0), context, "lower")
+            lower = parse_value(spec.get("lower", 0), f"{context}.lower")
             upper = None
             if "upper" in spec:
-                upper = _read_part(parse_value, spec["upper"], context, "upper")
+                upper = parse_value(spec["upper"], f"{context}.upper")
             return {"lower": lower, "upper": upper, "statement": "declared interval"}
-        value = _read_part(parse_value, spec["exact"], context, "exact")
+        value = parse_value(spec["exact"], f"{context}.exact")
     elif not (isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec)):
         raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
     else:  # an exact value: a literal, or a bare surd whose fields parse_value checks
@@ -480,17 +471,20 @@ def resolve_estimate(entry):
 # -- deterministic decimal rendering ---------------------------------------
 
 
-def format_fixed(value, places=6):
+_PLACES = 6  # the decimal places of sweep's mu_lambda_decimal column
+
+
+def format_fixed(value):
     """Exact half-even fixed-point rendering of a rational, e.g. '3.600000'."""
     value = _require_rational(value, "value")
     negative = value < 0
-    scaled = abs(value) * 10**places
+    scaled = abs(value) * 10**_PLACES
     q, r = divmod(scaled.numerator, scaled.denominator)
     double = 2 * r
     if double > scaled.denominator or (double == scaled.denominator and q % 2):
         q += 1
-    digits = render_value(q).rjust(places + 1, "0")
-    text = f"{digits[:-places]}.{digits[-places:]}"
+    digits = render_value(q).rjust(_PLACES + 1, "0")
+    text = f"{digits[:-_PLACES]}.{digits[-_PLACES:]}"
     return f"-{text}" if negative and q else text
 
 
@@ -703,7 +697,7 @@ def cmd_sweep(args):
                      render_value(f_value), sign))
     if args.format == "json":
         out.write(_sweep_json(entry.name, rows))
-    else:
+    else:  # csv
         print(",".join(_SWEEP_COLUMNS), file=out)
         for row in rows:
             print(",".join(row), file=out)
@@ -727,6 +721,16 @@ def cmd_seshadri(args):
     return 0
 
 
+def _add_format(parser, *choices):
+    """Give ``parser`` a --format option whose first choice is the default."""
+    parser.add_argument(
+        "--format",
+        choices=choices,
+        default=choices[0],
+        help=f"output format (default: {choices[0]})",
+    )
+
+
 @cache
 def build_parser():
     """The command-line parser, built once per process."""
@@ -739,22 +743,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "csv", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-
-    p_classify = sub.add_parser(
-        "classify", parents=[common], help="stability verdict per scenario"
-    )
+    p_classify = sub.add_parser("classify", help="stability verdict per scenario")
+    _add_format(p_classify, "text", "csv", "json")
     p_classify.add_argument("file", help="JSON scenario file")
 
-    p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="quotient-slope table over a grid"
-    )
+    p_sweep = sub.add_parser("sweep", help="quotient-slope table over a grid")
+    _add_format(p_sweep, "csv", "json")
     p_sweep.add_argument("file", help="JSON scenario file")
     p_sweep.add_argument("--scenario", required=True, help="scenario name")
     p_sweep.add_argument(
@@ -769,10 +763,9 @@ def build_parser():
         )
 
     p_sesh = sub.add_parser(
-        "seshadri",
-        parents=[common],
-        help="evaluate the Seshadri rule pipeline for one scenario",
+        "seshadri", help="evaluate the Seshadri rule pipeline for one scenario"
     )
+    _add_format(p_sesh, "text", "csv", "json")
     p_sesh.add_argument("file", help="JSON scenario file")
     p_sesh.add_argument("--scenario", required=True, help="scenario name")
     return parser

@@ -51,6 +51,8 @@ def test_splitting_sorts_and_normalizes():
     assert b.twists == (-1, 2, 3)
     assert b.rank == 3
     assert b.normalized().twists == (0, 3, 4)
+    with pytest.raises(ValueError, match="at least one summand"):
+        BundleSplitting([])
 
 
 def test_fano_bundle_check_small_cases():

@@ -664,6 +664,18 @@ def test_seshadri_takes_no_open_interval(capsys):
     assert "unrecognized arguments: --open-interval" in capsys.readouterr().err
 
 
+def test_sweep_prints_csv_and_refuses_text(capsys):
+    argv = ("sweep", fixture("blp3_fiber.json"), "--scenario", "blp3_fiber",
+            "--grid", "1,2,3")
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, BLP3_SWEEP, "")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--format", "text"])
+    assert exit_info.value.code == 1  # a usage error is a domain error
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'text'" in captured.err
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["classify", "--help"])
@@ -1553,6 +1565,26 @@ def test_unknown_top_level_field_exits_one(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "error: unknown top-level fields ['senarios']\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], 'a scenario file is {"scenarios": [...]}'),
+        ({"senarios": []}, 'a scenario file is {"scenarios": [...]}'),
+        ({"scenarios": {}}, "scenarios must be a list"),
+    ],
+    ids=["top-level-list", "no-scenarios-key", "scenarios-not-a-list"],
+)
+def test_file_of_the_wrong_shape_exits_one(capsys, tmp_path, data, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (
+        ["classify", str(path)],
+        ["seshadri", str(path), "--scenario", "conic"],
+        ["sweep", str(path), "--scenario", "conic", "--grid", "1"],
+    ):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_bad_scenario_inside_file_reports_and_continues(capsys, tmp_path):

@@ -78,6 +78,29 @@ def test_monomial_and_coefficient_access():
     assert m.coefficient(7) == 0
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Polynomial.monomial(-1), "power must be non-negative"),
+        (lambda: Surd(1, 1, -2), "radicand must be non-negative"),
+    ],
+    ids=["negative-power", "negative-radicand"],
+)
+def test_out_of_domain_arguments_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_polynomial_arithmetic_takes_only_polynomials():
+    # a scalar would be the constant polynomial only by a silent reading
+    p = Polynomial([1])
+    with pytest.raises(TypeError):
+        p + 1
+    with pytest.raises(TypeError):
+        p - 1
+    assert (p == 1) is False
+
+
 # -- Surd ------------------------------------------------------------------
 
 

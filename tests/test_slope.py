@@ -286,6 +286,8 @@ def test_boundary_value_matches_quadratic_and_vanishing():
             direct = destabilizing_quadratic(s)(Fraction(p + 2))
             assert fano_quadratic_at_degree(n, p) == direct
             assert (direct == 0) == (p == n - 1)
+    with pytest.raises(DimensionTooSmall):
+        fano_quadratic_at_degree(2, 0)
 
 
 def test_boundary_value_isolated_examples():
