@@ -53,27 +53,40 @@ class CurveScenario:
         ln: top self-intersection L**n, positive
         k_ln1: mixed number K_X . L**(n-1)
         anticanonical: whether L = -K_X; when set, k_ln1 = -ln is forced and
-            adjunction pins normal_degree = degree - 2 + 2*genus
+            adjunction pins normal_degree = degree - 2 + 2*genus, and each of
+            the two may be None to be filled in. No other module has the rules.
     """
 
     n: int
     genus: int
     degree: int
-    normal_degree: int
+    normal_degree: int | None
     ln: Fraction
-    k_ln1: Fraction
+    k_ln1: Fraction | None
     anticanonical: bool = False
 
     def __post_init__(self):
-        for name in ("n", "genus", "degree", "normal_degree"):
+        for name in ("n", "genus", "degree"):
             if type(getattr(self, name)) is not int:  # a plain int, never a bool
                 raise InvalidScenario(f"{name} must be an integer")
         if type(self.anticanonical) is not bool:  # "no" would read as true
             raise InvalidScenario("anticanonical must be true or false")
-        for name in ("ln", "k_ln1"):
-            value = getattr(self, name)
-            if type(value) is not Fraction:
-                object.__setattr__(self, name, _require_rational(value, name))
+        adjunction = self.degree - 2 + 2 * self.genus
+        if self.normal_degree is None and self.anticanonical:
+            object.__setattr__(self, "normal_degree", adjunction)
+        if type(self.normal_degree) is not int:
+            raise InvalidScenario("normal_degree must be an integer")
+        if type(self.ln) is not Fraction:
+            object.__setattr__(self, "ln", _require_rational(self.ln, "ln"))
+        if self.k_ln1 is None and self.anticanonical:
+            object.__setattr__(self, "k_ln1", -self.ln)
+        else:
+            if type(self.k_ln1) is not Fraction:
+                k_ln1 = _require_rational(self.k_ln1, "k_ln1")
+                object.__setattr__(self, "k_ln1", k_ln1)
+            # before the ranges, so a scenario file reports this fault first
+            if self.anticanonical and self.k_ln1 != -self.ln:
+                raise InvalidScenario("anticanonical scenarios have KLn1 = -Ln")
         if self.n < 2:
             raise InvalidScenario("ambient dimension must be at least 2")
         if self.n * self.n - 1 >= _MAX_RADICAND:
@@ -87,33 +100,17 @@ class CurveScenario:
             raise InvalidScenario("curve degree L.Z must be a positive integer")
         if self.ln <= 0:
             raise InvalidScenario("L**n must be positive for an ample class")
-        if self.anticanonical:
-            k_ln1, ln = self.k_ln1, self.ln  # Fractions in lowest terms
-            if (k_ln1.numerator, k_ln1.denominator) != (-ln.numerator, ln.denominator):
-                raise InvalidScenario(
-                    "anticanonical scenario requires K.L**(n-1) = -L**n"
-                )
-            expected = self.degree - 2 + 2 * self.genus
-            if self.normal_degree != expected:
-                raise InvalidScenario(
-                    "anticanonical adjunction forces normal bundle degree "
-                    f"{render_value(expected)}, got {render_value(self.normal_degree)}"
-                )
+        if self.anticanonical and self.normal_degree != adjunction:
+            raise InvalidScenario(
+                "anticanonical adjunction forces normal bundle degree "
+                f"{render_value(adjunction)}, got {render_value(self.normal_degree)}"
+            )
 
     @classmethod
     def anticanonical_curve(cls, n, genus, degree, ln):
         """Build an anticanonically polarized scenario; adjunction fills in
         the normal bundle degree and the mixed intersection number."""
-        ln = _require_rational(ln, "ln")
-        return cls(
-            n=n,
-            genus=genus,
-            degree=degree,
-            normal_degree=degree - 2 + 2 * genus,
-            ln=ln,
-            k_ln1=-ln,
-            anticanonical=True,
-        )
+        return cls(n, genus, degree, None, ln, None, True)
 
     @property
     def canonical_degree(self):

@@ -225,30 +225,24 @@ def _parse_entry(raw):
     # Each message below gets the entry's name in front. A number computed
     # here can pass Python's limit on printing an int: render_value prints it.
     try:
-        if normal_degree is None:
-            if splitting is not None:
-                normal_degree = sum(splitting.twists)
-            elif anticanonical:
-                normal_degree = degree - 2 + 2 * genus
-            else:
-                raise InvalidScenario("need normalBundleDegree or a splitting")
-        if splitting is not None and splitting.rank != n - 1:
-            raise InvalidScenario(
-                f"splitting has rank {splitting.rank}, but a curve in an "
-                f"{render_value(n)}-fold has normal bundle of rank "
-                f"{render_value(n - 1)}"
-            )
-        if splitting is not None and sum(splitting.twists) != normal_degree:
-            raise InvalidScenario(
-                f"splitting twists sum to {render_value(sum(splitting.twists))}, "
-                f"but normalBundleDegree is {render_value(normal_degree)}"
-            )
-
-        if anticanonical and k_ln1 is None:
-            k_ln1 = -ln
-        elif anticanonical and k_ln1 != -ln:
-            raise InvalidScenario("anticanonical scenarios have KLn1 = -Ln")
-        elif k_ln1 is None:
+        if splitting is not None:
+            twist_sum = sum(splitting.twists)
+            if splitting.rank != n - 1:
+                raise InvalidScenario(
+                    f"splitting has rank {splitting.rank}, but a curve in an "
+                    f"{render_value(n)}-fold has normal bundle of rank "
+                    f"{render_value(n - 1)}"
+                )
+            if normal_degree is None:
+                normal_degree = twist_sum
+            elif twist_sum != normal_degree:
+                raise InvalidScenario(
+                    f"splitting twists sum to {render_value(twist_sum)}, "
+                    f"but normalBundleDegree is {render_value(normal_degree)}"
+                )
+        elif normal_degree is None and not anticanonical:
+            raise InvalidScenario("need normalBundleDegree or a splitting")
+        if k_ln1 is None and not anticanonical:
             raise InvalidScenario("need KLn1 unless the scenario is anticanonical")
         scenario = CurveScenario(
             n, genus, degree, normal_degree, ln, k_ln1, anticanonical

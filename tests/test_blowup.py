@@ -98,35 +98,69 @@ def test_anticanonical_adjunction_holds_for_higher_genus():
         CurveScenario(4, 2, 3, 0, Fraction(10), Fraction(-10), anticanonical=True)
 
 
+_KLN1 = "anticanonical scenarios have KLn1 = -Ln"
+_INVALID = [
+    (dict(n=1, genus=0, degree=1, normal_degree=0, ln=1, k_ln1=0),
+     "ambient dimension must be at least 2"),
+    (dict(n=3, genus=-1, degree=1, normal_degree=0, ln=1, k_ln1=0),
+     "genus must be non-negative"),
+    (dict(n=3, genus=0, degree=0, normal_degree=0, ln=1, k_ln1=0),
+     "curve degree L.Z must be a positive integer"),
+    (dict(n=3, genus=0, degree=1, normal_degree=0, ln=0, k_ln1=0),
+     "L**n must be positive for an ample class"),
+    (dict(n=3, genus=0, degree=1, normal_degree=0, ln=1, k_ln1=-1,
+          anticanonical=True),
+     "anticanonical adjunction forces normal bundle degree -1, got 0"),
+    # L = -K_X forces K.L**(n-1) = -L**n, in sign, numerator and denominator
+    (dict(n=3, genus=0, degree=4, normal_degree=2, ln=64, k_ln1=64,
+          anticanonical=True), _KLN1),
+    (dict(n=3, genus=0, degree=4, normal_degree=2, ln=Fraction(3, 2),
+          k_ln1=Fraction(-5, 2), anticanonical=True), _KLN1),
+    (dict(n=3, genus=0, degree=4, normal_degree=2, ln=Fraction(3, 2),
+          k_ln1=Fraction(-3, 4), anticanonical=True), _KLN1),
+    # bools are not integers, and only a bool says whether L = -K_X
+    (dict(n=3, genus=False, degree=4, normal_degree=True, ln=64, k_ln1=-64),
+     "genus must be an integer"),
+    (dict(n=3, genus=True, degree=1, normal_degree=0, ln=1, k_ln1=0),
+     "genus must be an integer"),
+    (dict(n=3, genus=0, degree=True, normal_degree=0, ln=1, k_ln1=0),
+     "degree must be an integer"),
+    (dict(n=3, genus=0, degree=4, normal_degree=2, ln=64, k_ln1=-64,
+          anticanonical="no"), "anticanonical must be true or false"),
+    (dict(n=3, genus=0, degree=4, normal_degree=2, ln=64, k_ln1=-64,
+          anticanonical=1), "anticanonical must be true or false"),
+    # the anticanonical rules fill in a None, and only for L = -K_X
+    (dict(n=3, genus=0, degree=4, normal_degree=None, ln=64, k_ln1=64,
+          anticanonical=True), _KLN1),
+    (dict(n=3, genus=0, degree=4, normal_degree=3, ln=64, k_ln1=None,
+          anticanonical=True),
+     "anticanonical adjunction forces normal bundle degree 2, got 3"),
+    (dict(n=3, genus=0, degree=4, normal_degree=None, ln=64, k_ln1=-64),
+     "normal_degree must be an integer"),
+]
+
+
+# ids by position, as pytest names a lone kwargs parameter, so each case keeps its id
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(n=1, genus=0, degree=1, normal_degree=0, ln=1, k_ln1=0),
-        dict(n=3, genus=-1, degree=1, normal_degree=0, ln=1, k_ln1=0),
-        dict(n=3, genus=0, degree=0, normal_degree=0, ln=1, k_ln1=0),
-        dict(n=3, genus=0, degree=1, normal_degree=0, ln=0, k_ln1=0),
-        dict(n=3, genus=0, degree=1, normal_degree=0, ln=1, k_ln1=-1,
-             anticanonical=True),
-        # L = -K_X forces K.L**(n-1) = -L**n, in sign, numerator and denominator
-        dict(n=3, genus=0, degree=4, normal_degree=2, ln=64, k_ln1=64,
-             anticanonical=True),
-        dict(n=3, genus=0, degree=4, normal_degree=2, ln=Fraction(3, 2),
-             k_ln1=Fraction(-5, 2), anticanonical=True),
-        dict(n=3, genus=0, degree=4, normal_degree=2, ln=Fraction(3, 2),
-             k_ln1=Fraction(-3, 4), anticanonical=True),
-        # bools are not integers, and only a bool says whether L = -K_X
-        dict(n=3, genus=False, degree=4, normal_degree=True, ln=64, k_ln1=-64),
-        dict(n=3, genus=True, degree=1, normal_degree=0, ln=1, k_ln1=0),
-        dict(n=3, genus=0, degree=True, normal_degree=0, ln=1, k_ln1=0),
-        dict(n=3, genus=0, degree=4, normal_degree=2, ln=64, k_ln1=-64,
-             anticanonical="no"),
-        dict(n=3, genus=0, degree=4, normal_degree=2, ln=64, k_ln1=-64,
-             anticanonical=1),
-    ],
+    "kwargs, message", _INVALID, ids=[f"kwargs{i}" for i in range(len(_INVALID))]
 )
-def test_invalid_scenarios_are_rejected(kwargs):
-    with pytest.raises(InvalidScenario):
+def test_invalid_scenarios_are_rejected(kwargs, message):
+    with pytest.raises(InvalidScenario) as caught:
         CurveScenario(**kwargs)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("normal_degree", [None, 2])
+@pytest.mark.parametrize("k_ln1", [None, -64, Fraction(-64)])
+def test_anticanonical_none_fields_are_filled_by_the_rules(normal_degree, k_ln1):
+    s = CurveScenario(3, 0, 4, normal_degree, 64, k_ln1, anticanonical=True)
+    assert s == CurveScenario.anticanonical_curve(3, 0, 4, 64)
+    assert type(s.normal_degree) is int and type(s.k_ln1) is Fraction
+
+
+def test_a_missing_k_ln1_needs_an_anticanonical_scenario():
+    with pytest.raises(TypeError, match="k_ln1 must be an int or a Fraction"):
+        CurveScenario(3, 0, 4, 2, 64, None)
 
 
 # -- power table and restriction polynomial --------------------------------

@@ -7,6 +7,7 @@ import copy
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -1618,12 +1619,15 @@ def test_unexpected_internal_error_exits_two(capsys, monkeypatch):
 
 
 def test_module_entry_point_via_subprocess():
+    # -S leaves site-packages out, so a third-party import in src/ fails here
+    src = str(Path(__file__).parents[1] / "src")
     result = subprocess.run(
-        [sys.executable, "-m", "fanoslope", "classify",
+        [sys.executable, "-S", "-m", "fanoslope", "classify",
          fixture("gallery.json"), "--format", "json"],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0
     names = {v["name"] for v in json.loads(result.stdout)["verdicts"]}
