@@ -3,9 +3,12 @@
 The verdict engine is a rule cascade. Structural rules that certify
 stability outright (high genus, a small Seshadri constant, Picard rank one,
 intermediate Fano index) fire first; everything else lands in the
-genus-zero degree regimes, where the sign pattern of the destabilizing
-quadratic on (0, epsilon] decides. Ties at lambda = epsilon count as
-destabilizing under the default closed-interval convention; pass
+genus-zero degree regimes. Each regime has one deciding zero t of the
+destabilizing quadratic, a closed form of (n, d, p): sqrt(n**2-1) for
+degree 1 and n for degree 2, where the quadratic crosses zero, and d for
+d = n + 1, where it only touches zero. One routine places the certified
+interval against t under either convention. Ties at lambda = epsilon
+count as destabilizing under the default closed-interval convention; pass
 include_endpoint=False for the open variant.
 
 The bundle-side helpers answer the converse question: which normal-bundle
@@ -187,103 +190,73 @@ def _stable(rule):
     return Verdict(status=VerdictStatus.STABLE, rule=rule)
 
 
-def _threshold_verdict(threshold, estimate, rule, include_endpoint):
-    """Trichotomy against a single destabilizing threshold.
-
-    The quadratic is positive below the threshold, zero at it, negative
-    beyond; so the verdict only depends on where epsilon sits relative to it.
-    """
-    lo, hi = estimate.lower, estimate.upper
-    t = threshold
-    if include_endpoint:
-        if hi is not None and compare(hi, t) < 0:
-            return _stable(rule + ": epsilon stays below the threshold")
-        exact = estimate.exact
-        if exact is not None and compare(exact, t) == 0:
-            return Verdict(
-                status=VerdictStatus.SEMISTABLE_NOT_STABLE,
-                rule=rule + ": epsilon equals the threshold",
-                witness_lambda=t,
-            )
-        if compare(lo, t) > 0:
-            return Verdict(
-                status=VerdictStatus.STRICTLY_DESTABILIZED,
-                rule=rule + ": epsilon exceeds the threshold",
-                witness_lambda=lo,
-            )
-    else:
-        if hi is not None and compare(hi, t) <= 0:
-            return _stable(rule + ": open interval stops before the threshold")
-        if compare(lo, t) > 0:
-            return Verdict(
-                status=VerdictStatus.STRICTLY_DESTABILIZED,
-                rule=rule + ": epsilon exceeds the threshold",
-                witness_lambda=(t + lo) / 2,
-            )
-    if include_endpoint:
-        condition = (
-            f"stable iff epsilon < {render_value(t)}; "
-            f"semistable but not stable iff epsilon = {render_value(t)}; "
-            f"strictly destabilized iff epsilon > {render_value(t)}"
-        )
-    else:
-        condition = (
-            f"stable iff epsilon <= {render_value(t)}; "
-            f"strictly destabilized iff epsilon > {render_value(t)}"
-        )
-    return Verdict(
-        status=VerdictStatus.CONDITIONAL,
-        rule=rule + ": the estimate straddles the threshold",
-        condition=condition,
-    )
-
-
 def _regime_verdict(s, estimate, include_endpoint):
     """Stability of an anticanonical genus-zero curve by its degree regime.
 
     With p = d - 2 the destabilizing quadratic specializes to:
 
-    * p = 0 (degree 2): -2*(n**2-1)*(lam - n), threshold n;
-    * p = -1 (degree 1): -n*(lam**2 - (n**2-1)), threshold sqrt(n**2-1);
-    * p >= 1 (degree >= 3): positive on (0, d] except for the single zero at
-      lam = d when d = n + 1, so stable unless epsilon = d = n + 1.
+    * p = 0 (degree 2): -2*(n**2-1)*(lam - n), crossing zero at n;
+    * p = -1 (degree 1): -n*(lam**2 - (n**2-1)), crossing zero at
+      sqrt(n**2-1);
+    * p >= 1 (degree >= 3): positive on (0, d] except for a double zero at
+      lam = d when d = n + 1, where it only touches zero.
 
-    Estimates that do not pin the answer down yield a conditional verdict
-    carrying the exact residual inequality.
+    Each regime is decided at its one zero t, kept as that closed form: the
+    quadratic is positive on (0, t), zero at t, and negative beyond t if it
+    crosses there. A touching zero sits at d, and the consistency gate holds
+    epsilon <= d, so the upper bound is capped at d and "epsilon exceeds t"
+    cannot happen. Both conventions and both kinds of zero share one set of
+    comparisons; only the wording differs ("the threshold" for a crossing,
+    "d = n + 1" for a touching zero). Estimates that do not pin the answer
+    down yield a conditional verdict carrying the exact residual inequality.
     """
     n, d, p = s.n, s.degree, s.normal_degree
     if p == 0:
-        return _threshold_verdict(
-            Fraction(n), estimate, "degree-regime(d=2)", include_endpoint
-        )
-    if p == -1:
-        return _threshold_verdict(
-            Surd(0, 1, n * n - 1),
-            estimate,
-            "degree-regime(d=1)",
-            include_endpoint,
-        )
-    # p >= 1, d = p + 2 >= 3
-    rule = f"degree-regime(d>=3, d={d})"
-    if d != n + 1:
-        return _stable(rule + ": the quadratic is positive on (0, d]")
-    if not include_endpoint:
-        return _stable(rule + ": the only zero sits at the excluded endpoint")
-    if estimate.upper is not None and compare(estimate.upper, d) < 0:
-        return _stable(rule + ": epsilon stays below d = n + 1")
-    if compare(estimate.lower, d) == 0:
+        rule, t = "degree-regime(d=2)", Fraction(n)
+    elif p == -1:
+        rule, t = "degree-regime(d=1)", Surd(0, 1, n * n - 1)
+    else:
+        rule, t = f"degree-regime(d>=3, d={d})", Fraction(d)
+        if d != n + 1:
+            return _stable(rule + ": the quadratic is positive on (0, d]")
+    crossing = p <= 0
+    if crossing:
+        name, tie = "the threshold", "epsilon equals the threshold"
+        excluded = "open interval stops before the threshold"
+    else:
+        name, tie = "d = n + 1", "epsilon = d = n + 1"
+        excluded = "the only zero sits at the excluded endpoint"
+    top = None if estimate.upper is None else compare(estimate.upper, t)
+    if not crossing and (top is None or top > 0):
+        top = 0  # the moving-curve bound epsilon <= d
+    if top is not None and (top < 0 or (top == 0 and not include_endpoint)):
+        return _stable(rule + ": " + (
+            f"epsilon stays below {name}" if include_endpoint else excluded
+        ))
+    lo = estimate.lower
+    bottom = compare(lo, t)
+    if include_endpoint and bottom == 0 and top == 0:
         return Verdict(
             status=VerdictStatus.SEMISTABLE_NOT_STABLE,
-            rule=rule + ": epsilon = d = n + 1",
-            witness_lambda=Fraction(d),
+            rule=rule + ": " + tie,
+            witness_lambda=t,
         )
+    if bottom > 0:
+        return Verdict(
+            status=VerdictStatus.STRICTLY_DESTABILIZED,
+            rule=rule + ": epsilon exceeds the threshold",
+            witness_lambda=lo if include_endpoint else (t + lo) / 2,
+        )
+    shown = render_value(t)
+    condition = f"stable iff epsilon {'<' if include_endpoint else '<='} {shown}"
+    if include_endpoint:
+        condition += f"; semistable but not stable iff epsilon = {shown}"
+    if crossing:
+        condition += f"; strictly destabilized iff epsilon > {shown}"
     return Verdict(
         status=VerdictStatus.CONDITIONAL,
-        rule=rule + ": the estimate straddles d = n + 1",
-        condition=(
-            f"stable iff epsilon < {d}; "
-            f"semistable but not stable iff epsilon = {d}"
-        ),
+        rule=rule + f": the estimate straddles {name}",
+        condition=condition,
     )
 
 

@@ -650,14 +650,6 @@ def _entry_named(args):
     raise InvalidScenario(f"{args.file}: no scenario named {args.scenario!r}")
 
 
-def _parse_grid(text):
-    pieces = [piece.strip() for piece in text.split(",")]
-    points = [parse_rational(piece, "grid") for piece in pieces if piece]
-    if not points:
-        raise InvalidScenario("the sweep grid is empty")
-    return points
-
-
 def _checked_estimate(args):
     """The entry --scenario names and its estimate, checked for consistency."""
     entry = _entry_named(args)
@@ -670,7 +662,7 @@ def cmd_sweep(args):
     out = sys.stdout
     entry, estimate = _checked_estimate(args)
     scenario = entry.scenario
-    grid = _parse_grid(args.grid)
+    grid = [parse_rational(piece, "grid") for piece in args.grid.split(",")]
     ceiling = estimate.lower
     quadratic = destabilizing_quadratic(scenario)
     rows = []

@@ -13,7 +13,6 @@ from fanoslope.classify import (
     Verdict,
     VerdictStatus,
     _stable,
-    _threshold_verdict,
     admissible_normal_bundle,
     classify_curve,
     fano_bundle_check,
@@ -28,10 +27,11 @@ from fanoslope.errors import (
     TooFewSummands,
     WrongRank,
 )
-from fanoslope.exactnum import Surd, compare
+from fanoslope.exactnum import Surd, compare, render_value
 from fanoslope.seshadri import SeshadriEstimate
 from fanoslope.slope import destabilizing_quadratic, fano_quadratic_at_degree
 
+import verdict_oracle
 from generators import make_rng
 
 
@@ -446,7 +446,8 @@ def test_no_rule_certifies_an_epsilon_beyond_the_degree(estimate, flags):
 # Until the moving-curve bound joined check_epsilon_consistency, the regime
 # rules tested it on their own, after the structural rules, so those could
 # certify an epsilon beyond the degree. That cascade is kept here as the
-# oracle: it agrees with classify_curve everywhere else.
+# oracle, with its own copy of the single-threshold routine it used for
+# degrees 1 and 2: it agrees with classify_curve everywhere else.
 
 
 def _oracle_gate(s, epsilon):
@@ -459,14 +460,60 @@ def _oracle_gate(s, epsilon):
         )
 
 
+def _oracle_threshold_verdict(threshold, estimate, rule, include_endpoint):
+    lo, hi = estimate.lower, estimate.upper
+    t = threshold
+    if include_endpoint:
+        if hi is not None and compare(hi, t) < 0:
+            return _stable(rule + ": epsilon stays below the threshold")
+        exact = estimate.exact
+        if exact is not None and compare(exact, t) == 0:
+            return Verdict(
+                status=VerdictStatus.SEMISTABLE_NOT_STABLE,
+                rule=rule + ": epsilon equals the threshold",
+                witness_lambda=t,
+            )
+        if compare(lo, t) > 0:
+            return Verdict(
+                status=VerdictStatus.STRICTLY_DESTABILIZED,
+                rule=rule + ": epsilon exceeds the threshold",
+                witness_lambda=lo,
+            )
+    else:
+        if hi is not None and compare(hi, t) <= 0:
+            return _stable(rule + ": open interval stops before the threshold")
+        if compare(lo, t) > 0:
+            return Verdict(
+                status=VerdictStatus.STRICTLY_DESTABILIZED,
+                rule=rule + ": epsilon exceeds the threshold",
+                witness_lambda=(t + lo) / 2,
+            )
+    if include_endpoint:
+        condition = (
+            f"stable iff epsilon < {render_value(t)}; "
+            f"semistable but not stable iff epsilon = {render_value(t)}; "
+            f"strictly destabilized iff epsilon > {render_value(t)}"
+        )
+    else:
+        condition = (
+            f"stable iff epsilon <= {render_value(t)}; "
+            f"strictly destabilized iff epsilon > {render_value(t)}"
+        )
+    return Verdict(
+        status=VerdictStatus.CONDITIONAL,
+        rule=rule + ": the estimate straddles the threshold",
+        condition=condition,
+    )
+
+
 def _oracle_regime_verdict(s, estimate, include_endpoint):
     n, d, p = s.n, s.degree, s.normal_degree
     if p == 0:
-        return _threshold_verdict(
+        return _oracle_threshold_verdict(
             Fraction(n), estimate, "degree-regime(d=2)", include_endpoint
         )
     if p == -1:
-        return _threshold_verdict(
+        return _oracle_threshold_verdict(
             Surd(0, 1, n * n - 1), estimate, "degree-regime(d=1)", include_endpoint
         )
     if compare(estimate.lower, d) > 0:
@@ -584,3 +631,57 @@ def test_classify_agrees_with_the_cascade_it_replaced(case):
             f"a rational curve of anticanonical degree {d} has epsilon <= {d}; "
             "the declared lower bound exceeds that",
         )
+
+
+# -- the verdict against first principles ----------------------------------
+
+
+@st.composite
+def _consistent_cases(draw):
+    """Flag-free anticanonical scenarios with a lower bound the caps allow;
+    bounds are rational or lie in Q(sqrt(n*n - 1)), and are often exact."""
+    n = draw(st.integers(3, 9))
+    degree = draw(st.sampled_from((1, 2, n + 1)) | st.integers(1, n + 2))
+    s = anticanonical(
+        n, degree, ln=draw(st.sampled_from((1, 60))),
+        genus=draw(st.just(0) | st.integers(0, 2)),
+    )
+    first = draw(st.one_of(
+        _bounds(n, degree),
+        st.integers(0, n + 2).map(Fraction),
+        st.just(Surd(0, 1, n * n - 1)),
+    ))
+    second = draw(st.none() | st.just(first) | _bounds(n, degree))
+    if second is not None and compare(first, second) > 0:
+        first, second = second, first
+    cap = verdict_oracle.epsilon_cap(s)
+    if cap is not None and compare(first, Fraction(str(cap))) > 0:
+        first = Fraction(str(cap)) * Fraction(draw(st.integers(0, 12)), 12)
+    return s, SeshadriEstimate(first, second), draw(st.booleans())
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(_consistent_cases())
+@example((anticanonical(3, 4, ln=64), exact(Fraction(4)), True))
+@example((anticanonical(3, 4, ln=64), exact(Fraction(4)), False))
+@example((anticanonical(3, 4, ln=64), SeshadriEstimate(Fraction(3)), True))
+@example((anticanonical(4, 1), exact(Surd(0, 1, 15)), True))
+@example((anticanonical(4, 1), SeshadriEstimate(Surd(0, 1, 15)), False))
+@example((anticanonical(5, 2), SeshadriEstimate(Fraction(6)), False))
+def test_classify_agrees_with_the_first_principles_oracle(case):
+    s, estimate, include_endpoint = case
+    verdict = classify_curve(s, estimate, include_endpoint=include_endpoint)
+    assert verdict.status is verdict_oracle.oracle_status(
+        s, estimate, include_endpoint
+    )
+    witness = verdict.witness_lambda
+    if verdict.status is VerdictStatus.STRICTLY_DESTABILIZED:
+        edge = compare(witness, estimate.lower)
+        assert compare(witness, 0) > 0
+        assert edge <= 0 if include_endpoint else edge < 0
+        assert verdict_oracle.sign_at(s, witness) < 0
+    elif verdict.status is VerdictStatus.SEMISTABLE_NOT_STABLE:
+        assert verdict_oracle.sign_at(s, witness) == 0
+    elif verdict.status is VerdictStatus.CONDITIONAL:
+        threshold = verdict_oracle.condition_threshold(verdict.condition)
+        assert verdict_oracle.sign_at(s, threshold) == 0

@@ -288,7 +288,7 @@ def test_sweep_stops_at_the_certified_lower_bound(capsys, tmp_path):
     )
 
 
-@pytest.mark.parametrize("point", ["1e0", "0.5", "+1", "1_0", "\u0661"])
+@pytest.mark.parametrize("point", ["1e0", "0.5", "+1", "1_0", "\u0661", "", " 1"])
 def test_sweep_grid_follows_the_rational_grammar(capsys, point):
     code, out, err = run_cli(
         capsys, "sweep", fixture("blp3_fiber.json"), "--scenario", "blp3_fiber",
@@ -639,7 +639,7 @@ def test_oversized_radicands_are_rejected_at_load(
         ([conic(anticanonical=False, KLn1="-54")], ["classify"],
          "conic: need normalBundleDegree or a splitting"),
         ([conic()], ["sweep", "--scenario", "conic", "--grid", " , "],
-         "the sweep grid is empty"),
+         "error: grid: bad rational ' '"),
         # slots read when the step runs fail only their scenario
         ([conic(seshadri=[{"rule": "product_fiber_estimate"}])], ["classify"],
          "seshadri rule product_fiber_estimate: no previous estimate to use"),
