@@ -333,13 +333,15 @@ class Polynomial:
     The zero polynomial is the empty coefficient tuple and reports degree -1.
     Instances are immutable; arithmetic returns new objects. Evaluation uses
     Horner's scheme at an int, Fraction or Surd point (anything else raises
-    TypeError) and returns the type the point arithmetic produces. Zero
-    coefficients are passed through without arithmetic, and at a rational
-    point a run of them costs one power of the point, so sparse polynomials
-    cost what their non-zero terms cost.
+    TypeError) and returns the type the point arithmetic produces. At a
+    rational point a/b the scheme runs in integers, on the numerators of the
+    coefficients over their common denominator D, and builds one Fraction:
+    an integer over D * b**degree. D and the numerators are computed on the
+    first rational evaluation and kept with the instance. At a Surd point
+    zero coefficients are passed through without arithmetic.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_scaled")
 
     def __init__(self, coefficients=()):
         coeffs = [
@@ -427,17 +429,27 @@ class Polynomial:
                 if c:
                     acc = acc + c
             return acc
-        # Rational point: one power per run of zero coefficients.
-        acc = _ZERO
-        power = len(coeffs)
-        for i in range(power - 1, -1, -1):
-            c = coeffs[i]
+        if not coeffs:
+            return _ZERO
+        try:
+            denominator, numerators = self._scaled
+        except AttributeError:
+            denominator = math.lcm(*[c.denominator for c in coeffs])
+            numerators = tuple(
+                c.numerator * (denominator // c.denominator) for c in reversed(coeffs)
+            )
+            object.__setattr__(self, "_scaled", (denominator, numerators))
+        # Horner at a/b in homogeneous form: at the end acc is the sum of
+        # c_i * a**i * b**(degree - i) and b_power is b**(degree + 1).
+        a, b = point.numerator, point.denominator
+        acc = 0
+        b_power = 1
+        for c in numerators:
+            acc *= a
             if c:
-                if acc:
-                    acc = acc * point ** (power - i)
-                acc = acc + c
-                power = i
-        return acc * point ** power if power and acc else acc
+                acc += c * b_power
+            b_power *= b
+        return Fraction(acc, denominator * (b_power // b))
 
     def differentiate(self):
         return Polynomial([c * i if c else c for i, c in enumerate(self.coeffs)][1:])

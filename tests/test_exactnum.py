@@ -259,7 +259,7 @@ def test_render_value():
 #
 # compare, Surd.sign, Surd.__init__ and Polynomial.__call__ take shortcuts
 # (no intermediate Surds, no re-normalised Fractions, no zero additions,
-# one power of a rational point per run of zero coefficients).
+# Horner in integers over one common denominator at a rational point).
 # The straightforward versions below are kept as oracles: the shortcuts must
 # agree with them exactly, errors included.
 
@@ -508,6 +508,50 @@ def same_value(x, y):
 @given(any_poly_st, points_st)
 def test_evaluation_matches_plain_horner(poly, point):
     assert same_value(poly(point), oracle_horner(poly, point))
+
+
+wide_rationals_st = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([10**20, -(10**20), 10**20 - 1, -1]),
+    st.fractions(max_denominator=10**12),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**12)),
+)
+wide_poly_st = st.lists(
+    st.one_of(st.just(0), st.fractions(max_denominator=10**12)), max_size=16
+).map(Polynomial)
+
+
+@given(
+    st.one_of(any_poly_st, wide_poly_st),
+    st.lists(st.one_of(wide_rationals_st, rationals_st, any_surd_st), max_size=6),
+)
+@example(
+    Polynomial.monomial(15, Fraction(1, 7)) + Polynomial([0, 0, Fraction(-3, 4)]),
+    [Fraction(-5, 3), -(10**20), Fraction(10**20 + 1, 10**12), 2, Fraction(-5, 3)],
+)
+def test_evaluation_at_point_after_point_matches_plain_horner(poly, points):
+    # negative, huge and finely divided points, one after another on the
+    # same polynomial: its kept integer form must serve every rational point
+    for point in points:
+        value = poly(point)
+        expected = oracle_horner(poly, point)
+        assert same_value(value, expected)
+        if not isinstance(point, Surd):
+            assert type(value) is Fraction
+
+
+@given(st.one_of(any_poly_st, wide_poly_st), wide_rationals_st)
+def test_the_kept_integer_form_is_invisible(poly, point):
+    fresh = Polynomial(poly.coeffs)
+    poly(point)
+    assert poly == fresh and fresh == poly
+    assert hash(poly) == hash(fresh)
+    assert poly.coeffs == fresh.coeffs
+    assert repr(poly) == repr(fresh)
+    for target in (poly, fresh):
+        for name in ("coeffs", "_scaled", "degree", "other"):
+            with pytest.raises(AttributeError):
+                setattr(target, name, (1, ()))
 
 
 @given(st.lists(st.integers(-4, 4), max_size=6))

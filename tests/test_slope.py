@@ -307,6 +307,18 @@ def test_margin_residual_is_zero_for_anticanonical():
             assert margin_factorization_residual(s, Fraction(k, 3)) == 0
 
 
+@pytest.mark.parametrize("genus, degree", [(0, 2), (0, 13), (1, 5)])
+def test_both_routes_agree_at_a_twist_of_four_hundred_digits(genus, degree):
+    # far outside the hypothesis ranges: a 12-fold's deficit integrals
+    # evaluated at a/b with a and b of about 400 digits each
+    s = CurveScenario.anticanonical_curve(12, genus, degree, 1000)
+    lam = Fraction(2 * 10**399 + 1, 3**839 + 2)
+    assert len(str(lam.numerator)) == 400 and len(str(lam.denominator)) == 401
+    report = quotient_slope(s, lam, cross_check=True)
+    assert report.via_integral == report.value == _closed_form_oracle(s, lam)[0]
+    assert margin_factorization_residual(s, lam) == 0
+
+
 @pytest.mark.parametrize("x", [0.1, 1.0, "1/3"])
 def test_margin_residual_refuses_non_rational_points(x):
     s = CurveScenario.anticanonical_curve(3, 0, 1, 22)
