@@ -18,9 +18,7 @@ non-vanishing pure intersections against E are recorded by
 :func:`exceptional_power_table`.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -41,8 +39,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurveScenario:
+class CurveScenario(namedtuple(
+    "CurveScenario", "n genus degree normal_degree ln k_ln1 anticanonical"
+)):
     """Numerical data of a smooth curve Z inside a polarized n-fold (X, L).
 
     Fields:
@@ -57,54 +56,51 @@ class CurveScenario:
             the two may be None to be filled in. No other module has the rules.
     """
 
-    n: int
-    genus: int
-    degree: int
-    normal_degree: int | None
-    ln: Fraction
-    k_ln1: Fraction | None
-    anticanonical: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self):
-        for name in ("n", "genus", "degree"):
-            if type(getattr(self, name)) is not int:  # a plain int, never a bool
+    def __new__(cls, n, genus, degree, normal_degree, ln, k_ln1, anticanonical=False):
+        for name, value in (("n", n), ("genus", genus), ("degree", degree)):
+            if type(value) is not int:  # a plain int, never a bool
                 raise InvalidScenario(f"{name} must be an integer")
-        if type(self.anticanonical) is not bool:  # "no" would read as true
+        if type(anticanonical) is not bool:  # "no" would read as true
             raise InvalidScenario("anticanonical must be true or false")
-        adjunction = self.degree - 2 + 2 * self.genus
-        if self.normal_degree is None and self.anticanonical:
-            object.__setattr__(self, "normal_degree", adjunction)
-        if type(self.normal_degree) is not int:
+        adjunction = degree - 2 + 2 * genus
+        if normal_degree is None and anticanonical:
+            normal_degree = adjunction
+        if type(normal_degree) is not int:
             raise InvalidScenario("normal_degree must be an integer")
-        if type(self.ln) is not Fraction:
-            object.__setattr__(self, "ln", _require_rational(self.ln, "ln"))
-        if self.k_ln1 is None and self.anticanonical:
-            object.__setattr__(self, "k_ln1", -self.ln)
+        if type(ln) is not Fraction:
+            ln = _require_rational(ln, "ln")
+        if k_ln1 is None and anticanonical:
+            k_ln1 = -ln
         else:
-            if type(self.k_ln1) is not Fraction:
-                k_ln1 = _require_rational(self.k_ln1, "k_ln1")
-                object.__setattr__(self, "k_ln1", k_ln1)
+            if type(k_ln1) is not Fraction:
+                k_ln1 = _require_rational(k_ln1, "k_ln1")
             # before the ranges, so a scenario file reports this fault first
-            if self.anticanonical and self.k_ln1 != -self.ln:
+            if anticanonical and k_ln1 != -ln:
                 raise InvalidScenario("anticanonical scenarios have KLn1 = -Ln")
-        if self.n < 2:
+        if n < 2:
             raise InvalidScenario("ambient dimension must be at least 2")
-        if self.n * self.n - 1 >= _MAX_RADICAND:
+        if n * n - 1 >= _MAX_RADICAND:
             raise InvalidScenario(
-                f"ambient dimension {render_value(self.n)} is too large: the threshold "
+                f"ambient dimension {render_value(n)} is too large: the threshold "
                 f"radicand n*n - 1 must be below {_MAX_RADICAND}"
             )
-        if self.genus < 0:
+        if genus < 0:
             raise InvalidScenario("genus must be non-negative")
-        if self.degree < 1:
+        if degree < 1:
             raise InvalidScenario("curve degree L.Z must be a positive integer")
-        if self.ln <= 0:
+        if ln <= 0:
             raise InvalidScenario("L**n must be positive for an ample class")
-        if self.anticanonical and self.normal_degree != adjunction:
+        if anticanonical and normal_degree != adjunction:
             raise InvalidScenario(
                 "anticanonical adjunction forces normal bundle degree "
-                f"{render_value(adjunction)}, got {render_value(self.normal_degree)}"
+                f"{render_value(adjunction)}, got {render_value(normal_degree)}"
             )
+        return super().__new__(
+            cls, n, genus, degree, normal_degree, ln, k_ln1, anticanonical
+        )
 
     @classmethod
     def anticanonical_curve(cls, n, genus, degree, ln):

@@ -15,12 +15,9 @@ The bundle-side helpers answer the converse question: which normal-bundle
 splittings are even allowed for a curve that fails to be stable.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .blowup import check_epsilon_consistency
 from .errors import (
@@ -49,35 +46,34 @@ class VerdictStatus(enum.Enum):
     CONDITIONAL = "conditional-on-seshadri"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple(
+    "Verdict", "status rule witness_lambda condition", defaults=(None, None)
+)):
     """Outcome of a stability check.
 
-    witness_lambda is a twist at which the destabilizing quadratic is zero
-    (semistable, not stable) or negative (strictly destabilized); condition
-    is the residual inequality on epsilon for conditional verdicts.
+    status is a VerdictStatus and rule the prose of the rule that decided
+    it. witness_lambda (a Fraction or Surd, or None) is a twist at which the
+    destabilizing quadratic is zero (semistable, not stable) or negative
+    (strictly destabilized); condition is the residual inequality on
+    epsilon for conditional verdicts.
     """
 
-    status: VerdictStatus
-    rule: str
-    witness_lambda: Fraction | Surd | None = None
-    condition: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassifyFlags:
+class ClassifyFlags(namedtuple("ClassifyFlags", "is_pn picard_rank_one fano_index")):
     """Extra geometric facts the numbers alone cannot see."""
 
-    is_pn: bool = False
-    picard_rank_one: bool = False
-    fano_index: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, is_pn=False, picard_rank_one=False, fano_index=None):
         # "false" would read as true, and 3.5 would pass the index range test
-        if type(self.is_pn) is not bool or type(self.picard_rank_one) is not bool:
+        if type(is_pn) is not bool or type(picard_rank_one) is not bool:
             raise InvalidScenario("isPn and picardRankOne must be true or false")
-        if self.fano_index is not None and type(self.fano_index) is not int:
+        if fano_index is not None and type(fano_index) is not int:
             raise InvalidScenario("fanoIndex must be an integer or None")
+        return super().__new__(cls, is_pn, picard_rank_one, fano_index)
 
     def echo(self):
         return (
@@ -87,20 +83,21 @@ class ClassifyFlags:
         )
 
 
-@dataclass(frozen=True)
-class BundleSplitting:
+class BundleSplitting(namedtuple("BundleSplitting", "twists")):
     """A splitting of a vector bundle on P1 into line-bundle twists.
 
-    Twists are stored sorted ascending; order of input does not matter.
+    Twists are stored as a tuple of ints, sorted ascending; order of input
+    does not matter.
     """
 
-    twists: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __init__(self, twists):
+    def __new__(cls, twists):
         twists = tuple(sorted(_require_int(t, "a twist") for t in twists))
         if not twists:
             raise ValueError("a splitting needs at least one summand")
-        object.__setattr__(self, "twists", twists)
+        return super().__new__(cls, twists)
 
     @property
     def rank(self):
@@ -112,10 +109,10 @@ class BundleSplitting:
         return BundleSplitting(t - low for t in self.twists)
 
 
-class FanoBundleReport(NamedTuple):
-    is_fano_projectivization: bool
-    normalized: BundleSplitting
-    minus_k_dot_section: int
+class FanoBundleReport(namedtuple(
+    "FanoBundleReport", "is_fano_projectivization normalized minus_k_dot_section"
+)):
+    __slots__ = ()
 
 
 def fano_bundle_check(splitting):
@@ -152,9 +149,8 @@ def admissible_normal_bundle(n, splitting):
     return uniform or step
 
 
-class ShapeFilterResult(NamedTuple):
-    allowed: tuple[str, ...]
-    passes: bool
+class ShapeFilterResult(namedtuple("ShapeFilterResult", "allowed passes")):
+    __slots__ = ()
 
 
 def non_stable_shape_filter(n, splitting, is_pn_line=False):

@@ -17,13 +17,11 @@ success, 1 when any scenario fails validation or the command line is
 malformed, 2 on an internal invariant violation.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, reduce
 
@@ -115,24 +113,21 @@ def dump_value(value):
 # -- scenario files --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedScenario:
+class NamedScenario(namedtuple(
+    "NamedScenario",
+    "name scenario seshadri_spec flags splitting description",
+    defaults=(None, None),
+)):
     """One scenario as read from a file. ``seshadri_spec`` is a declared
     ``{"lower": v, "upper": v or None, "statement": s}`` or a tuple of
     pipeline steps whose rational and value slots are already read; every
     value is a Fraction or a Surd."""
 
-    name: str
-    scenario: CurveScenario
-    seshadri_spec: object
-    flags: ClassifyFlags
-    splitting: BundleSplitting | None = None
-    description: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
-    entries: tuple[NamedScenario, ...]
+class ScenarioFile(namedtuple("ScenarioFile", "entries")):
+    __slots__ = ()
 
 
 def _read_int(raw, context):

@@ -23,8 +23,6 @@ strings and Decimals included, raises TypeError rather than being converted.
 they are, without building a wrapper Surd.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from fractions import Fraction
@@ -150,8 +148,10 @@ class Surd:
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "rad", rad)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Surd instances are immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def sqrt(cls, value):
@@ -352,8 +352,10 @@ class Polynomial:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Polynomial instances are immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def monomial(cls, power, coefficient=1):

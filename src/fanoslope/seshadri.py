@@ -9,11 +9,8 @@ it. Rules whose hypotheses cannot be verified from the available bounds
 refuse to fire (HypothesisNotCertified) rather than silently weaken.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     HypothesisFails,
@@ -24,9 +21,7 @@ from .errors import (
     ShiftBelowZero,
     DimensionTooSmall,
 )
-from .exactnum import (
-    Surd, _require_int, _require_rational, compare, render_value,
-)
+from .exactnum import _require_int, _require_rational, compare, render_value
 
 __all__ = [
     "ProvenanceEntry",
@@ -44,31 +39,30 @@ __all__ = [
 ]
 
 
-class ProvenanceEntry(NamedTuple):
-    rule: str
-    statement: str
+class ProvenanceEntry(namedtuple("ProvenanceEntry", "rule statement")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeshadriEstimate:
+class SeshadriEstimate(namedtuple("SeshadriEstimate", "lower upper provenance")):
     """An interval certificate lower <= epsilon <= upper.
 
-    upper is None when no upper bound is known. The provenance tuple records
-    every rule that contributed, oldest first.
+    The bounds are Fractions or Surds; upper is None when no upper bound is
+    known. The provenance tuple of ProvenanceEntry records every rule that
+    contributed, oldest first.
     """
 
-    lower: Fraction | Surd = Fraction(0)
-    upper: Fraction | Surd | None = None
-    provenance: tuple[ProvenanceEntry, ...] = field(default_factory=tuple)
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self):
-        if compare(self.lower, 0) < 0:
+    def __new__(cls, lower=Fraction(0), upper=None, provenance=()):
+        if compare(lower, 0) < 0:
             raise ValueError("Seshadri lower bound cannot be negative")
-        if self.upper is not None and compare(self.lower, self.upper) > 0:
+        if upper is not None and compare(lower, upper) > 0:
             raise ScenarioInconsistent(
-                f"lower bound {render_value(self.lower)} exceeds "
-                f"upper bound {render_value(self.upper)}"
+                f"lower bound {render_value(lower)} exceeds "
+                f"upper bound {render_value(upper)}"
             )
+        return super().__new__(cls, lower, upper, provenance)
 
     @property
     def exact(self):

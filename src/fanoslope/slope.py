@@ -24,9 +24,7 @@ Z destabilizes at lam exactly when mu_lam <= mu, which after clearing the
 :func:`destabilizing_quadratic`.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -58,19 +56,18 @@ def manifold_slope(scenario):
     return Fraction(-s.n) * s.k_ln1 / (2 * s.ln)
 
 
-@dataclass(frozen=True)
-class QuotientSlopeReport:
-    """Exact record of one quotient-slope evaluation.
+class QuotientSlopeReport(namedtuple(
+    "QuotientSlopeReport",
+    "lam value numerator denominator via_integral",
+    defaults=(None,),
+)):
+    """Exact record of one quotient-slope evaluation, every field a Fraction.
 
     via_integral, when populated, holds the independently computed integral
     route value and must coincide with value.
     """
 
-    lam: Fraction
-    value: Fraction
-    numerator: Fraction
-    denominator: Fraction
-    via_integral: Fraction | None = None
+    __slots__ = ()
 
 
 def _require_dimension(scenario):

@@ -484,6 +484,17 @@ def test_surd_from_ints_or_fractions_has_the_canonical_parts(rat, coef, rad):
         assert hash(value) == expected_hash
 
 
+@given(any_surd_st)
+def test_a_surd_can_be_neither_changed_nor_stripped(surd):
+    parts = (surd.rat, surd.coef, surd.rad)
+    for name in ("rat", "coef", "rad", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(surd, name, 1)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(surd, name)
+    assert (surd.rat, surd.coef, surd.rad) == parts
+
+
 sparse_poly_st = st.lists(
     st.one_of(st.just(0), st.just(0), st.just(0), small_fractions), max_size=9
 ).map(Polynomial)
@@ -552,6 +563,9 @@ def test_the_kept_integer_form_is_invisible(poly, point):
         for name in ("coeffs", "_scaled", "degree", "other"):
             with pytest.raises(AttributeError):
                 setattr(target, name, (1, ()))
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(target, name)
+    assert poly.coeffs == fresh.coeffs and poly(point) == fresh(point)
 
 
 @given(st.lists(st.integers(-4, 4), max_size=6))
