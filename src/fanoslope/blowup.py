@@ -60,9 +60,12 @@ class CurveScenario(namedtuple(
     _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, n, genus, degree, normal_degree, ln, k_ln1, anticanonical=False):
-        for name, value in (("n", n), ("genus", genus), ("degree", degree)):
-            if type(value) is not int:  # a plain int, never a bool
-                raise InvalidScenario(f"{name} must be an integer")
+        if type(n) is not int:  # a plain int, never a bool
+            raise InvalidScenario("n must be an integer")
+        if type(genus) is not int:
+            raise InvalidScenario("genus must be an integer")
+        if type(degree) is not int:
+            raise InvalidScenario("degree must be an integer")
         if type(anticanonical) is not bool:  # "no" would read as true
             raise InvalidScenario("anticanonical must be true or false")
         adjunction = degree - 2 + 2 * genus
@@ -91,7 +94,7 @@ class CurveScenario(namedtuple(
             raise InvalidScenario("genus must be non-negative")
         if degree < 1:
             raise InvalidScenario("curve degree L.Z must be a positive integer")
-        if ln <= 0:
+        if ln.numerator <= 0:  # a Fraction's denominator is positive
             raise InvalidScenario("L**n must be positive for an ample class")
         if anticanonical and normal_degree != adjunction:
             raise InvalidScenario(

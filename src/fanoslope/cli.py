@@ -51,6 +51,17 @@ _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(value, context="value"):
+    if isinstance(value, str):  # the usual case first
+        # [0-9]+, the commonest form, is an ASCII string that isdigit(): no regex
+        if (value.isdigit() and value.isascii()) or _RATIONAL.fullmatch(value):
+            numerator, slash, denominator = value.partition("/")
+            try:  # int() refuses more than 4300 digits with a ValueError
+                if not slash:  # Fraction(int) takes no gcd
+                    return Fraction(int(value))
+                return Fraction(int(numerator), int(denominator))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InvalidScenario(f"{context}: bad rational {value!r}") from exc
+        raise InvalidScenario(f"{context}: bad rational {value!r}")
     if isinstance(value, bool):
         raise InvalidScenario(f"{context}: expected a rational, got a boolean")
     if isinstance(value, int):
@@ -60,24 +71,19 @@ def parse_rational(value, context="value"):
             f"{context}: floats are not exact; write the rational as a "
             'string like "18/5"'
         )
-    if not isinstance(value, str):
-        raise InvalidScenario(f"{context}: cannot read a rational from {value!r}")
-    if _RATIONAL.fullmatch(value):
-        numerator, _, denominator = value.partition("/")
-        try:  # int() refuses more than 4300 digits with a ValueError
-            return Fraction(int(numerator), int(denominator or 1))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidScenario(f"{context}: bad rational {value!r}") from exc
-    raise InvalidScenario(f"{context}: bad rational {value!r}")
+    raise InvalidScenario(f"{context}: cannot read a rational from {value!r}")
+
+
+_SURD_KEYS = frozenset(("rat", "coef", "rad"))
 
 
 def parse_value(value, context="value"):
     """A rational or a surd object; a surd that turns out rational is
     returned as its Fraction."""
     if isinstance(value, dict):
-        extra = set(value) - {"rat", "coef", "rad"}
-        if extra:
-            raise InvalidScenario(f"{context}: unknown surd fields {sorted(extra)}")
+        if not value.keys() <= _SURD_KEYS:
+            extra = sorted(value.keys() - _SURD_KEYS)
+            raise InvalidScenario(f"{context}: unknown surd fields {extra}")
         rad = value.get("rad", 0)
         if (
             not isinstance(rad, int) or isinstance(rad, bool)
@@ -153,18 +159,24 @@ def _read_twists(raw, context):
         # a key has no dot, so this finds the owner even when a name holds one
         owner, _, key = context.rpartition(".")
         raise InvalidScenario(f"{owner}: {key} must be a non-empty list")
-    return BundleSplitting(_read_int(twist, context) for twist in raw)
+    for twist in raw:
+        if type(twist) is not int:
+            _read_int(twist, context)
+    return BundleSplitting(raw)
 
 
 def _read_flags(raw, context):
     owner = context.rpartition(".")[0]
     if not isinstance(raw, dict):
         raise InvalidScenario(f"{owner}: flags must be an object")
-    flags = _read_fields(raw, _FLAG_FIELDS, owner, "flags")
-    return ClassifyFlags(flags["isPn"], flags["picardRankOne"], flags["fanoIndex"])
+    if not raw:
+        return _NO_FLAGS
+    index, is_pn, picard_rank_one = _read_fields(raw, _FLAG_READERS, owner, "flags")
+    return ClassifyFlags(is_pn, picard_rank_one, index)
 
 
 _REQUIRED = object()  # the default of a key every entry must carry
+_NO_FLAGS = ClassifyFlags()
 
 # Every field of a scenario entry and of its flags, as key: (kind, default),
 # read in this order by the reader of that kind; an absent key takes its
@@ -181,7 +193,7 @@ _ENTRY_FIELDS = {
     "normalBundleDegree": ("int", None),
     "KLn1": ("rational", None),
     "seshadri": ("seshadri", _REQUIRED),
-    "flags": ("flags", ClassifyFlags()),
+    "flags": ("flags", _NO_FLAGS),
 }
 _FLAG_FIELDS = {
     "fanoIndex": ("int", None),
@@ -190,19 +202,25 @@ _FLAG_FIELDS = {
 }
 
 
-def _read_fields(raw, fields, context, what):
-    """The values of ``fields`` in the object ``raw``, keyed as the table."""
-    if not raw.keys() <= fields.keys():
-        extra = sorted(raw.keys() - fields.keys())
+def _read_fields(raw, readers, context, what):
+    """The values of a compiled field table's keys in the object ``raw``,
+    in table order."""
+    keys, rows = readers
+    if not raw.keys() <= keys:
+        extra = sorted(raw.keys() - keys)
         raise InvalidScenario(f"{context}: unknown {what} {extra}")
-    values = {}
-    for key, (kind, default) in fields.items():
-        if key in raw:
-            values[key] = _READERS[kind](raw[key], f"{context}.{key}")
-        elif default is _REQUIRED:
-            raise InvalidScenario(f"{context}: every scenario needs a {key} entry")
-        else:
-            values[key] = default
+    values = []
+    get, append = raw.get, values.append
+    for key, taken, reader, default in rows:
+        value = get(key, _REQUIRED)
+        if type(value) is not taken:  # always for an absent key: no kind takes object
+            if value is not _REQUIRED:
+                value = reader(value, f"{context}.{key}")
+            elif default is _REQUIRED:
+                raise InvalidScenario(f"{context}: every scenario needs a {key} entry")
+            else:
+                value = default
+        append(value)
     return values
 
 
@@ -212,10 +230,10 @@ def _parse_entry(raw):
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise InvalidScenario("each scenario needs a non-empty name")
-    fields = _read_fields(raw, _ENTRY_FIELDS, name, "fields")
-    n, genus, degree = fields["n"], fields["genus"], fields["degree"]
-    ln, k_ln1, anticanonical = fields["Ln"], fields["KLn1"], fields["anticanonical"]
-    splitting, normal_degree = fields["splitting"], fields["normalBundleDegree"]
+    (
+        _, n, genus, degree, anticanonical, description, ln, splitting,
+        normal_degree, k_ln1, spec, flags,
+    ) = _read_fields(raw, _ENTRY_READERS, name, "fields")
 
     # Each message below gets the entry's name in front. A number computed
     # here can pass Python's limit on printing an int: render_value prints it.
@@ -244,15 +262,13 @@ def _parse_entry(raw):
         )
     except InvalidScenario as exc:
         raise InvalidScenario(f"{name}: {exc}") from exc
-    flags = fields["flags"]  # a Fano n-fold has index 1..n+1 (Kobayashi-Ochiai)
+    # a Fano n-fold has index 1..n+1 (Kobayashi-Ochiai)
     if flags.fano_index is not None and not 1 <= flags.fano_index <= n + 1:
         raise InvalidScenario(
             f"{name}.fanoIndex: a Fano {n}-fold has index 1 to {n + 1}, "
             f"got {flags.fano_index}"
         )
-    return NamedScenario(
-        name, scenario, fields["seshadri"], flags, splitting, fields["description"]
-    )
+    return NamedScenario(name, scenario, spec, flags, splitting, description)
 
 
 def parse_scenario_file(data):
@@ -264,7 +280,7 @@ def parse_scenario_file(data):
     entries = data["scenarios"]
     if not isinstance(entries, list):
         raise InvalidScenario("scenarios must be a list")
-    parsed = tuple(_parse_entry(e) for e in entries)
+    parsed = tuple(map(_parse_entry, entries))
     names = [e.name for e in parsed]
     if len(set(names)) != len(names):
         raise InvalidScenario("scenario names must be unique within a file")
@@ -280,10 +296,23 @@ def _object_without_repeats(pairs):
     return obj
 
 
+# json.load given a hook builds a decoder on every call; this one keeps no
+# state between calls
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
+
+
 def load_scenario_file(path):
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         try:
-            data = json.load(handle, object_pairs_hook=_object_without_repeats)
+            # text mode's reading by hand, universal newlines included: a text
+            # file object costs more to set up than the file takes to decode
+            text = handle.read().decode("utf-8")
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+            if text.startswith("\ufeff"):  # refused as json.load refuses it
+                raise json.JSONDecodeError(
+                    "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+                )
+            data = _DECODER.decode(text)
         # bad JSON or UTF-8, an over-long integer, nesting too deep to decode
         except (ValueError, RecursionError) as exc:
             raise InvalidScenario(f"{path}: not valid JSON ({exc})") from exc
@@ -314,6 +343,10 @@ _RULES = {
 }
 
 
+_EXACT_KEYS, _INTERVAL_KEYS = frozenset(("exact",)), frozenset(("lower", "upper"))
+_DECLARED_KEYS = _EXACT_KEYS | _INTERVAL_KEYS
+
+
 def _read_seshadri_spec(spec, context):
     """The seshadri entry in the form ``NamedScenario.seshadri_spec`` holds."""
     if isinstance(spec, dict) and "rule" in spec:
@@ -321,11 +354,12 @@ def _read_seshadri_spec(spec, context):
     if isinstance(spec, list):
         if not spec:
             raise InvalidScenario(f"{context}: empty rule pipeline")
-        return tuple(_read_step(step, context) for step in spec)
-    if isinstance(spec, dict) and spec.keys() & {"exact", "lower", "upper"}:
-        extra = set(spec) - ({"exact"} if "exact" in spec else {"lower", "upper"})
-        if extra:
-            raise InvalidScenario(f"{context}: unknown fields {sorted(extra)}")
+        return tuple([_read_step(step, context) for step in spec])
+    if isinstance(spec, dict) and not spec.keys().isdisjoint(_DECLARED_KEYS):
+        allowed = _EXACT_KEYS if "exact" in spec else _INTERVAL_KEYS
+        if not spec.keys() <= allowed:
+            extra = sorted(spec.keys() - allowed)
+            raise InvalidScenario(f"{context}: unknown fields {extra}")
         if "exact" not in spec:
             lower = parse_value(spec.get("lower", 0), f"{context}.lower")
             upper = None
@@ -345,16 +379,17 @@ def _read_step(step, context):
     if not isinstance(step, dict) or "rule" not in step:
         raise InvalidScenario(f"{context}: each pipeline step needs a rule")
     rule = step["rule"]
-    if not isinstance(rule, str) or rule not in _RULES:
+    readers = _STEP_READERS.get(rule) if isinstance(rule, str) else None
+    if readers is None:
         raise InvalidScenario(f"{context}: unknown rule {rule!r}")
-    slots = _RULES[rule]
-    extra = set(step) - {"rule", "as"} - {key for key, _ in slots}
-    if extra:
-        raise InvalidScenario(f"{context}: rule {rule} has no slots {sorted(extra)}")
+    allowed, read_at_load = readers
+    if not step.keys() <= allowed:
+        extra = sorted(step.keys() - allowed)
+        raise InvalidScenario(f"{context}: rule {rule} has no slots {extra}")
     out = dict(step)
-    for key, kind in slots:
-        if key in out and kind in ("rational", "value"):
-            out[key] = _READERS[kind](out[key], f"{context}.{key}")
+    for key, reader in read_at_load:
+        if key in out:
+            out[key] = reader(out[key], f"{context}.{key}")
     return out
 
 
@@ -369,6 +404,35 @@ _READERS = {
     "twists": _read_twists,
     "seshadri": _read_seshadri_spec,
     "flags": _read_flags,
+}
+# The type a JSON value of a kind has when it needs no reading: such a value
+# is taken as it is, without a reader call or a context string.
+_TAKEN_AS_IS = {"int": int, "bool": bool, "text": str}
+
+
+def _compile_fields(fields):
+    """A field table as _read_fields reads it: its key set, and a row
+    (key, type taken as is, reader, default) per key in table order. A kind
+    always read has None as its type, which no value's type is."""
+    return frozenset(fields), tuple(
+        (key, _TAKEN_AS_IS.get(kind), _READERS[kind], default)
+        for key, (kind, default) in fields.items()
+    )
+
+
+_ENTRY_READERS = _compile_fields(_ENTRY_FIELDS)
+_FLAG_READERS = _compile_fields(_FLAG_FIELDS)
+# Per rule: the keys a step may carry, and the (key, reader) of each slot
+# read when the file loads.
+_STEP_READERS = {
+    rule: (
+        frozenset(["rule", "as", *(key for key, _ in slots)]),
+        tuple(
+            (key, _READERS[kind]) for key, kind in slots
+            if kind in ("rational", "value")
+        ),
+    )
+    for rule, slots in _RULES.items()
 }
 
 

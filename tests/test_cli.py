@@ -87,6 +87,30 @@ def test_parse_rational_reads_the_grammar_exactly():
     assert parse_rational("9" * 4300) == int("9" * 4300)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.from_regex(cli._RATIONAL, fullmatch=True))
+@example("0")
+@example("-0")
+@example("0123")
+@example("-45/06")
+def test_every_string_of_the_grammar_reads_as_fraction_reads_it(text):
+    _, slash, denominator = text.partition("/")
+    if slash and int(denominator) == 0:
+        with pytest.raises(InvalidScenario, match="bad rational"):
+            parse_rational(text)
+        return
+    value = parse_rational(text)
+    assert type(value) is Fraction and value == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "1" * 4301 + "/2"]
+)
+def test_a_4301_digit_part_is_a_bad_rational(text):
+    with pytest.raises(InvalidScenario, match="bad rational"):
+        parse_rational(text, "Ln")
+
+
 def test_parse_value_surd_round_trip():
     value = parse_value({"rat": "-1", "coef": "2", "rad": 2}, "test")
     assert value == Surd(-1, 2, 2)
@@ -879,6 +903,32 @@ def test_readme_field_table_matches_the_field_tables():
     ]
 
 
+def test_the_compiled_readers_follow_the_tables():
+    # README's table tests read the tables; this ties what the loader runs to them
+    kind_of = {reader: kind for kind, reader in cli._READERS.items()}
+    for table, (keys, rows) in (
+        (cli._ENTRY_FIELDS, cli._ENTRY_READERS),
+        (cli._FLAG_FIELDS, cli._FLAG_READERS),
+    ):
+        assert keys == frozenset(table)
+        read = [(key, kind_of[reader], default) for key, _, reader, default in rows]
+        assert read == [(key, kind, default) for key, (kind, default) in table.items()]
+        assert [taken for _, taken, _, _ in rows] == [
+            cli._TAKEN_AS_IS.get(kind) for kind, _ in table.values()
+        ]
+    # a value taken as it is is what its reader would have returned
+    for kind, sample in (("int", 3), ("bool", True), ("text", "x")):
+        assert type(sample) is cli._TAKEN_AS_IS[kind]
+        assert cli._READERS[kind](sample, "x") is sample
+    assert list(cli._STEP_READERS) == list(cli._RULES)
+    for rule, slots in cli._RULES.items():
+        allowed, read_at_load = cli._STEP_READERS[rule]
+        assert allowed == {"rule", "as"} | {key for key, _ in slots}
+        assert [(key, kind_of[reader]) for key, reader in read_at_load] == [
+            (key, kind) for key, kind in slots if kind in ("rational", "value")
+        ]
+
+
 def test_readme_library_example_shows_what_it_computes():
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## Library", 1)[1].split("```python\n", 1)[1]
@@ -1457,6 +1507,130 @@ def test_a_missing_required_field_is_named(key, old):
     )
 
 
+# Valid entries of every shape: the field table must read each one to the
+# oracle's NamedScenario, with the same type in every slot, so a reader that
+# takes a value as it is or a faster rational path cannot change what loads.
+
+
+def _spellings(value):
+    """The JSON spellings of a rational: "a/b", reduced or not, and for a
+    whole number also "a" and the JSON integer."""
+    forms = [
+        st.integers(1, 3).map(
+            lambda k: f"{value.numerator * k}/{value.denominator * k}"
+        )
+    ]
+    if value.denominator == 1:
+        forms += [st.just(str(value.numerator)), st.just(value.numerator)]
+    return st.one_of(forms)
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+_spelled = _rationals.flatmap(_spellings)
+# every part optional; a square or zero radicand, or a zero coefficient, gives
+# a surd that is rational and loads as its Fraction
+_surds = st.fixed_dictionaries(
+    {}, optional={"rat": _spelled, "coef": _spelled, "rad": st.integers(0, 30)}
+)
+_values = st.one_of(_spelled, _surds)
+_SLOT_VALUES = {
+    "int": st.integers(0, 9),
+    "bool": st.booleans(),
+    "rational": _spelled,
+    "value": _values,
+    "ref": st.sampled_from(["a", "b"]),
+    "refs": st.lists(st.sampled_from(["a", "b"]), min_size=2, max_size=3),
+}
+
+
+@st.composite
+def _steps(draw):
+    """One pipeline step: a rule, some of its slots, and perhaps a name."""
+    rule = draw(st.sampled_from(list(cli._RULES)))
+    step = {"rule": rule}
+    for key, kind in cli._RULES[rule]:
+        if key is not None and draw(st.booleans()):
+            step[key] = draw(_SLOT_VALUES[kind])
+    if draw(st.booleans()):
+        step["as"] = draw(st.sampled_from(["a", "b"]))
+    return step
+
+
+_seshadri_specs = st.one_of(  # drawn most often first
+    st.lists(_steps(), min_size=1, max_size=4),
+    _steps(),
+    _surds.filter(bool),  # a bare surd object
+    st.builds(lambda v: {"exact": v}, _values),
+    st.builds(lambda v: {"lower": v}, _values),
+    st.builds(lambda v: {"upper": v}, _values),
+    st.builds(lambda v, w: {"lower": v, "upper": w}, _values, _values),
+    _spelled,  # a string or int literal
+)
+
+
+@st.composite
+def valid_entries(draw):
+    n = draw(st.integers(2, 6))
+    genus, degree = draw(st.integers(0, 3)), draw(st.integers(1, 8))
+    anticanonical = draw(st.booleans())
+    ln = draw(st.fractions(min_value=Fraction(1, 9), max_value=90, max_denominator=9))
+    raw = {
+        "name": draw(st.text(min_size=1, max_size=6)),
+        "n": n,
+        "genus": genus,
+        "degree": degree,
+        "Ln": draw(_spellings(ln)),
+        "seshadri": draw(_seshadri_specs),
+    }
+    if anticanonical or draw(st.booleans()):
+        raw["anticanonical"] = anticanonical
+    if draw(st.booleans()):
+        raw["description"] = draw(st.text(max_size=6))
+    # adjunction pins the normal degree of an anticanonical curve
+    p = degree - 2 + 2 * genus if anticanonical else draw(st.integers(-6, 9))
+    if draw(st.booleans()):
+        twists = draw(st.lists(st.integers(-3, 3), min_size=n - 2, max_size=n - 2))
+        raw["splitting"] = draw(st.permutations(twists + [p - sum(twists)]))
+    if draw(st.booleans()) or not (anticanonical or "splitting" in raw):
+        raw["normalBundleDegree"] = p
+    if not anticanonical:
+        raw["KLn1"] = draw(_spelled)
+    elif draw(st.booleans()):
+        raw["KLn1"] = draw(_spellings(-ln))
+    flags = draw(st.none() | st.fixed_dictionaries({}, optional={
+        "fanoIndex": st.integers(1, n + 1),
+        "isPn": st.booleans(),
+        "picardRankOne": st.booleans(),
+    }))
+    if flags is not None:
+        raw["flags"] = flags
+    return raw
+
+
+def _leaf_types(value):
+    """The type of every value a parsed entry holds, in order."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaf_types(item)]
+    return [type(value)]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(valid_entries())
+@example({"name": "c", "n": 3, "genus": 0, "degree": 2, "Ln": "54",
+          "anticanonical": True, "flags": {},
+          "seshadri": [{"rule": "witness_curve_upper", "degree": "6/2", "as": "a"},
+                       {"rule": "linear_subspace_exact", "n": 3, "as": "b"},
+                       {"rule": "certify_exact_by_restriction", "upper": "a",
+                        "ambient": "b", "restricted": {"rat": "3", "rad": 4}}]})
+def test_every_valid_entry_loads_as_the_oracle_reads_it(raw):
+    got, want = cli._parse_entry(raw), _oracle_entry(raw)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert _leaf_types(got) == _leaf_types(want)
+
+
 # -- parse once ------------------------------------------------------------
 
 
@@ -1550,6 +1724,40 @@ def test_undecodable_file_exits_one(capsys, tmp_path, content, message):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
         assert "internal error" not in err
+
+
+def _load_with_json_load(path):
+    """load_scenario_file as it read a file through json.load."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle, object_pairs_hook=cli._object_without_repeats)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidScenario(f"{path}: not valid JSON ({exc})") from exc
+    return parse_scenario_file(data)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        _conic_file(b""),
+        b"\xef\xbb\xbf" + _conic_file(b""),  # a UTF-8 byte order mark
+        _conic_file(b', "description": "\xff"'),
+        _conic_file(b', "seshadri": "2"'),
+        _conic_file(b', "normalBundleDegree": 1' + b"0" * 5000),
+        _conic_file(b"").replace(b", ", b",\r\n ")[:-2],  # cut short, CRLF lines
+        _conic_file(b"").replace(b", ", b",\r ")[:-2],  # cut short, CR lines
+        _conic_file(b', "description": "a\rb"'),  # a raw CR inside a string
+        b"",
+    ],
+    ids=["valid", "bom", "invalid-utf8", "repeated-key", "oversized-integer",
+         "truncated-crlf", "truncated-cr", "cr-in-string", "empty"],
+)
+def test_the_decoder_reads_a_file_as_json_load_did(tmp_path, content):
+    path = tmp_path / "scenarios.json"
+    path.write_bytes(content)
+    assert _read_with(cli.load_scenario_file, str(path)) == _read_with(
+        _load_with_json_load, str(path)
+    )
 
 
 def test_unknown_top_level_field_exits_one(capsys, tmp_path):
