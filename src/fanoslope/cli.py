@@ -17,13 +17,13 @@ success, 1 when any scenario fails validation or the command line is
 malformed, 2 on an internal invariant violation.
 """
 
-import argparse
 import json
 import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, reduce
+from types import SimpleNamespace
 
 from . import seshadri as _seshadri
 from .blowup import CurveScenario, check_epsilon_consistency
@@ -766,61 +766,166 @@ def cmd_seshadri(args):
     return 0
 
 
-def _add_format(parser, *choices):
-    """Give ``parser`` a --format option whose first choice is the default."""
-    parser.add_argument(
-        "--format",
-        choices=choices,
-        default=choices[0],
-        help=f"output format (default: {choices[0]})",
-    )
+# -- command line ----------------------------------------------------------
+
+# Each command: its help line and its options in help order, as (kind, help).
+# A kind is a tuple of choices, the first the default; _FLAG, off unless given;
+# or _TEXT, a value that must be given. Each also takes -h/--help and a file.
+_FLAG, _TEXT = "flag", "text"
+_FORMAT = (("text", "csv", "json"), "output format")
+_OPEN_INTERVAL = (_FLAG, "use the open interval (0, epsilon); ties at the "
+                  "endpoint no longer destabilize")
+_SCENARIO = (_TEXT, "scenario name")
+_COMMANDS = {
+    "classify": ("stability verdict per scenario",
+                 {"--format": _FORMAT, "--open-interval": _OPEN_INTERVAL}),
+    "sweep": ("quotient-slope table over a grid", {
+        "--format": (("csv", "json"), "output format"), "--scenario": _SCENARIO,
+        "--grid": (_TEXT, "comma-separated rational lambda values"),
+        "--open-interval": _OPEN_INTERVAL}),
+    "seshadri": ("evaluate the Seshadri rule pipeline for one scenario",
+                 {"--format": _FORMAT, "--scenario": _SCENARIO}),
+}
+_HELP = {"-h": (None, _FLAG), "--help": (None, _FLAG)}
+# argparse reads a word that looks like a negative number as a positional
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 @cache
 def build_parser():
-    """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="fanoslope",
-        description=(
-            "Exact slope-stability verdicts, quotient-slope sweeps, and "
-            "Seshadri certificates for curve scenarios"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    """_COMMANDS compiled once per process: per command (None before it), its
+    options by name as (attribute, kind) and its namespace's defaults; help's
+    attribute is None."""
+    table = {None: (_HELP, None)}
+    for command, (_, options) in _COMMANDS.items():
+        readers, defaults = dict(_HELP), {"command": command}
+        for name, (kind, _) in options.items():
+            attribute = name[2:].replace("-", "_")
+            readers[name] = (attribute, kind)
+            if kind is not _TEXT:
+                defaults[attribute] = False if kind is _FLAG else kind[0]
+        table[command] = (readers, defaults)
+    return table
 
-    p_classify = sub.add_parser("classify", help="stability verdict per scenario")
-    _add_format(p_classify, "text", "csv", "json")
-    p_classify.add_argument("file", help="JSON scenario file")
 
-    p_sweep = sub.add_parser("sweep", help="quotient-slope table over a grid")
-    _add_format(p_sweep, "csv", "json")
-    p_sweep.add_argument("file", help="JSON scenario file")
-    p_sweep.add_argument("--scenario", required=True, help="scenario name")
-    p_sweep.add_argument(
-        "--grid", required=True, help="comma-separated rational lambda values"
-    )
-    for p_interval in (p_classify, p_sweep):
-        p_interval.add_argument(
-            "--open-interval",
-            action="store_true",
-            help="use the open interval (0, epsilon); ties at the endpoint no "
-            "longer destabilize",
-        )
+def _invocation(name, kind):
+    if kind is _FLAG:
+        return name
+    return f"{name} " + (name[2:].upper() if kind is _TEXT else "{%s}" % ",".join(kind))
 
-    p_sesh = sub.add_parser(
-        "seshadri", help="evaluate the Seshadri rule pipeline for one scenario"
-    )
-    _add_format(p_sesh, "text", "csv", "json")
-    p_sesh.add_argument("file", help="JSON scenario file")
-    p_sesh.add_argument("--scenario", required=True, help="scenario name")
-    return parser
+
+def _usage(command):
+    if command is None:
+        return "usage: fanoslope [-h] {%s} ...\n" % ",".join(_COMMANDS)
+    words = ["usage: fanoslope", command, "[-h]"]
+    for name, (kind, _) in _COMMANDS[command][1].items():
+        word = _invocation(name, kind)
+        words.append(word if kind is _TEXT else f"[{word}]")
+    return " ".join(words) + " file\n"
+
+
+def _help(command):
+    """The help argparse printed, unwrapped: each text starts at one column,
+    at most 24, or on the next line when its invocation is too long."""
+    options = [("  -h, --help", "show this help message and exit")]
+    if command is None:
+        text = _usage(None) + ("\nExact slope-stability verdicts, quotient-slope "
+                               "sweeps, and Seshadri certificates for curve "
+                               "scenarios\n")
+        positionals = [("  {%s}" % ",".join(_COMMANDS), "")]
+        positionals += [("    " + name, row[0]) for name, row in _COMMANDS.items()]
+    else:
+        text, positionals = _usage(command), [("  file", "JSON scenario file")]
+        for name, (kind, about) in _COMMANDS[command][1].items():
+            default = f" (default: {kind[0]})" if type(kind) is tuple else ""
+            options.append(("  " + _invocation(name, kind), about + default))
+    column = min(max(len(row) for row, _ in positionals + options) + 2, 24)
+    for title, rows in (("positional arguments", positionals), ("options", options)):
+        text += f"\n{title}:\n"
+        for row, about in rows:
+            fits = len(row) + 2 <= column
+            gap = " " * (column - len(row)) if fits else "\n" + " " * column
+            text += (row + gap + about).rstrip() + "\n"
+    return text
+
+
+def _usage_error(command, message):
+    prog = "fanoslope" if command is None else f"fanoslope {command}"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _is_positional(word, options):
+    """Whether argparse read ``word`` as a positional: it names no option,
+    even before an "=", and it does not start with "-", is "-" alone, looks
+    like a negative number or holds a space."""
+    return word.partition("=")[0] not in options and (
+        not word.startswith("-") or word == "-" or " " in word
+        or _NEGATIVE_NUMBER.match(word) is not None)
+
+
+def _read_argv(argv):
+    """Read argv once, left to right, against build_parser()'s table into the
+    namespace argparse gave: command, file and one attribute per option.
+    README gives the grammar. Help exits 0 and a usage error exits 1."""
+    table = build_parser()
+    command, (options, values) = None, table[None]
+    extras, dashed, words = [], False, iter(argv)
+    for word in words:
+        if not dashed:
+            if word == "--":
+                dashed = True
+                continue
+            name, equals, explicit = word.partition("=")  # no name holds "="
+            if name in options:
+                explicit = explicit if equals else None
+                attribute, kind = options[name]
+                if kind is _FLAG and explicit is not None:
+                    name = name if attribute else "-h/--help"
+                    _usage_error(command, f"argument {name}: ignored explicit "
+                                 f"argument {explicit!r}")
+                if attribute is None:
+                    sys.stdout.write(_help(command))
+                    raise SystemExit(0)
+                if kind is not _FLAG and explicit is None:
+                    explicit = next(words, None)
+                    if explicit is None or not _is_positional(explicit, options):
+                        _usage_error(command, f"argument {name}: expected one "
+                                     "argument")
+                if type(kind) is tuple and explicit not in kind:
+                    choices = ", ".join(map(repr, kind))
+                    _usage_error(command, f"argument {name}: invalid choice: "
+                                 f"{explicit!r} (choose from {choices})")
+                values[attribute] = True if kind is _FLAG else explicit
+                continue
+            if not _is_positional(word, options):
+                extras.append(word)
+                continue
+        if command is None:
+            if word not in _COMMANDS:
+                _usage_error(None, f"argument command: invalid choice: {word!r} "
+                             f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            command, (options, values) = word, table[word]
+            values = dict(values)
+        elif "file" not in values:
+            values["file"] = word
+        else:
+            extras.append(word)
+    if command is None:
+        _usage_error(None, "the following arguments are required: command")
+    missing = ["file"] * ("file" not in values) + [
+        name for name, (attribute, kind) in options.items()
+        if kind is _TEXT and attribute not in values]
+    if missing:
+        _usage_error(command, "the following arguments are required: "
+                     + ", ".join(missing))
+    if extras:
+        _usage_error(command, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
 
 
 def main(argv=None):
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exit_:  # argparse's usage error exits 1, as a domain error
-        raise SystemExit(1 if exit_.code == 2 else exit_.code) from None
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     # looked up when main runs, so a patched cmd_* is the one called
     command = globals()[f"cmd_{args.command}"]
     try:
