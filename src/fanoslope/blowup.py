@@ -148,12 +148,12 @@ def exceptional_restriction_poly(scenario):
 def hilbert_leading_poly(scenario):
     """a0(x) = (L**n - n*d*x**(n-1) + p*x**n) / n!"""
     s = scenario
-    coeffs = [Fraction(0)] * (s.n + 1)
-    coeffs[0] = s.ln
-    coeffs[s.n - 1] += Fraction(-s.n * s.degree)
-    coeffs[s.n] += Fraction(s.normal_degree)
-    scale = Fraction(1, factorial(s.n))
-    return Polynomial([c * scale if c else c for c in coeffs])
+    scale = s.ln.denominator
+    nums = [0] * (s.n + 1)
+    nums[0] = s.ln.numerator
+    nums[s.n - 1] = -s.n * s.degree * scale
+    nums[s.n] = s.normal_degree * scale
+    return Polynomial(nums, factorial(s.n) * scale)
 
 
 def hilbert_subleading_poly(scenario):
@@ -169,12 +169,12 @@ def hilbert_subleading_poly(scenario):
         raise DimensionTooSmall(
             "subleading Hilbert coefficient needs ambient dimension >= 3"
         )
-    coeffs = [Fraction(0)] * s.n
-    coeffs[0] = -s.k_ln1
-    coeffs[s.n - 2] += Fraction(-(s.n - 2) * (s.n - 1) * s.degree)
-    coeffs[s.n - 1] += Fraction(s.canonical_degree + (s.n - 2) * s.normal_degree)
-    scale = Fraction(1, 2 * factorial(s.n - 1))
-    return Polynomial([c * scale if c else c for c in coeffs])
+    scale = s.k_ln1.denominator
+    nums = [0] * s.n
+    nums[0] = -s.k_ln1.numerator
+    nums[s.n - 2] = -(s.n - 2) * (s.n - 1) * s.degree * scale
+    nums[s.n - 1] = (s.canonical_degree + (s.n - 2) * s.normal_degree) * scale
+    return Polynomial(nums, 2 * factorial(s.n - 1) * scale)
 
 
 def anticanonical_square_exceptional(deg_kc, genus):

@@ -6,7 +6,8 @@ appear anywhere in this package's arithmetic. Rationals are stdlib
 equality). On top of that this module supplies
 
 * :class:`Polynomial` -- univariate polynomials with rational coefficients,
-  dense ascending representation with trailing zeros stripped;
+  kept as ascending integer numerators over one positive denominator, in
+  lowest terms with trailing zeros stripped;
 * :class:`Surd` -- numbers of the form ``rat + coef*sqrt(rad)`` with a
   square-free integer radicand, enough to handle quadratic irrationalities
   like ``sqrt(n**2 - 1)`` exactly;
@@ -328,29 +329,47 @@ def render_value(value):
 
 
 class Polynomial:
-    """Univariate polynomial over Fraction, dense ascending coefficients.
+    """Univariate polynomial with rational coefficients, kept in integers.
 
-    The zero polynomial is the empty coefficient tuple and reports degree -1.
-    Instances are immutable; arithmetic returns new objects. Evaluation uses
-    Horner's scheme at an int, Fraction or Surd point (anything else raises
-    TypeError) and returns the type the point arithmetic produces. At a
-    rational point a/b the scheme runs in integers, on the numerators of the
-    coefficients over their common denominator D, and builds one Fraction:
-    an integer over D * b**degree. D and the numerators are computed on the
-    first rational evaluation and kept with the instance. At a Surd point
-    zero coefficients are passed through without arithmetic.
+    ``Polynomial(coefficients, denominator)`` is the polynomial whose
+    coefficient of x**i is ``coefficients[i] / denominator``. The
+    coefficients are ints or Fractions and the denominator a positive int;
+    anything else raises TypeError. The instance keeps integer numerators
+    over one positive denominator, in lowest terms, with trailing zeros
+    stripped, so equal polynomials are stored alike; ``coeffs`` reads them
+    back as a tuple of Fractions. The zero polynomial has no numerators
+    and reports degree -1. Instances are immutable; arithmetic runs on the
+    numerators and returns new objects. Evaluation uses Horner's scheme at
+    an int, Fraction or Surd point (anything else raises TypeError) and
+    returns the type the point arithmetic produces: at a rational point it
+    runs in integers and builds one Fraction, and at a Surd point zero
+    coefficients are passed through without arithmetic.
     """
 
-    __slots__ = ("coeffs", "_scaled")
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, coefficients=()):
-        coeffs = [
-            c if type(c) is Fraction else _require_rational(c, "a coefficient")
-            for c in coefficients
-        ]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    def __init__(self, coefficients=(), denominator=1):
+        if type(denominator) is not int:
+            _require_int(denominator, "a denominator")
+        if denominator <= 0:
+            raise ValueError("a denominator must be positive")
+        nums = list(coefficients)
+        if set(map(type, nums)) - {int}:  # a Fraction, or a value to refuse
+            nums = [
+                c if type(c) is Fraction else _require_rational(c, "a coefficient")
+                for c in nums
+            ]
+            common = math.lcm(*[c.denominator for c in nums])
+            nums = [c.numerator * (common // c.denominator) for c in nums]
+            denominator *= common
+        while nums and not nums[-1]:
+            nums.pop()
+        divisor = math.gcd(denominator, *nums) if nums else denominator
+        if divisor != 1:
+            nums = [c // divisor for c in nums]
+            denominator //= divisor
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", denominator)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Polynomial instances are immutable")
@@ -361,24 +380,29 @@ class Polynomial:
     def monomial(cls, power, coefficient=1):
         if power < 0:
             raise ValueError("power must be non-negative")
-        return cls([_ZERO] * power + [coefficient])
+        return cls([0] * power + [coefficient])
+
+    @property
+    def coeffs(self):
+        """The coefficients, ascending, as Fractions."""
+        return tuple([Fraction(c, self._den) for c in self._nums])
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def coefficient(self, power):
         """Coefficient of x**power (zero beyond the degree)."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._nums):
+            return Fraction(self._nums[power], self._den)
         return Fraction(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self):
@@ -387,98 +411,98 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial(_sum_coeffs(self.coeffs, other.coeffs, subtract=False))
+        return _sum(self, other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial(_sum_coeffs(self.coeffs, other.coeffs, subtract=True))
+        return _sum(self, other, -1)
 
     def __neg__(self):
-        return Polynomial([-c if c else c for c in self.coeffs])
+        return Polynomial([-c for c in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
+            left, right = self._nums, other._nums
+            if not left or not right:
                 return Polynomial()
-            terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in terms:
-                    term = a * b
-                    out[i + j] = out[i + j] + term if out[i + j] else term
-            return Polynomial(out)
+            terms = [(j, b) for j, b in enumerate(right) if b]
+            out = [0] * (len(left) + len(right) - 1)
+            for i, a in enumerate(left):
+                if a:
+                    for j, b in terms:
+                        out[i + j] += a * b
+            return Polynomial(out, self._den * other._den)
         if isinstance(other, (int, Fraction)) and type(other) is not bool:
-            return Polynomial([c * other if c else c for c in self.coeffs])
+            factor = other.numerator
+            return Polynomial(
+                [c * factor for c in self._nums], self._den * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __call__(self, point):
-        coeffs = self.coeffs
-        if type(point) is not int and type(point) is not Fraction:
-            if not isinstance(point, Surd):
-                raise TypeError(
-                    "a point must be a Surd, an int or a Fraction, "
-                    f"got {type(point).__name__}"
-                )
-            # Horner step by step, so a Surd point needs no Surd power.
-            acc = _ZERO
-            for c in reversed(coeffs):
-                acc = acc * point
-                if c:
-                    acc = acc + c
-            return acc
-        if not coeffs:
-            return _ZERO
-        try:
-            denominator, numerators = self._scaled
-        except AttributeError:
-            denominator = math.lcm(*[c.denominator for c in coeffs])
-            numerators = tuple(
-                c.numerator * (denominator // c.denominator) for c in reversed(coeffs)
+        if type(point) is int or type(point) is Fraction:
+            return Fraction(*_value_at(self, point.numerator, point.denominator))
+        if not isinstance(point, Surd):
+            raise TypeError(
+                "a point must be a Surd, an int or a Fraction, "
+                f"got {type(point).__name__}"
             )
-            object.__setattr__(self, "_scaled", (denominator, numerators))
-        # Horner at a/b in homogeneous form: at the end acc is the sum of
-        # c_i * a**i * b**(degree - i) and b_power is b**(degree + 1).
-        a, b = point.numerator, point.denominator
-        acc = 0
-        b_power = 1
-        for c in numerators:
-            acc *= a
+        # Horner step by step, so a Surd point needs no Surd power.
+        acc = _ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * point
             if c:
-                acc += c * b_power
-            b_power *= b
-        return Fraction(acc, denominator * (b_power // b))
+                acc = acc + c
+        return acc
 
     def differentiate(self):
-        return Polynomial([c * i if c else c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial([c * i for i, c in enumerate(self._nums)][1:], self._den)
 
     def integrate_from_zero(self):
         """The antiderivative with zero constant term."""
+        nums = self._nums
+        common = math.lcm(*[i + 1 for i, c in enumerate(nums) if c])
         return Polynomial(
-            [_ZERO] + [c / (i + 1) if c else c for i, c in enumerate(self.coeffs)]
+            [0] + [c * (common // (i + 1)) for i, c in enumerate(nums)],
+            self._den * common,
         )
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def _sum_coeffs(left, right, subtract):
-    """Coefficients of left + right (left - right when subtract is set).
-
-    Only the non-zero coefficients of right take part in any arithmetic.
-    """
-    out = list(left)
-    out.extend([_ZERO] * (len(right) - len(left)))
-    for i, c in enumerate(right):
+def _sum(left, right, sign):
+    """left + sign*right, over the least common denominator; only the
+    non-zero numerators of right take part in any arithmetic."""
+    divisor = math.gcd(left._den, right._den)
+    scale, other_scale = right._den // divisor, sign * (left._den // divisor)
+    out = [c * scale for c in left._nums]
+    out.extend([0] * (len(right._nums) - len(out)))
+    for i, c in enumerate(right._nums):
         if c:
-            if subtract:
-                c = -c
-            out[i] = out[i] + c if out[i] else c
-    return out
+            out[i] += c * other_scale
+    return Polynomial(out, left._den * scale)
+
+
+def _value_at(poly, a, b):
+    """``poly`` at a/b, b > 0, as an integer pair (numerator, denominator),
+    not reduced. Horner's scheme in homogeneous form: the numerator is the
+    sum of c_i * a**i * b**(degree - i) over the integer numerators c_i,
+    and the denominator is the polynomial's denominator times b**degree."""
+    nums = poly._nums
+    if not nums:
+        return 0, 1
+    acc = nums[-1]
+    b_power = 1
+    for c in nums[-2::-1]:
+        acc *= a
+        b_power *= b
+        if c:
+            acc += c * b_power
+    return acc, poly._den * b_power
 
 
 def quadratic_roots(a, b, c):

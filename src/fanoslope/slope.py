@@ -35,7 +35,7 @@ from .blowup import (
     hilbert_subleading_poly,
 )
 from .errors import DimensionTooSmall, NotAnticanonical, ZeroDenominator
-from .exactnum import Polynomial, _require_int, _require_rational
+from .exactnum import Polynomial, _require_int, _require_rational, _value_at
 
 __all__ = [
     "manifold_slope",
@@ -126,7 +126,7 @@ def quotient_slope(scenario, lam, cross_check=False):
 
 def _deficit(poly):
     """a(0) - a(x): the non-constant coefficients of a(x), negated."""
-    return Polynomial([Fraction(0)] + [-c if c else c for c in poly.coeffs[1:]])
+    return Polynomial([0] + [-c for c in poly._nums[1:]], poly._den)
 
 
 def leading_deficit_poly(scenario):
@@ -143,9 +143,11 @@ def subleading_deficit_poly(scenario):
 def _deficit_integrals(scenario):
     """int_0^x (atilde1 + atilde0'/2) and int_0^x atilde0, as polynomials.
 
-    Built once per scenario: a loop over lambda reuses them. The cache holds
-    a few scenarios only, far fewer than a batch, so a second pass over a
-    batch builds every scenario's polynomials again.
+    Built once per scenario, from the Hilbert polynomials through the
+    deficits, a derivative, a half, a sum and two integrals, each step on
+    integer numerators over one denominator; a loop over lambda reuses them.
+    The cache holds a few scenarios only, far fewer than a batch, so a
+    second pass over a batch builds every scenario's polynomials again.
     """
     s = scenario
     atilde0 = leading_deficit_poly(s)
@@ -158,19 +160,22 @@ def quotient_slope_via_integrals(scenario, lam):
 
     This is the defining ratio of integrals, kept as an independent oracle
     for the closed form. The two antiderivatives are built from the Hilbert
-    polynomials once per scenario; each call evaluates them at lam.
+    polynomials once per scenario; each call evaluates both at lam in
+    integers and builds one Fraction, their quotient.
     """
     s = scenario
     _require_dimension(s)
     lam = _require_positive(lam)
     numerator_poly, denominator_poly = _deficit_integrals(s)
-    denominator = denominator_poly(lam)
-    if denominator == 0:
+    a, b = lam.numerator, lam.denominator
+    top, top_scale = _value_at(numerator_poly, a, b)
+    bottom, bottom_scale = _value_at(denominator_poly, a, b)
+    if not bottom:
         raise ZeroDenominator(
             f"deficit integral vanishes at lambda = {lam}; "
             "the declared Seshadri range is inconsistent"
         )
-    return numerator_poly(lam) / denominator
+    return Fraction(top * bottom_scale, top_scale * bottom)
 
 
 def destabilizing_quadratic(scenario):
@@ -183,18 +188,22 @@ def destabilizing_quadratic(scenario):
 
     and for lam in the consistent range, mu_lam <= mu exactly when the
     quadratic is <= 0 (strictly, for strict inequality). Returned as a
-    Polynomial in lam.
+    Polynomial in lam with integer numerators: writing K.L**(n-1) = k/k'
+    and L**n = l/l', they are taken over D = k'*l > 0, where 2*mu*D is the
+    integer -n*k*l'.
     """
     s = scenario
     _require_dimension(s)
-    mu = manifold_slope(s)
     n, d, p, g = s.n, s.degree, s.normal_degree, s.genus
+    den = s.k_ln1.denominator * s.ln.numerator
+    scaled_mu = -n * s.k_ln1.numerator * s.ln.denominator  # 2*mu*D
     return Polynomial(
         [
-            Fraction(n * (n * n - 1) * d),
-            -(n + 1) * (Fraction((n - 2) * p + 2 * (g - 1)) + 2 * d * mu),
-            2 * p * mu,
-        ]
+            n * (n * n - 1) * d * den,
+            -(n + 1) * (((n - 2) * p + 2 * (g - 1)) * den + d * scaled_mu),
+            p * scaled_mu,
+        ],
+        den,
     )
 
 

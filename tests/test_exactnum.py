@@ -1,6 +1,7 @@
 """Arithmetic substrate: polynomials, surds, quadratic roots."""
 
 import itertools
+import math
 import operator
 from decimal import Decimal
 from fractions import Fraction
@@ -21,6 +22,8 @@ from fanoslope.seshadri import (
     proper_transform_upper,
     witness_curve_upper,
 )
+
+import polynomial_oracle
 
 fractions_st = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -560,7 +563,7 @@ def test_the_kept_integer_form_is_invisible(poly, point):
     assert poly.coeffs == fresh.coeffs
     assert repr(poly) == repr(fresh)
     for target in (poly, fresh):
-        for name in ("coeffs", "_scaled", "degree", "other"):
+        for name in ("coeffs", "_nums", "_den", "degree", "other"):
             with pytest.raises(AttributeError):
                 setattr(target, name, (1, ()))
             with pytest.raises(AttributeError, match="immutable"):
@@ -769,3 +772,108 @@ def test_evaluation_through_a_mid_horner_cancellation(top, low, shift, point):
     poly = top * vanishing * Polynomial.monomial(len(low.coeffs) + shift) + low
     assert same_value(poly(point), oracle_horner(poly, point))
     assert poly(point) == oracle_horner(low, point)
+
+
+# -- integer numerators over one denominator ----------------------------------
+#
+# A Polynomial keeps integer numerators over one positive denominator. The
+# earlier class kept a tuple of Fractions; every operation must give the
+# same coefficients, and evaluation the same value and type.
+
+
+@settings(derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-(10**20), 10**20), max_size=8),
+    st.integers(1, 10**12),
+)
+@example([6, 0, -4, 0, 0], 2)
+@example([0, 0], 7)
+def test_numerators_over_a_denominator_equal_their_fractions(nums, den):
+    poly = Polynomial(nums, den)
+    expected = Polynomial([Fraction(c, den) for c in nums])
+    assert poly == expected and hash(poly) == hash(expected)
+    assert repr(poly) == repr(expected)
+    # lowest terms, trailing zeros stripped, the zero polynomial over 1
+    assert poly._den > 0 and math.gcd(poly._den, *poly._nums) == 1
+    assert not poly._nums or poly._nums[-1]
+    assert poly._nums or poly._den == 1
+    assert all(type(c) is int for c in poly._nums)
+
+
+@settings(derandomize=True, database=None)
+@given(st.lists(wide_rationals_st, max_size=8), st.integers(1, 10**12))
+def test_fraction_coefficients_over_a_denominator_are_divided_by_it(coeffs, den):
+    assert Polynomial(coeffs, den) == Polynomial([Fraction(c) / den for c in coeffs])
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (0, ValueError),
+        (-2, ValueError),
+        (True, TypeError),
+        (Fraction(1, 2), TypeError),
+        (2.0, TypeError),
+        ("2", TypeError),
+    ],
+)
+def test_a_denominator_must_be_a_positive_int(bad, error):
+    for coefficients in ([1, 2], [], [Fraction(1, 3)]):
+        with pytest.raises(error, match="denominator"):
+            Polynomial(coefficients, bad)
+
+
+huge_fractions_st = st.one_of(
+    st.just(0),
+    st.integers(-(10**30), 10**30),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**15)),
+    st.fractions(max_denominator=10**15),
+)
+huge_coefficients_st = st.lists(huge_fractions_st, max_size=12)
+
+
+def same_as_oracle(poly, old):
+    return (
+        poly.coeffs == old.coeffs
+        and all(type(c) is Fraction for c in poly.coeffs)
+        and repr(poly) == repr(old)
+        and hash(poly) == hash(old)
+        and poly.degree == old.degree
+        and bool(poly) is bool(old)
+    )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    huge_coefficients_st,
+    huge_coefficients_st,
+    st.one_of(wide_rationals_st, huge_fractions_st),
+    st.one_of(wide_rationals_st, huge_fractions_st, any_surd_st),
+)
+@example([], [Fraction(1, 10**15)], 0, Surd(1, 1, 2))
+def test_polynomial_operations_match_the_rational_coefficient_class(
+    left, right, factor, point
+):
+    p, q = Polynomial(left), Polynomial(right)
+    old_p, old_q = polynomial_oracle.Polynomial(left), polynomial_oracle.Polynomial(right)
+    assert same_as_oracle(p, old_p) and same_as_oracle(q, old_q)
+    assert (p == q) is (old_p == old_q)
+    for new, old in (
+        (p + q, old_p + old_q),
+        (p - q, old_p - old_q),
+        (-p, -old_p),
+        (p * q, old_p * old_q),
+        (p * factor, old_p * factor),
+        (factor * p, factor * old_p),
+        (p.differentiate(), old_p.differentiate()),
+        (p.integrate_from_zero(), old_p.integrate_from_zero()),
+        (
+            Polynomial.monomial(len(left), factor),
+            polynomial_oracle.Polynomial.monomial(len(left), factor),
+        ),
+    ):
+        assert same_as_oracle(new, old)
+    for power in range(-1, len(left) + 2):
+        assert p.coefficient(power) == old_p.coefficient(power)
+        assert type(p.coefficient(power)) is Fraction
+    assert same_value(p(point), old_p(point))

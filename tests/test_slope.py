@@ -6,7 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanoslope import slope
-from fanoslope.blowup import CurveScenario
+from fanoslope.blowup import (
+    CurveScenario,
+    hilbert_leading_poly,
+    hilbert_subleading_poly,
+)
 from fanoslope.errors import (
     DimensionTooSmall,
     FanoslopeError,
@@ -32,6 +36,7 @@ from generators import (
     random_anticanonical_scenario,
     random_general_scenario,
 )
+import polynomial_oracle
 
 
 # -- manifold slope --------------------------------------------------------
@@ -344,3 +349,75 @@ def test_high_genus_curves_never_destabilize_on_consistent_range():
         quadratic = destabilizing_quadratic(s)
         for k in range(1, 11):
             assert quadratic(cap * Fraction(k, 10)) > 0
+
+
+# -- the integral route against the rational-coefficient polynomials --------
+#
+# tests/polynomial_oracle.py keeps the integral route as it was built on a
+# Polynomial with Fraction coefficients; the route on integer numerators
+# must give the same polynomials, values, types and messages.
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(scenarios_and_twists())
+@example((CurveScenario(3, 0, 1, 4, Fraction(5), Fraction(-3)), Fraction(1)))
+@example((CurveScenario.anticanonical_curve(12, 3, 7, 9), Fraction(65, 11)))
+@example((CurveScenario.anticanonical_curve(3, 0, 4, 64), Fraction(8)))  # the pole
+def test_integral_route_matches_the_rational_coefficient_route(case):
+    s, lam = case
+    try:
+        expected = polynomial_oracle.quotient_slope_via_integrals(s, lam)
+    except ZeroDenominator as oracle_error:
+        with pytest.raises(ZeroDenominator) as raised:
+            quotient_slope_via_integrals(s, lam)
+        assert str(raised.value) == str(oracle_error)
+        return
+    value = quotient_slope_via_integrals(s, lam)
+    assert value == expected and type(value) is Fraction
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(scenarios_and_twists())
+def test_route_polynomials_match_the_rational_coefficient_ones(case):
+    s, _ = case
+    built = [
+        hilbert_leading_poly(s),
+        hilbert_subleading_poly(s),
+        leading_deficit_poly(s),
+        subleading_deficit_poly(s),
+        *slope._deficit_integrals.__wrapped__(s),
+        destabilizing_quadratic(s),
+    ]
+    oracle = polynomial_oracle
+    expected = [
+        oracle.hilbert_leading_poly(s),
+        oracle.hilbert_subleading_poly(s),
+        oracle.leading_deficit_poly(s),
+        oracle.subleading_deficit_poly(s),
+        *oracle._deficit_integrals.__wrapped__(s),
+        oracle.destabilizing_quadratic(s),
+    ]
+    assert [p.coeffs for p in built] == [p.coeffs for p in expected]
+    assert all(type(c) is Fraction for p in built for c in p.coeffs)
+
+
+def test_one_scenario_builds_ten_polynomials(monkeypatch):
+    # the benchmark counts Polynomial.__init__ calls; every polynomial of the
+    # route must be built through it, ten per scenario as before
+    built = []
+    real_init = Polynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    for s in (
+        CurveScenario.anticanonical_curve(3, 0, 4, Fraction(64)),
+        CurveScenario.anticanonical_curve(12, 3, 7, Fraction(9, 2)),
+        CurveScenario(5, 2, 3, -4, Fraction(7, 3), Fraction(-5, 6)),
+    ):
+        built.clear()
+        slope._deficit_integrals.__wrapped__(s)
+        destabilizing_quadratic(s)
+        assert len(built) == 10
