@@ -13,9 +13,10 @@ The two Hilbert-coefficient polynomials exposed here are
     a0(x) = (sigma*L - x*E)**n / n!
     a1(x) = -K_Xhat . (sigma*L - x*E)**(n-1) / (2*(n-1)!)
 
-both closed forms obtained by pushing powers of E down to Z; the only
-non-vanishing pure intersections against E are recorded by
-:func:`exceptional_power_table`.
+both closed forms obtained by pushing powers of E down to Z. Of the
+intersection numbers (sigma*L)**i . (-E)**(n-1-i) . E, i = 0..n-1, only two
+survive: -p at i = 0 and d at i = 1; two or more pullback factors from the
+curve kill everything else.
 """
 
 from collections import namedtuple
@@ -24,17 +25,14 @@ from math import factorial
 
 from .errors import DimensionTooSmall, InvalidScenario, ScenarioInconsistent
 from .exactnum import (
-    _MAX_RADICAND, Polynomial, _parts, _require_int, _require_rational, compare,
-    render_value,
+    _MAX_RADICAND, Polynomial, _parts, _require_rational, compare, render_value,
 )
 
 __all__ = [
     "CurveScenario",
-    "exceptional_power_table",
     "exceptional_restriction_poly",
     "hilbert_leading_poly",
     "hilbert_subleading_poly",
-    "anticanonical_square_exceptional",
     "check_epsilon_consistency",
 ]
 
@@ -121,19 +119,6 @@ class CurveScenario(namedtuple(
         return self.n - 1
 
 
-def exceptional_power_table(scenario):
-    """Intersection numbers (sigma*L)**i . (-E)**(n-1-i) . E for i = 0..n-1.
-
-    Only the first two entries survive: -p at i = 0 and d at i = 1; two or
-    more pullback factors from the curve kill everything else.
-    """
-    s = scenario
-    table = [Fraction(0)] * s.n
-    table[0] = Fraction(-s.normal_degree)
-    table[1] = Fraction(s.degree)
-    return tuple(table)
-
-
 def exceptional_restriction_poly(scenario):
     """(sigma*L - x*E)**(n-1) . E as a polynomial in x.
 
@@ -175,18 +160,6 @@ def hilbert_subleading_poly(scenario):
     nums[s.n - 2] = -(s.n - 2) * (s.n - 1) * s.degree * scale
     nums[s.n - 1] = (s.canonical_degree + (s.n - 2) * s.normal_degree) * scale
     return Polynomial(nums, 2 * factorial(s.n - 1) * scale)
-
-
-def anticanonical_square_exceptional(deg_kc, genus):
-    """(-K_Xhat)**2 . E for the blowup of a Fano threefold along a smooth curve.
-
-    Here deg_kc = (-K_X).C and the answer is deg_kc + 2 - 2*genus, obtained by
-    expanding (sigma*(-K_X) - E)**2 . E with the threefold power table.
-    """
-    deg_kc = _require_rational(deg_kc, "deg_kc")
-    if _require_int(genus, "genus") < 0:
-        raise InvalidScenario("genus must be a non-negative integer")
-    return deg_kc + 2 - 2 * genus
 
 
 def check_epsilon_consistency(scenario, epsilon):

@@ -23,7 +23,7 @@ from .blowup import check_epsilon_consistency
 from .errors import (
     DimensionTooSmall, InvalidScenario, NotAnticanonical, TooFewSummands, WrongRank,
 )
-from .exactnum import Surd, _require_int, compare, render_value
+from .exactnum import Surd, _require_bool, _require_int, compare, render_value
 
 __all__ = [
     "VerdictStatus",
@@ -161,8 +161,7 @@ def non_stable_shape_filter(n, splitting, is_pn_line=False):
     splitting passes the filter when it matches one of the allowed shapes or
     the line flag is set.
     """
-    if type(is_pn_line) is not bool:
-        raise TypeError(f"is_pn_line must be a bool, got {type(is_pn_line).__name__}")
+    _require_bool(is_pn_line, "is_pn_line")
     if _require_int(n, "n") < 3:
         raise DimensionTooSmall("the shape filter is stated for n >= 3")
     if splitting.rank != n - 1:
@@ -267,6 +266,7 @@ def classify_curve(scenario, estimate, flags=None, include_endpoint=True):
     inconsistent data.
     """
     s = scenario
+    _require_bool(include_endpoint, "include_endpoint")
     if flags is None:
         flags = ClassifyFlags()
     check_epsilon_consistency(s, estimate.lower)

@@ -93,6 +93,14 @@ def _require_int(value, name):
     return value
 
 
+def _require_bool(value, name):
+    """``value`` if it is a bool; a flag such as "false" or 1 is refused
+    rather than read by its truth."""
+    if type(value) is not bool:
+        raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
+    return value
+
+
 def _sign(a, b, m):
     """Exact sign of ``a + b*sqrt(m)``: -1, 0, or 1.
 
@@ -378,7 +386,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, power, coefficient=1):
-        if power < 0:
+        if _require_int(power, "power") < 0:
             raise ValueError("power must be non-negative")
         return cls([0] * power + [coefficient])
 
@@ -393,7 +401,7 @@ class Polynomial:
 
     def coefficient(self, power):
         """Coefficient of x**power (zero beyond the degree)."""
-        if 0 <= power < len(self._nums):
+        if 0 <= _require_int(power, "power") < len(self._nums):
             return Fraction(self._nums[power], self._den)
         return Fraction(0)
 

@@ -21,7 +21,9 @@ from .errors import (
     ShiftBelowZero,
     DimensionTooSmall,
 )
-from .exactnum import _require_int, _require_rational, compare, render_value
+from .exactnum import (
+    _require_bool, _require_int, _require_rational, compare, render_value,
+)
 
 __all__ = [
     "ProvenanceEntry",
@@ -262,7 +264,7 @@ def point_upper_bound(n, is_projective_space=False):
     exactly n + 1 on projective n-space."""
     if _require_int(n, "n") < 3:
         raise DimensionTooSmall("the point bound is stated for n >= 3")
-    if is_projective_space:
+    if _require_bool(is_projective_space, "is_projective_space"):
         value = Fraction(n + 1)
         return _certificate(
             "point-cap",

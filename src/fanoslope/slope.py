@@ -27,15 +27,14 @@ Z destabilizes at lam exactly when mu_lam <= mu, which after clearing the
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .blowup import (
-    exceptional_restriction_poly,
+    exceptional_restriction_poly,  # not called here; perfbench's tracer patches it
     hilbert_leading_poly,
     hilbert_subleading_poly,
 )
-from .errors import DimensionTooSmall, NotAnticanonical, ZeroDenominator
-from .exactnum import Polynomial, _require_int, _require_rational, _value_at
+from .errors import DimensionTooSmall, ZeroDenominator
+from .exactnum import Polynomial, _require_rational, _value_at
 
 __all__ = [
     "manifold_slope",
@@ -45,8 +44,6 @@ __all__ = [
     "leading_deficit_poly",
     "subleading_deficit_poly",
     "destabilizing_quadratic",
-    "fano_quadratic_at_degree",
-    "margin_factorization_residual",
 ]
 
 
@@ -58,7 +55,7 @@ def manifold_slope(scenario):
 
 class QuotientSlopeReport(namedtuple(
     "QuotientSlopeReport",
-    "lam value numerator denominator via_integral",
+    "lam value via_integral",
     defaults=(None,),
 )):
     """Exact record of one quotient-slope evaluation, every field a Fraction.
@@ -104,8 +101,6 @@ def quotient_slope(scenario, lam, cross_check=False):
             f"quotient-slope denominator vanishes at lambda = {lam}; "
             "the declared Seshadri range is inconsistent"
         )
-    numerator = Fraction(top, b)
-    denominator = Fraction(bottom, b * b)
     value = Fraction(top * b, bottom)
     via_integral = None
     if cross_check:
@@ -118,8 +113,6 @@ def quotient_slope(scenario, lam, cross_check=False):
     return QuotientSlopeReport(
         lam=lam,
         value=value,
-        numerator=numerator,
-        denominator=denominator,
         via_integral=via_integral,
     )
 
@@ -206,53 +199,3 @@ def destabilizing_quadratic(scenario):
         den,
     )
 
-
-def fano_quadratic_at_degree(n, p):
-    """Value of the anticanonical genus-zero quadratic at lam = p + 2.
-
-    For an anticanonical scenario with g = 0 the curve degree is d = p + 2,
-    and the destabilizing quadratic evaluated there factors as
-
-        (p + 2) * (p - n + 1) * (n*(p - n + 1) + 2).
-
-    It vanishes exactly when p = n - 1 (the middle factor), because the last
-    factor would need p = n - 1 - 2/n, never an integer for n >= 3.
-    """
-    if _require_int(n, "n") < 3:
-        raise DimensionTooSmall("the factored boundary value needs n >= 3")
-    _require_int(p, "p")
-    return Fraction((p + 2) * (p - n + 1) * (n * (p - n + 1) + 2))
-
-
-def margin_factorization_residual(scenario, x):
-    """Residual of the stability-margin factorization at a rational x.
-
-    For anticanonical scenarios the combination
-
-        -mu * atilde0(x) + atilde1(x) + atilde0'(x)/2
-
-    factors as (r - x) * (sigma*L - x*E)**(n-1).E / (2*(n-1)!) with
-    r = n - 1 the codimension of the curve. This function returns the
-    difference of the two sides, which must be identically zero; it is the
-    reason a curve with Seshadri constant at most its codimension can never
-    destabilize.
-    """
-    s = scenario
-    if not s.anticanonical:
-        raise NotAnticanonical(
-            "the margin factorization holds for anticanonical polarizations"
-        )
-    _require_dimension(s)
-    mu = manifold_slope(s)
-    atilde0 = leading_deficit_poly(s)
-    lhs = (
-        atilde0 * (-mu)
-        + subleading_deficit_poly(s)
-        + atilde0.differentiate() * Fraction(1, 2)
-    )
-    rhs = (
-        Polynomial([s.n - 1, -1])
-        * exceptional_restriction_poly(s)
-        * Fraction(1, 2 * factorial(s.n - 1))
-    )
-    return (lhs - rhs)(_require_rational(x, "x"))

@@ -11,11 +11,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from fanoslope.blowup import (
-    CurveScenario,
-    anticanonical_square_exceptional,
-    exceptional_restriction_poly,
-)
+from fanoslope.blowup import CurveScenario, exceptional_restriction_poly
 from fanoslope.classify import (
     BundleSplitting,
     ClassifyFlags,
@@ -36,10 +32,8 @@ from fanoslope.seshadri import (
 )
 from fanoslope.slope import (
     destabilizing_quadratic,
-    fano_quadratic_at_degree,
     leading_deficit_poly,
     manifold_slope,
-    margin_factorization_residual,
     quotient_slope,
     quotient_slope_via_integrals,
 )
@@ -50,6 +44,11 @@ from generators import (
     make_rng,
     random_anticanonical_scenario,
     random_general_scenario,
+)
+from paper_formulas import (
+    anticanonical_square_exceptional,
+    fano_quadratic_at_degree,
+    margin_factorization_residual,
 )
 
 

@@ -16,9 +16,7 @@ from hypothesis import example, given, strategies as st
 
 from fanoslope.blowup import (
     CurveScenario,
-    anticanonical_square_exceptional,
     check_epsilon_consistency,
-    exceptional_power_table,
     exceptional_restriction_poly,
     hilbert_leading_poly,
     hilbert_subleading_poly,
@@ -31,6 +29,7 @@ from fanoslope.errors import (
 from fanoslope.exactnum import Polynomial, Surd, compare
 
 from generators import make_rng, random_anticanonical_scenario, random_general_scenario
+from paper_formulas import anticanonical_square_exceptional, exceptional_power_table
 
 X = sympy.Symbol("x")
 

@@ -28,11 +28,12 @@ from fanoslope.errors import (
     WrongRank,
 )
 from fanoslope.exactnum import Surd, compare, render_value
-from fanoslope.seshadri import SeshadriEstimate
-from fanoslope.slope import destabilizing_quadratic, fano_quadratic_at_degree
+from fanoslope.seshadri import SeshadriEstimate, point_upper_bound
+from fanoslope.slope import destabilizing_quadratic
 
 import verdict_oracle
 from generators import make_rng
+from paper_formulas import fano_quadratic_at_degree
 
 
 def anticanonical(n, degree, ln=60, genus=0):
@@ -136,6 +137,11 @@ def test_shape_filter():
         lambda: admissible_normal_bundle(True, BundleSplitting([0])),
         lambda: fano_quadratic_at_degree(3, 0.5),
         lambda: fano_quadratic_at_degree(3.0, 1),
+        lambda: point_upper_bound(3, "false"),
+        lambda: point_upper_bound(3, 1),
+        lambda: classify_curve(
+            anticanonical(3, 4), exact(Fraction(4)), include_endpoint="false"
+        ),
     ],
 )
 def test_bundle_helpers_refuse_what_they_would_reinterpret(build):

@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from fanoslope.blowup import CurveScenario, anticanonical_square_exceptional
+from fanoslope.blowup import CurveScenario
 from fanoslope.cli import format_fixed
 from fanoslope.errors import AllCoefficientsZero, IncomparableRadicands
 from fanoslope.exactnum import (
@@ -23,6 +23,7 @@ from fanoslope.seshadri import (
     witness_curve_upper,
 )
 
+from paper_formulas import anticanonical_square_exceptional
 import polynomial_oracle
 
 fractions_st = st.fractions(
@@ -454,6 +455,8 @@ def test_dimensions_and_genus_are_plain_ints(bad):
         lambda: linear_subspace_exact(bad),
         lambda: point_upper_bound(bad),
         lambda: anticanonical_square_exceptional(4, bad),
+        lambda: Polynomial.monomial(bad),
+        lambda: Polynomial([1, 2, 3]).coefficient(bad),
     ):
         with pytest.raises(TypeError, match="must be an int"):
             build()
