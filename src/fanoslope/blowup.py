@@ -25,7 +25,7 @@ from math import factorial
 
 from .errors import DimensionTooSmall, InvalidScenario, ScenarioInconsistent
 from .exactnum import (
-    _MAX_RADICAND, Polynomial, _parts, _require_rational, compare, render_value,
+    _MAX_RADICAND, Polynomial, _ints, _require_rational, compare, render_value,
 )
 
 __all__ = [
@@ -178,7 +178,7 @@ def check_epsilon_consistency(scenario, epsilon):
     s = scenario
     p = s.normal_degree
     if not p:
-        _parts(epsilon)  # no cap, but a non-number is still refused
+        _ints(epsilon)  # no cap, but a non-number is still refused
     elif compare(epsilon, Fraction((s.n - 1) * s.degree, p)) * p > 0:
         raise ScenarioInconsistent(
             "declared Seshadri value "

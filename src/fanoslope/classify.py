@@ -18,12 +18,15 @@ splittings are even allowed for a curve that fails to be stable.
 import enum
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .blowup import check_epsilon_consistency
 from .errors import (
     DimensionTooSmall, InvalidScenario, NotAnticanonical, TooFewSummands, WrongRank,
 )
-from .exactnum import Surd, _require_bool, _require_int, compare, render_value
+from .exactnum import (
+    _make, _require_bool, _require_int, _split_radicand, compare, render_value,
+)
 
 __all__ = [
     "VerdictStatus",
@@ -185,6 +188,12 @@ def _stable(rule):
     return Verdict(status=VerdictStatus.STABLE, rule=rule)
 
 
+@lru_cache(maxsize=64)
+def _threshold(n):
+    """sqrt(n**2 - 1), the degree-1 threshold, built once per n."""
+    return _make(*_split_radicand(0, 1, 1, n * n - 1))
+
+
 def _regime_verdict(s, estimate, include_endpoint):
     """Stability of an anticanonical genus-zero curve by its degree regime.
 
@@ -209,7 +218,7 @@ def _regime_verdict(s, estimate, include_endpoint):
     if p == 0:
         rule, t = "degree-regime(d=2)", Fraction(n)
     elif p == -1:
-        rule, t = "degree-regime(d=1)", Surd(0, 1, n * n - 1)
+        rule, t = "degree-regime(d=1)", _threshold(n)
     else:
         rule, t = f"degree-regime(d>=3, d={d})", Fraction(d)
         if d != n + 1:

@@ -30,7 +30,8 @@ from .blowup import CurveScenario, check_epsilon_consistency
 from .classify import BundleSplitting, ClassifyFlags, classify_curve
 from .errors import FanoslopeError, GridOutOfRange, InvalidScenario
 from .exactnum import (
-    _MAX_RADICAND, Surd, _require_rational, compare, render_value,
+    _MAX_RADICAND, Surd, _make, _require_rational, _split_radicand, compare,
+    render_value,
 )
 from .slope import destabilizing_quadratic, quotient_slope
 
@@ -50,22 +51,23 @@ __all__ = [
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def parse_rational(value, context="value"):
+def _rational_ints(value, context):
+    """A rational or surd part as (numerator, denominator > 0), unreduced."""
     if isinstance(value, str):  # the usual case first
         # [0-9]+, the commonest form, is an ASCII string that isdigit(): no regex
         if (value.isdigit() and value.isascii()) or _RATIONAL.fullmatch(value):
             numerator, slash, denominator = value.partition("/")
             try:  # int() refuses more than 4300 digits with a ValueError
-                if not slash:  # Fraction(int) takes no gcd
-                    return Fraction(int(value))
-                return Fraction(int(numerator), int(denominator))
-            except (ValueError, ZeroDivisionError) as exc:
+                denominator = int(denominator) if slash else 1
+                if denominator:
+                    return int(numerator), denominator
+            except ValueError as exc:
                 raise InvalidScenario(f"{context}: bad rational {value!r}") from exc
         raise InvalidScenario(f"{context}: bad rational {value!r}")
     if isinstance(value, bool):
         raise InvalidScenario(f"{context}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         raise InvalidScenario(
             f"{context}: floats are not exact; write the rational as a "
@@ -74,12 +76,18 @@ def parse_rational(value, context="value"):
     raise InvalidScenario(f"{context}: cannot read a rational from {value!r}")
 
 
+def parse_rational(value, context="value"):
+    numerator, denominator = _rational_ints(value, context)
+    # Fraction(int) takes no gcd
+    return Fraction(numerator) if denominator == 1 else Fraction(numerator, denominator)
+
+
 _SURD_KEYS = frozenset(("rat", "coef", "rad"))
 
 
 def parse_value(value, context="value"):
     """A rational or a surd object; a surd that turns out rational is
-    returned as its Fraction."""
+    returned as its Fraction. A surd is built once, from its parts' integers."""
     if isinstance(value, dict):
         if not value.keys() <= _SURD_KEYS:
             extra = sorted(value.keys() - _SURD_KEYS)
@@ -93,11 +101,9 @@ def parse_value(value, context="value"):
                 f"{context}: surd radicand must be a non-negative integer "
                 f"below {_MAX_RADICAND}"
             )
-        surd = Surd(
-            parse_rational(value.get("rat", 0), f"{context}.rat"),
-            parse_rational(value.get("coef", 0), f"{context}.coef"),
-            rad,
-        )
+        a, b = _rational_ints(value.get("rat", 0), f"{context}.rat")
+        c, d = _rational_ints(value.get("coef", 0), f"{context}.coef")
+        surd = _make(*_split_radicand(a * d, c * b, b * d, rad))
         return surd.rat if surd.is_rational else surd
     return parse_rational(value, context)
 

@@ -8,9 +8,9 @@ equality). On top of that this module supplies
 * :class:`Polynomial` -- univariate polynomials with rational coefficients,
   kept as ascending integer numerators over one positive denominator, in
   lowest terms with trailing zeros stripped;
-* :class:`Surd` -- numbers of the form ``rat + coef*sqrt(rad)`` with a
-  square-free integer radicand, enough to handle quadratic irrationalities
-  like ``sqrt(n**2 - 1)`` exactly;
+* :class:`Surd` -- numbers ``rat + coef*sqrt(rad)`` with a square-free
+  radicand below 10**12, such as ``sqrt(n**2 - 1)``, kept as integers
+  ``(x + y*sqrt(rad)) / q`` in lowest terms;
 * :func:`quadratic_roots` -- exact roots of a rational quadratic as surds.
 
 General algebraic-number arithmetic is deliberately not built: all surds in a
@@ -20,8 +20,9 @@ raises :class:`~fanoslope.errors.IncomparableRadicands`.
 One operand rule holds throughout: a rational is an ``int`` or a
 ``Fraction``, and a value is a rational or a ``Surd``; anything else, floats,
 strings and Decimals included, raises TypeError rather than being converted.
-``compare`` and Surd arithmetic and ordering read both operands' parts as
-they are, without building a wrapper Surd.
+``compare`` and Surd arithmetic and ordering read both operands as the
+integers ``(x, y, q, rad)``, without building a wrapper Surd or a Fraction,
+and each Surd result is reduced by one gcd.
 """
 
 import math
@@ -39,9 +40,10 @@ __all__ = [
 ]
 
 
-# Input radicands, and the threshold radicand n*n - 1, stay below this bound:
-# _squarefree_decompose trial-divides up to the cube root of m, about 5000
-# steps at this size (under a millisecond for the prime 999999999989).
+# Surd refuses a radicand at or above this bound unless it is a perfect
+# square, and the loader and n*n - 1 stay below it: _squarefree_decompose
+# trial-divides up to the cube root of m, about 5000 steps here (under a
+# millisecond for the prime 999999999989).
 _MAX_RADICAND = 10**12
 
 
@@ -104,58 +106,43 @@ def _require_bool(value, name):
 def _sign(a, b, m):
     """Exact sign of ``a + b*sqrt(m)``: -1, 0, or 1.
 
-    ``a`` and ``b`` are rationals (int or Fraction) and ``m`` is the
-    square-free radicand whenever ``b`` is non-zero. Only integer products
-    of the parts are formed, never a Surd.
+    ``a`` and ``b`` are ints and ``m`` is the square-free radicand whenever
+    ``b`` is non-zero.
     """
-    num = a.numerator
-    sign_a = (num > 0) - (num < 0)
+    sign_a = (a > 0) - (a < 0)
     if not b:
         return sign_a
-    sign_b = 1 if b.numerator > 0 else -1
+    sign_b = 1 if b > 0 else -1
     if sign_a == 0 or sign_a == sign_b:
         return sign_b
-    # Opposite signs: compare a^2 with b^2*m, both scaled by the squared
-    # denominators. Equality would force sqrt(m) rational, impossible for
-    # square-free m >= 2.
-    left = (num * b.denominator) ** 2
-    right = (b.numerator * a.denominator) ** 2 * m
-    return sign_a if left > right else sign_b
+    # Opposite signs: compare a^2 with b^2*m. Equality would force sqrt(m)
+    # rational, impossible for square-free m >= 2.
+    return sign_a if a * a > b * b * m else sign_b
 
 
 class Surd:
     """A real number ``rat + coef * sqrt(rad)`` with exact arithmetic.
 
-    ``rad`` is kept square-free and ``rad = 0``, ``coef = 0`` is the canonical
-    form of a rational value, so structural equality is semantic equality.
-    Instances are immutable.
+    It is kept in integers as ``(x + y*sqrt(rad)) / q`` with q > 0,
+    gcd(x, y, q) = 1 and ``rad`` square-free (0 when y = 0), so structural
+    equality is semantic equality. A radicand that is not a perfect square
+    must be below 10**12. Instances are immutable.
     """
 
-    __slots__ = ("rat", "coef", "rad")
+    __slots__ = ("_v",)  # the integers (x, y, q, rad)
 
     def __init__(self, rat=0, coef=0, rad=0):
-        if type(rat) is not Fraction:
+        if type(rat) is not int:
             rat = _require_rational(rat, "rat")
-        if type(coef) is not Fraction:
+        if type(coef) is not int:
             coef = _require_rational(coef, "coef")
         if type(rad) is not int:
             _require_int(rad, "radicand")
         if rad < 0:
             raise ValueError("radicand must be non-negative")
-        if coef and rad:
-            square, rad = _squarefree_decompose(rad)
-            if square != 1:
-                coef *= square
-            if rad == 1:
-                rat += coef
-                coef = _ZERO
-                rad = 0
-        else:
-            coef = _ZERO
-            rad = 0
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "rad", rad)
+        b, d = rat.denominator, coef.denominator
+        x, y = rat.numerator * d, coef.numerator * b
+        _store_ints(self, _reduce(*_split_radicand(x, y, b * d, rad)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Surd instances are immutable")
@@ -164,64 +151,70 @@ class Surd:
 
     @classmethod
     def sqrt(cls, value):
-        """Exact square root of a non-negative rational, as a Surd."""
+        """Exact square root of a non-negative rational p/q in lowest terms,
+        as a Surd; p*q must be below 10**12 unless it is a perfect square."""
         v = _require_rational(value, "the radicand")
         if v < 0:
             raise ValueError("cannot take the square root of a negative number")
         # sqrt(p/q) = sqrt(p*q)/q
         return cls(0, Fraction(1, v.denominator), v.numerator * v.denominator)
 
-    @property
-    def is_rational(self):
-        return self.coef == 0
+    rat = property(lambda self: Fraction(self._v[0], self._v[2]))
+    coef = property(lambda self: Fraction(self._v[1], self._v[2]))
+    rad = property(lambda self: self._v[3])
+    is_rational = property(lambda self: not self._v[1])
 
     def sign(self):
         """Exact sign: -1, 0, or 1."""
-        return _sign(self.rat, self.coef, self.rad)
+        return _sign(self._v[0], self._v[1], self._v[3])
 
     # -- arithmetic and comparison -----------------------------------------
-    # The other operand is read through _parts, as compare reads it, so an
+    # The other operand is read through _ints, as compare reads it, so an
     # operand that is not an int, a Fraction or a Surd raises TypeError.
 
     def __add__(self, other):
-        c, d, k = _parts(other)
-        return Surd(self.rat + c, self.coef + d, _radicand(self.coef, self.rad, d, k))
+        x, y, q, m = self._v
+        u, v, r, k = _ints(other)
+        return _make(x * r + u * q, y * r + v * q, q * r, _radicand(y, m, v, k))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.rat, -self.coef, self.rad)
+        x, y, q, m = self._v
+        return _make(-x, -y, q, m)
 
     def __pos__(self):
         return self
 
     def __sub__(self, other):
-        c, d, k = _parts(other)
-        return Surd(self.rat - c, self.coef - d, _radicand(self.coef, self.rad, d, k))
+        x, y, q, m = self._v
+        u, v, r, k = _ints(other)
+        return _make(x * r - u * q, y * r - v * q, q * r, _radicand(y, m, v, k))
 
     def __rsub__(self, other):
-        c, d, k = _parts(other)
-        return Surd(c - self.rat, d - self.coef, _radicand(d, k, self.coef, self.rad))
+        x, y, q, m = self._v
+        u, v, r, k = _ints(other)
+        return _make(u * q - x * r, v * q - y * r, q * r, _radicand(v, k, y, m))
 
     def __mul__(self, other):
-        return _product(self.rat, self.coef, self.rad, *_parts(other))
+        return _product(*self._v, *_ints(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _product(self.rat, self.coef, self.rad, *_inverse(*_parts(other)))
+        return _product(*self._v, *_inverse(*_ints(other)))
 
     def __rtruediv__(self, other):
-        return _product(*_parts(other), *_inverse(self.rat, self.coef, self.rad))
+        return _product(*_ints(other), *_inverse(*self._v))
 
     def __eq__(self, other):
         try:
-            return (self.rat, self.coef, self.rad) == _parts(other)
+            return self._v == _ints(other)
         except TypeError:  # not an int, Fraction or Surd: Python decides
             return NotImplemented
 
     def __hash__(self):
-        if self.coef == 0:
+        if self.is_rational:
             return hash(self.rat)
         return hash((self.rat, self.coef, self.rad))
 
@@ -241,31 +234,65 @@ class Surd:
         return f"Surd({self.rat!r}, {self.coef!r}, {self.rad!r})"
 
     def __str__(self):
-        if self.coef == 0:
-            return str(self.rat)
-        root = f"sqrt({self.rad})"
-        if self.coef == 1:
-            radical = root
-        elif self.coef == -1:
-            radical = f"-{root}"
-        else:
-            radical = f"{self.coef}*{root}"
-        if self.rat == 0:
-            return radical
-        joiner = "+" if self.coef > 0 else "-"
-        magnitude = radical.lstrip("-") if self.coef < 0 else radical
-        return f"{self.rat} {joiner} {magnitude}"
+        x, y, q, m = self._v
+        if not y:
+            return _ratio(x, q)
+        radical = f"sqrt({m})" if abs(y) == q else f"{_ratio(abs(y), q)}*sqrt({m})"
+        if not x:
+            return radical if y > 0 else f"-{radical}"
+        return f"{_ratio(x, q)} {'+' if y > 0 else '-'} {radical}"
 
 
-def _parts(value):
-    """``(rat, coef, rad)`` of an int, Fraction or Surd, without conversion;
-    anything else, a bool included, raises TypeError."""
+_store_ints = Surd._v.__set__
+
+
+def _reduce(x, y, q, m):
+    """``(x + y*sqrt(m)) / q``, q > 0, reduced by one gcd; m = 0 when y = 0."""
+    divisor = math.gcd(x, y, q)
+    return x // divisor, y // divisor, q // divisor, m if y else 0
+
+
+def _make(x, y, q, m):
+    """The Surd of ``_reduce(x, y, q, m)``; the integers are already checked,
+    so it skips ``__init__``."""
+    surd = object.__new__(Surd)
+    _store_ints(surd, _reduce(x, y, q, m))
+    return surd
+
+
+def _split_radicand(x, y, q, rad):
+    """``(x + y*sqrt(rad)) / q``, rad >= 0, with the square factors of rad
+    moved into y and a perfect square joined to x; rad = 0 when y = 0. Only
+    a radicand below the bound is trial-divided."""
+    if not y or not rad:
+        return x, 0, q, 0
+    if rad >= _MAX_RADICAND:
+        square = math.isqrt(rad)
+        if square * square != rad:
+            raise ValueError(f"non-square radicand must be below {_MAX_RADICAND}")
+        return x + y * square, 0, q, 0
+    square, rad = _squarefree_decompose(rad)
+    y *= square
+    return (x + y, 0, q, 0) if rad == 1 else (x, y, q, rad)
+
+
+def _ratio(numerator, denominator):
+    """numerator/denominator, denominator > 0, printed as its Fraction is."""
+    divisor = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // divisor, denominator // divisor
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
+def _ints(value):
+    """``(x, y, q, rad)`` of an int, Fraction or Surd, for the value
+    ``(x + y*sqrt(rad)) / q`` in the canonical form a Surd keeps; anything
+    else, a bool included, raises TypeError."""
     if isinstance(value, Surd):
-        return value.rat, value.coef, value.rad
-    if type(value) is Fraction or (
+        return value._v
+    if type(value) is Fraction or type(value) is int or (
         isinstance(value, (int, Fraction)) and not isinstance(value, bool)
     ):
-        return value, 0, 0
+        return value.numerator, 0, value.denominator, 0
     raise TypeError(
         f"an operand must be a Surd, an int or a Fraction, got {type(value).__name__}"
     )
@@ -279,19 +306,19 @@ def _radicand(b, m, d, k):
     return m or k
 
 
-def _product(a, b, m, c, d, k):
-    """``(a + b*sqrt(m)) * (c + d*sqrt(k))`` as a Surd."""
-    rad = _radicand(b, m, d, k)
-    return Surd(a * c + b * d * rad, a * d + b * c, rad)
+def _product(x, y, q, m, u, v, r, k):
+    """``(x + y*sqrt(m))/q * (u + v*sqrt(k))/r`` as a Surd."""
+    rad = _radicand(y, m, v, k)
+    return _make(x * u + y * v * rad, x * v + y * u, q * r, rad)
 
 
-def _inverse(a, b, m):
-    """Parts of ``1/(a + b*sqrt(m)) = (a - b*sqrt(m)) / (a^2 - b^2*m)``, as
-    Fractions even for int ``a`` and ``b``; the norm is zero only at zero."""
-    norm = a * a - b * b * m
+def _inverse(x, y, q, m):
+    """Integers of ``q/(x + y*sqrt(m)) = q*(x - y*sqrt(m)) / (x^2 - y^2*m)``,
+    with a positive denominator; the norm is zero only at zero."""
+    norm = x * x - y * y * m
     if not norm:
         raise ZeroDivisionError("division by zero surd")
-    return Fraction(a, norm), Fraction(-b, norm), m
+    return (q * x, -q * y, norm, m) if norm > 0 else (-q * x, q * y, -norm, m)
 
 
 def compare(left, right):
@@ -303,22 +330,17 @@ def compare(left, right):
     in this package stays inside a single quadratic field, so that situation
     signals a modelling mistake rather than a gap to work around.
 
-    Two rationals are compared by cross-multiplying numerators and
-    denominators. Otherwise ``a - c = x/q`` and ``b - d = y/r`` with positive
-    integer denominators, and the sign of ``x*r + y*q*sqrt(m)`` is read from
+    Each side is read as integers ``(x + y*sqrt(m))/q``. Two rationals are
+    compared by cross-multiplying; otherwise the sign of the difference,
+    ``x*r - u*q + (y*r - v*q)*sqrt(m)`` over ``q*r > 0``, is read from
     integer products. No Surd and no Fraction is built either way.
     """
-    a, b, m = _parts(left)
-    c, d, k = _parts(right)
-    if not b and not d:
-        x = a.numerator * c.denominator
-        y = c.numerator * a.denominator
-        return (x > y) - (x < y)
-    q = a.denominator * c.denominator
-    x = a.numerator * c.denominator - c.numerator * a.denominator
-    r = b.denominator * d.denominator
-    y = b.numerator * d.denominator - d.numerator * b.denominator
-    return _sign(x * r, y * q, _radicand(b, m, d, k))
+    x, y, q, m = _ints(left)
+    u, v, r, k = _ints(right)
+    if not y and not v:
+        a, b = x * r, u * q
+        return (a > b) - (a < b)
+    return _sign(x * r - u * q, y * r - v * q, _radicand(y, m, v, k))
 
 
 def render_value(value):
@@ -519,7 +541,8 @@ def quadratic_roots(a, b, c):
     Returns a tuple of zero, one, or two roots. Degenerate cases follow the
     usual conventions: a linear equation has its single root, a non-zero
     constant has none, and the identically zero equation raises
-    AllCoefficientsZero because every number would qualify.
+    AllCoefficientsZero because every number would qualify. Irrational roots
+    need the discriminant p/q to have p*q below 10**12, as in Surd.sqrt.
     """
     a, b, c = (_require_rational(x, "a coefficient") for x in (a, b, c))
     if a == 0:

@@ -13,6 +13,7 @@ from fanoslope.classify import (
     Verdict,
     VerdictStatus,
     _stable,
+    _threshold,
     admissible_normal_bundle,
     classify_curve,
     fano_bundle_check,
@@ -203,6 +204,14 @@ def test_degree_one_regime_surd_threshold():
         above = regime_verdict(s, exact(t + Fraction(1, 1000)))
         assert above.status is VerdictStatus.STRICTLY_DESTABILIZED
         assert compare(destabilizing_quadratic(s)(above.witness_lambda), 0) < 0
+
+
+def test_the_degree_one_threshold_is_built_once_per_n():
+    for n in range(3, 41):
+        t, built = _threshold(n), Surd(0, 1, n * n - 1)
+        assert t == built and hash(t) == hash(built)
+        assert (t.rat, t.coef, t.rad) == (built.rat, built.coef, built.rad)
+        assert str(t) == str(built) and _threshold(n) is t
 
 
 def test_degree_three_and_up_regime():

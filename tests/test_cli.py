@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import argparse_oracle
+import surd_oracle
 import fanoslope.classify
 import fanoslope.cli as cli
 from fanoslope.cli import (
@@ -1448,6 +1449,97 @@ def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
                     f"{n + 1}, got {index}"
                 )
     assert compared > 20_000 and named > 50
+
+
+# -- the surd loader against the route through Fractions ---------------------
+#
+# parse_value reads a surd's parts as integers and builds the Surd once. The
+# route it replaced read each part with parse_rational and built the
+# Fraction-based Surd from them; both must give the same value or message.
+
+
+def _surd_via_fractions(value, context):
+    if isinstance(value, dict):
+        extra = set(value) - {"rat", "coef", "rad"}
+        if extra:
+            raise InvalidScenario(f"{context}: unknown surd fields {sorted(extra)}")
+        rad = value.get("rad", 0)
+        if (
+            not isinstance(rad, int) or isinstance(rad, bool)
+            or not 0 <= rad < _MAX_RADICAND
+        ):
+            raise InvalidScenario(
+                f"{context}: surd radicand must be a non-negative integer "
+                f"below {_MAX_RADICAND}"
+            )
+        surd = surd_oracle.Surd(
+            parse_rational(value.get("rat", 0), f"{context}.rat"),
+            parse_rational(value.get("coef", 0), f"{context}.coef"),
+            rad,
+        )
+        return surd.rat if surd.is_rational else surd
+    return parse_rational(value, context)
+
+
+def _loads_as_via_fractions(raw):
+    got = _read_with(lambda value: parse_value(value, "s.lower"), raw)
+    want = _read_with(lambda value: _surd_via_fractions(value, "s.lower"), raw)
+    if isinstance(want, surd_oracle.Surd):
+        return isinstance(got, Surd) and (got.rat, got.coef, got.rad) == (
+            want.rat, want.coef, want.rad
+        )
+    return type(got) is type(want) and got == want
+
+
+def _dicts_in(value):
+    if isinstance(value, dict):
+        yield value
+        for inner in value.values():
+            yield from _dicts_in(inner)
+    elif isinstance(value, list):
+        for inner in value:
+            yield from _dicts_in(inner)
+
+
+def test_every_malformed_object_loads_as_the_fraction_route_loaded_it():
+    objects = [d for value in MALFORMED for d in _dicts_in(value)]
+    assert sum(1 for d in objects if "rad" in d) >= 8
+    for raw in objects:
+        assert _loads_as_via_fractions(raw), raw
+
+
+_LONG = "9" * 4301
+surd_part_st = st.one_of(
+    st.sampled_from([
+        "1/0", "0/0", "\u0663", "-0/5", "", "x", " 3", "+3", "1e3", "6/4", "-7/3",
+        "0", "007/014", _LONG, "1/" + _LONG, "-" + _LONG + "/7", 10**4400,
+        True, None, 0.5, [], {},
+    ]),
+    st.integers(-50, 50),
+    st.integers(-10**6, 10**6).map(str),
+    st.fractions(min_value=-30, max_value=30, max_denominator=40).map(str),
+)
+surd_rad_st = st.one_of(
+    st.sampled_from(
+        [0, 1, 2, 3, 4, 8, 12, 18, 99, 10**12 - 1, 10**12, -1, True, 2.0, "2"]
+    ),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    "rat": surd_part_st, "coef": surd_part_st, "rad": surd_rad_st,
+    "x": st.just(1),
+}))
+@example({"rat": "1/0", "coef": "1", "rad": 2})
+@example({"rat": "1", "coef": "\u0663", "rad": 2})
+@example({"rat": "-0/5", "coef": "-0/5", "rad": 8})
+@example({"rat": _LONG, "coef": "1", "rad": 2})
+@example({"rat": "1", "coef": 10**4400, "rad": 3})
+@example({"rat": "3/4", "coef": "-1/2", "rad": 16})
+def test_generated_surd_parts_load_as_the_fraction_route_loaded_them(raw):
+    assert _loads_as_via_fractions(raw)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 import itertools
 import math
 import operator
+import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,9 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from fanoslope.blowup import CurveScenario
 from fanoslope.cli import format_fixed
-from fanoslope.errors import AllCoefficientsZero, IncomparableRadicands
+from fanoslope.errors import AllCoefficientsZero, IncomparableRadicands, InvalidScenario
 from fanoslope.exactnum import (
-    Polynomial, Surd, _squarefree_decompose, compare, quadratic_roots, render_value,
+    _MAX_RADICAND, Polynomial, Surd, _squarefree_decompose, compare, quadratic_roots,
+    render_value,
 )
 from fanoslope.seshadri import (
     linear_subspace_exact,
@@ -25,6 +28,7 @@ from fanoslope.seshadri import (
 
 from paper_formulas import anticanonical_square_exceptional
 import polynomial_oracle
+import surd_oracle
 
 fractions_st = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -669,6 +673,161 @@ def test_surd_operations_match_the_wrapper_route(surd, other, surd_first):
         )
     same = same_surd(old_wrap(x), old_wrap(y))
     assert (x == y) is same and (x != y) is not same
+
+
+# -- the integer Surd against the Fraction-based one ------------------------
+#
+# A Surd is kept as integers (x + y*sqrt(rad))/q. tests/surd_oracle.py keeps
+# the class that held rat and coef as Fractions, with its operand reader,
+# sign test, comparison and printer. Both must agree on every part, result,
+# hash, spelling and refusal, message included.
+
+
+def any_outcome(function, *args):
+    """As outcome, but any exception is returned as its type and message:
+    the oracle shares no code with the class, so every refusal compares."""
+    try:
+        return function(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+def as_oracle(value):
+    """A Surd as the oracle's Surd; any other value as it is."""
+    if isinstance(value, Surd):
+        return surd_oracle.Surd(value.rat, value.coef, value.rad)
+    return value
+
+
+def agrees_with_oracle(new, old):
+    """Whether a result of the integer class matches the oracle's."""
+    if not isinstance(old, surd_oracle.Surd):
+        return type(new) is type(old) and new == old
+    return (
+        isinstance(new, Surd)
+        and (new.rat, new.coef, new.rad) == (old.rat, old.coef, old.rad)
+        and type(new.rat) is Fraction and type(new.coef) is Fraction
+        and new.is_rational == old.is_rational
+        and new.sign() == old.sign()
+        and hash(new) == hash(old)
+        and str(new) == str(old)
+        and repr(new) == repr(old)
+    )
+
+
+oracle_parts_st = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=40),
+    st.integers(-10**30, 10**30),
+    st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**20)),
+)
+oracle_radicands_st = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 8, 9, 12, 18, 48, 50, 99, 10**12 - 1]),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(oracle_parts_st, oracle_parts_st, oracle_radicands_st)
+@example(0, 1, 0)  # sqrt(0): a rational zero
+@example(Fraction(1, 2), Fraction(-1, 2), 8)  # a square factor meets a denominator
+@example(Fraction(-3, 4), Fraction(3, 8), 16)  # a square joins the rational part
+def test_the_integer_surd_builds_as_the_fraction_surd(rat, coef, rad):
+    new, old = Surd(rat, coef, rad), surd_oracle.Surd(rat, coef, rad)
+    assert agrees_with_oracle(new, old)
+    assert new == old.rat if old.is_rational else new != old.rat
+
+
+one_radicand_values_st = st.sampled_from([2, 3, 8, 12]).flatmap(
+    lambda m: st.one_of(
+        st.integers(-6, 6),
+        small_fractions,
+        st.builds(Surd, rationals_st, rationals_st, st.sampled_from([0, m, 4 * m])),
+    )
+)
+oracle_values_st = st.one_of(one_radicand_values_st, numbers_st, st.just(Surd(0)))
+SURD_OPERATIONS = (
+    operator.add, operator.sub, operator.mul, operator.truediv,
+    operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge,
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(oracle_values_st, oracle_values_st)
+@example(Surd(1, 1, 2), Surd(0))  # division by a zero surd
+@example(Surd(0), Surd(1, 1, 2))
+@example(Surd(1, 1, 2), Surd(0, 1, 3))  # incomparable radicands, either order
+@example(Surd(0, 1, 3), Surd(2, -1, 2))
+@example(Surd(1, 1, 2), Surd(Fraction(1, 3), -1, 2))  # a negative norm
+@example(Fraction(3, 2), Surd(Fraction(-1, 2), Fraction(3, 4), 12))
+def test_integer_surd_operations_match_the_fraction_surd(left, right):
+    old_left, old_right = as_oracle(left), as_oracle(right)
+    if isinstance(left, Surd) or isinstance(right, Surd):
+        for op in SURD_OPERATIONS:
+            got = any_outcome(op, left, right)
+            want = any_outcome(op, old_left, old_right)
+            assert agrees_with_oracle(got, want), (op, got, want)
+    for value, old in ((left, old_left), (right, old_right)):
+        if isinstance(value, Surd):
+            assert agrees_with_oracle(-value, -old) and +value is value
+    got = any_outcome(compare, left, right)
+    assert got == any_outcome(surd_oracle.compare, old_left, old_right)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, Decimal("0.5"), "1", None])
+def test_integer_surd_refuses_what_the_fraction_surd_refused(bad):
+    new, old = Surd(Fraction(1, 2), -1, 8), surd_oracle.Surd(Fraction(1, 2), -1, 8)
+    for args in ((bad, 1, 2), (1, bad, 2), (1, 1, bad)):
+        assert any_outcome(Surd, *args) == any_outcome(surd_oracle.Surd, *args)
+    assert any_outcome(Surd.sqrt, bad) == any_outcome(surd_oracle.Surd.sqrt, bad)
+    for op in SURD_OPERATIONS:
+        assert any_outcome(op, new, bad) == any_outcome(op, old, bad)
+        assert any_outcome(op, bad, new) == any_outcome(op, bad, old)
+    assert any_outcome(compare, new, bad) == any_outcome(surd_oracle.compare, old, bad)
+    assert any_outcome(compare, bad, new) == any_outcome(surd_oracle.compare, bad, old)
+    assert any_outcome(Surd, 1, 1, -2) == any_outcome(surd_oracle.Surd, 1, 1, -2)
+
+
+def test_parts_past_the_int_print_limit_fail_to_print_alike():
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    for args in (
+        (big, 1, 2), (1, big, 3), (0, Fraction(-1, big), 5), (Fraction(big, 7),),
+        (1, Fraction(big, 3), 2),
+    ):
+        new, old = Surd(*args), surd_oracle.Surd(*args)
+        got = any_outcome(render_value, new)
+        assert got[0] is InvalidScenario
+        assert got == any_outcome(surd_oracle.render_value, old)
+        assert any_outcome(str, new) == any_outcome(str, old)
+        assert any_outcome(repr, new) == any_outcome(repr, old)
+        assert (new.rat, new.coef, new.rad) == (old.rat, old.coef, old.rad)
+
+
+def test_a_radicand_that_would_be_trial_divided_is_refused_at_or_above_the_bound():
+    refusal = f"non-square radicand must be below {_MAX_RADICAND}"
+    for build in (
+        lambda: Surd(0, 1, _MAX_RADICAND + 1),
+        lambda: Surd(3, Fraction(-1, 2), 4 * _MAX_RADICAND + 4),
+        lambda: Surd.sqrt(Fraction(3, _MAX_RADICAND)),
+    ):
+        with pytest.raises(ValueError, match=refusal):
+            build()
+    assert Surd(0, 1, _MAX_RADICAND - 1) == Surd(0, 3, 111111111111)
+    # the trial division of this discriminant once ran for more than 20 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=refusal):
+        quadratic_roots(Fraction(1, 10**9 + 7), 3, Fraction(-1, 10**9 + 9))
+    assert time.perf_counter() - start < 5
+
+
+def test_a_perfect_square_radicand_needs_no_bound():
+    assert Surd.sqrt(_MAX_RADICAND) == 10**6
+    assert Surd.sqrt(Fraction(1, 4 * _MAX_RADICAND)) == Fraction(1, 2 * 10**6)
+    assert Surd(1, Fraction(1, 3), 9 * 10**14) == 10**7 + 1
+    assert Surd(1, -2, 10**14) == 1 - 2 * 10**7
+    assert Surd(Fraction(1, 2), 0, 10**13 + 1) == Fraction(1, 2)  # no sqrt term
+    assert quadratic_roots(1, 0, -(10**12)) == (-(10**6), 10**6)
+    assert quadratic_roots(4, 0, -(10**14)) == (-(5 * 10**6), 5 * 10**6)
 
 
 # -- sparse polynomial arithmetic against the dense routines ----------------
