@@ -25,7 +25,7 @@ from math import factorial
 
 from .errors import DimensionTooSmall, InvalidScenario, ScenarioInconsistent
 from .exactnum import (
-    _MAX_RADICAND, Polynomial, _ints, _require_rational, compare, render_value,
+    _MAX_RADICAND, Polynomial, _ints, _require_rational, _sign, compare, render_value,
 )
 
 __all__ = [
@@ -170,16 +170,15 @@ def check_epsilon_consistency(scenario, epsilon):
     open interval, hence (n-1)*d - epsilon*p >= 0 in the limit. A declared
     exact value or lower bound violating that is rejected. Equality at the
     endpoint itself is fine (it happens for a line in projective 3-space).
-    So epsilon meets the cap (n-1)*d/p on the side the sign of p sets; p = 0
-    leaves the margin (n-1)*d >= 1 with no cap and needs no arithmetic.
+    With epsilon read as (x + y*sqrt(m))/q, that margin times q is one
+    integer sign, the same for p of either sign or zero.
     Second, a rational curve of anticanonical degree d >= 3 moves to meet
     itself, so epsilon <= d; a value breaking both bounds fails the cap.
     """
     s = scenario
     p = s.normal_degree
-    if not p:
-        _ints(epsilon)  # no cap, but a non-number is still refused
-    elif compare(epsilon, Fraction((s.n - 1) * s.degree, p)) * p > 0:
+    x, y, q, m = _ints(epsilon)
+    if _sign((s.n - 1) * s.degree * q - p * x, -p * y, m) < 0:
         raise ScenarioInconsistent(
             "declared Seshadri value "
             f"{render_value(epsilon)} makes (n-1)*d - epsilon*p negative; "

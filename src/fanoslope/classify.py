@@ -10,9 +10,6 @@ d = n + 1, where it only touches zero. One routine places the certified
 interval against t under either convention. Ties at lambda = epsilon
 count as destabilizing under the default closed-interval convention; pass
 include_endpoint=False for the open variant.
-
-The bundle-side helpers answer the converse question: which normal-bundle
-splittings are even allowed for a curve that fails to be stable.
 """
 
 import enum
@@ -21,9 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .blowup import check_epsilon_consistency
-from .errors import (
-    DimensionTooSmall, InvalidScenario, NotAnticanonical, TooFewSummands, WrongRank,
-)
+from .errors import DimensionTooSmall, InvalidScenario, NotAnticanonical
 from .exactnum import (
     _make, _require_bool, _require_int, _split_radicand, compare, render_value,
 )
@@ -33,12 +28,7 @@ __all__ = [
     "Verdict",
     "ClassifyFlags",
     "BundleSplitting",
-    "FanoBundleReport",
-    "fano_bundle_check",
-    "admissible_normal_bundle",
     "classify_curve",
-    "ShapeFilterResult",
-    "non_stable_shape_filter",
 ]
 
 
@@ -105,83 +95,6 @@ class BundleSplitting(namedtuple("BundleSplitting", "twists")):
     @property
     def rank(self):
         return len(self.twists)
-
-    def normalized(self):
-        """Twists shifted so the smallest is zero."""
-        low = self.twists[0]
-        return BundleSplitting(t - low for t in self.twists)
-
-
-class FanoBundleReport(namedtuple(
-    "FanoBundleReport", "is_fano_projectivization normalized minus_k_dot_section"
-)):
-    __slots__ = ()
-
-
-def fano_bundle_check(splitting):
-    """Is the projectivization of O(a1) + ... + O(ak) over P1 a Fano manifold?
-
-    Normalizing so the smallest twist is zero, write d for the sum of the
-    normalized twists. The anticanonical degree of the minimal section is
-    2 - d, and the projectivization is Fano exactly when d < 2, i.e. the
-    splitting is trivial or trivial plus a single O(1).
-    """
-    if splitting.rank < 2:
-        raise TooFewSummands("a projectivized bundle needs rank at least 2")
-    normalized = splitting.normalized()
-    d = sum(normalized.twists)
-    return FanoBundleReport(
-        is_fano_projectivization=d < 2,
-        normalized=normalized,
-        minus_k_dot_section=2 - d,
-    )
-
-
-def admissible_normal_bundle(n, splitting):
-    """Can this rank-(n-1) splitting be the normal bundle of a rational curve
-    whose blowup is Fano? The only shapes are O(a)**(n-1) and
-    O(a)**(n-2) + O(a+1)."""
-    if splitting.rank != _require_int(n, "n") - 1:
-        raise WrongRank(
-            f"a curve in an {n}-fold has normal bundle of rank {n - 1}"
-        )
-    t = splitting.twists
-    a = t[0]
-    uniform = all(x == a for x in t)
-    step = all(x == a for x in t[:-1]) and t[-1] == a + 1
-    return uniform or step
-
-
-class ShapeFilterResult(namedtuple("ShapeFilterResult", "allowed passes")):
-    __slots__ = ()
-
-
-def non_stable_shape_filter(n, splitting, is_pn_line=False):
-    """Normal-bundle shapes a non-stable anticanonical curve can have.
-
-    For n >= 4 only the trivial bundle or a line in projective n-space
-    survive; for n = 3 the split bundle O + O(-1) joins the list. The
-    splitting passes the filter when it matches one of the allowed shapes or
-    the line flag is set.
-    """
-    _require_bool(is_pn_line, "is_pn_line")
-    if _require_int(n, "n") < 3:
-        raise DimensionTooSmall("the shape filter is stated for n >= 3")
-    if splitting.rank != n - 1:
-        raise WrongRank(
-            f"a curve in an {n}-fold has normal bundle of rank {n - 1}"
-        )
-    if n >= 4:
-        allowed = ("trivial", "line-in-projective-space")
-        passes = is_pn_line or splitting.twists == (0,) * (n - 1)
-    else:
-        allowed = ("trivial", "O+O(-1)", "line-in-projective-space")
-        passes = (
-            is_pn_line
-            or splitting.twists == (0, 0)
-            or splitting.twists == (-1, 0)
-        )
-    return ShapeFilterResult(allowed=allowed, passes=passes)
 
 
 def _stable(rule):

@@ -680,7 +680,7 @@ def cmd_classify(args):
     scenario_file = load_scenario_file(args.file)
     include_endpoint = not args.open_interval
     render = _CLASSIFY_RECORDS[args.format]
-    records, failed = [], False
+    records, code = [], 0
     for entry in scenario_file.entries:
         try:
             estimate = resolve_estimate(entry)
@@ -694,7 +694,11 @@ def cmd_classify(args):
             record = render(entry, estimate, verdict, None)
         except FanoslopeError as error:
             record = render(entry, None, None, error)
-            failed = True
+            code = max(code, 1)
+        except Exception as error:  # a program fault costs this entry only
+            print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)
+            record = render(entry, None, None, error)
+            code = 2
         if args.format == "text":
             out.write(record)
         else:
@@ -705,7 +709,7 @@ def cmd_classify(args):
         print("name,status,witness_lambda,rule", file=out)
         for record in records:
             print(record, file=out)
-    return 1 if failed else 0
+    return code
 
 
 def _entry_named(args):

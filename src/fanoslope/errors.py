@@ -13,10 +13,6 @@ class IncomparableRadicands(FanoslopeError):
     """Two surds live in different quadratic fields; no arithmetic is defined."""
 
 
-class AllCoefficientsZero(FanoslopeError):
-    """The zero quadratic has every number as a root; refuse to pick."""
-
-
 class InvalidScenario(FanoslopeError):
     """A scenario field is out of range or internally contradictory."""
 
@@ -55,14 +51,6 @@ class HypothesisNotCertified(FanoslopeError):
 
 class HypothesisFails(FanoslopeError):
     """A rule's hypothesis is definitely violated by the given data."""
-
-
-class TooFewSummands(FanoslopeError):
-    """A splitting needs at least two line-bundle summands here."""
-
-
-class WrongRank(FanoslopeError):
-    """A normal-bundle splitting has the wrong number of summands for the ambient."""
 
 
 class NotAnticanonical(FanoslopeError):

@@ -10,8 +10,7 @@ equality). On top of that this module supplies
   lowest terms with trailing zeros stripped;
 * :class:`Surd` -- numbers ``rat + coef*sqrt(rad)`` with a square-free
   radicand below 10**12, such as ``sqrt(n**2 - 1)``, kept as integers
-  ``(x + y*sqrt(rad)) / q`` in lowest terms;
-* :func:`quadratic_roots` -- exact roots of a rational quadratic as surds.
+  ``(x + y*sqrt(rad)) / q`` in lowest terms.
 
 General algebraic-number arithmetic is deliberately not built: all surds in a
 computation share a single radicand, and mixing incommensurable radicands
@@ -29,13 +28,12 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import AllCoefficientsZero, IncomparableRadicands, InvalidScenario
+from .errors import IncomparableRadicands, InvalidScenario
 
 __all__ = [
     "Polynomial",
     "Surd",
     "compare",
-    "quadratic_roots",
     "render_value",
 ]
 
@@ -148,16 +146,6 @@ class Surd:
         raise AttributeError("Surd instances are immutable")
 
     __delattr__ = __setattr__
-
-    @classmethod
-    def sqrt(cls, value):
-        """Exact square root of a non-negative rational p/q in lowest terms,
-        as a Surd; p*q must be below 10**12 unless it is a perfect square."""
-        v = _require_rational(value, "the radicand")
-        if v < 0:
-            raise ValueError("cannot take the square root of a negative number")
-        # sqrt(p/q) = sqrt(p*q)/q
-        return cls(0, Fraction(1, v.denominator), v.numerator * v.denominator)
 
     rat = property(lambda self: Fraction(self._v[0], self._v[2]))
     coef = property(lambda self: Fraction(self._v[1], self._v[2]))
@@ -534,29 +522,3 @@ def _value_at(poly, a, b):
             acc += c * b_power
     return acc, poly._den * b_power
 
-
-def quadratic_roots(a, b, c):
-    """Exact real roots of a*x**2 + b*x + c, ascending, as Surds.
-
-    Returns a tuple of zero, one, or two roots. Degenerate cases follow the
-    usual conventions: a linear equation has its single root, a non-zero
-    constant has none, and the identically zero equation raises
-    AllCoefficientsZero because every number would qualify. Irrational roots
-    need the discriminant p/q to have p*q below 10**12, as in Surd.sqrt.
-    """
-    a, b, c = (_require_rational(x, "a coefficient") for x in (a, b, c))
-    if a == 0:
-        if b == 0:
-            if c == 0:
-                raise AllCoefficientsZero("every number solves 0 = 0")
-            return ()
-        return (Surd(-c / b),)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return ()
-    if disc == 0:
-        return (Surd(-b / (2 * a)),)
-    # (-b -+ sqrt(disc)) / (2a) is centre -+ radius, ascending for either sign of a
-    centre = -b / (2 * a)
-    radius = Surd.sqrt(disc) / (2 * abs(a))
-    return (centre - radius, centre + radius)

@@ -1,17 +1,26 @@
 """Closed-form identities from the paper, kept as test oracles.
 
 Each function states one formula of the paper in exact arithmetic; the tests
-check it against the package's own polynomials. No command needs them: the
-verdicts come from the destabilizing quadratic and the Seshadri pipeline, so
-they live here rather than in the package's public API.
+check it against the package's own polynomials and records. No command needs
+them: the verdicts come from the destabilizing quadratic and the Seshadri
+pipeline, so they live here rather than in the package's public API. That
+holds for the exact roots of a quadratic and for the bundle-side helpers,
+which answer the converse question: which normal-bundle splittings are even
+allowed for a curve that fails to be stable.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
 from fanoslope.blowup import exceptional_restriction_poly
-from fanoslope.errors import DimensionTooSmall, InvalidScenario, NotAnticanonical
-from fanoslope.exactnum import Polynomial, _require_int, _require_rational
+from fanoslope.classify import BundleSplitting
+from fanoslope.errors import (
+    DimensionTooSmall, FanoslopeError, InvalidScenario, NotAnticanonical,
+)
+from fanoslope.exactnum import (
+    Polynomial, Surd, _require_bool, _require_int, _require_rational,
+)
 from fanoslope.slope import (
     _require_dimension,
     leading_deficit_poly,
@@ -94,3 +103,130 @@ def margin_factorization_residual(scenario, x):
         * Fraction(1, 2 * factorial(s.n - 1))
     )
     return (lhs - rhs)(_require_rational(x, "x"))
+
+
+class AllCoefficientsZero(FanoslopeError):
+    """The zero quadratic has every number as a root; refuse to pick."""
+
+
+class TooFewSummands(FanoslopeError):
+    """A splitting needs at least two line-bundle summands here."""
+
+
+class WrongRank(FanoslopeError):
+    """A normal-bundle splitting has the wrong number of summands for the ambient."""
+
+
+def surd_sqrt(value):
+    """Exact square root of a non-negative rational p/q in lowest terms,
+    as a Surd; p*q must be below 10**12 unless it is a perfect square."""
+    v = _require_rational(value, "the radicand")
+    if v < 0:
+        raise ValueError("cannot take the square root of a negative number")
+    # sqrt(p/q) = sqrt(p*q)/q
+    return Surd(0, Fraction(1, v.denominator), v.numerator * v.denominator)
+
+
+def quadratic_roots(a, b, c):
+    """Exact real roots of a*x**2 + b*x + c, ascending, as Surds.
+
+    Returns a tuple of zero, one, or two roots. Degenerate cases follow the
+    usual conventions: a linear equation has its single root, a non-zero
+    constant has none, and the identically zero equation raises
+    AllCoefficientsZero because every number would qualify. Irrational roots
+    need the discriminant p/q to have p*q below 10**12, as in surd_sqrt.
+    """
+    a, b, c = (_require_rational(x, "a coefficient") for x in (a, b, c))
+    if a == 0:
+        if b == 0:
+            if c == 0:
+                raise AllCoefficientsZero("every number solves 0 = 0")
+            return ()
+        return (Surd(-c / b),)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return ()
+    if disc == 0:
+        return (Surd(-b / (2 * a)),)
+    # (-b -+ sqrt(disc)) / (2a) is centre -+ radius, ascending for either sign of a
+    centre = -b / (2 * a)
+    radius = surd_sqrt(disc) / (2 * abs(a))
+    return (centre - radius, centre + radius)
+
+
+def normalized(splitting):
+    """Twists shifted so the smallest is zero."""
+    low = splitting.twists[0]
+    return BundleSplitting(t - low for t in splitting.twists)
+
+
+class FanoBundleReport(namedtuple(
+    "FanoBundleReport", "is_fano_projectivization normalized minus_k_dot_section"
+)):
+    __slots__ = ()
+
+
+def fano_bundle_check(splitting):
+    """Is the projectivization of O(a1) + ... + O(ak) over P1 a Fano manifold?
+
+    Normalizing so the smallest twist is zero, write d for the sum of the
+    normalized twists. The anticanonical degree of the minimal section is
+    2 - d, and the projectivization is Fano exactly when d < 2, i.e. the
+    splitting is trivial or trivial plus a single O(1).
+    """
+    if splitting.rank < 2:
+        raise TooFewSummands("a projectivized bundle needs rank at least 2")
+    shifted = normalized(splitting)
+    d = sum(shifted.twists)
+    return FanoBundleReport(
+        is_fano_projectivization=d < 2,
+        normalized=shifted,
+        minus_k_dot_section=2 - d,
+    )
+
+
+def admissible_normal_bundle(n, splitting):
+    """Can this rank-(n-1) splitting be the normal bundle of a rational curve
+    whose blowup is Fano? The only shapes are O(a)**(n-1) and
+    O(a)**(n-2) + O(a+1)."""
+    if splitting.rank != _require_int(n, "n") - 1:
+        raise WrongRank(
+            f"a curve in an {n}-fold has normal bundle of rank {n - 1}"
+        )
+    t = splitting.twists
+    a = t[0]
+    uniform = all(x == a for x in t)
+    step = all(x == a for x in t[:-1]) and t[-1] == a + 1
+    return uniform or step
+
+
+class ShapeFilterResult(namedtuple("ShapeFilterResult", "allowed passes")):
+    __slots__ = ()
+
+
+def non_stable_shape_filter(n, splitting, is_pn_line=False):
+    """Normal-bundle shapes a non-stable anticanonical curve can have.
+
+    For n >= 4 only the trivial bundle or a line in projective n-space
+    survive; for n = 3 the split bundle O + O(-1) joins the list. The
+    splitting passes the filter when it matches one of the allowed shapes or
+    the line flag is set.
+    """
+    _require_bool(is_pn_line, "is_pn_line")
+    if _require_int(n, "n") < 3:
+        raise DimensionTooSmall("the shape filter is stated for n >= 3")
+    if splitting.rank != n - 1:
+        raise WrongRank(
+            f"a curve in an {n}-fold has normal bundle of rank {n - 1}"
+        )
+    if n >= 4:
+        allowed = ("trivial", "line-in-projective-space")
+        passes = is_pn_line or splitting.twists == (0,) * (n - 1)
+    else:
+        allowed = ("trivial", "O+O(-1)", "line-in-projective-space")
+        passes = (
+            is_pn_line
+            or splitting.twists == (0, 0)
+            or splitting.twists == (-1, 0)
+        )
+    return ShapeFilterResult(allowed=allowed, passes=passes)

@@ -16,9 +16,7 @@ from fanoslope.classify import (
     BundleSplitting,
     ClassifyFlags,
     VerdictStatus,
-    admissible_normal_bundle,
     classify_curve,
-    fano_bundle_check,
 )
 from fanoslope.cli import parse_scenario_file, resolve_estimate
 from fanoslope.exactnum import Polynomial, Surd, compare
@@ -46,9 +44,12 @@ from generators import (
     random_general_scenario,
 )
 from paper_formulas import (
+    admissible_normal_bundle,
     anticanonical_square_exceptional,
+    fano_bundle_check,
     fano_quadratic_at_degree,
     margin_factorization_residual,
+    normalized,
 )
 
 
@@ -207,7 +208,7 @@ def test_criterion_09_bundle_classifiers():
         ).is_fano_projectivization
         for twists in itertools.product(range(0, 3), repeat=k):
             b = BundleSplitting(twists)
-            d = sum(b.normalized().twists)
+            d = sum(normalized(b).twists)
             assert fano_bundle_check(b).is_fano_projectivization == (d < 2)
     for n in (3, 4, 5):
         for twists in itertools.product(range(-2, 3), repeat=n - 1):

@@ -28,20 +28,14 @@ PUBLIC_API = {
     "classify": [
         "BundleSplitting",
         "ClassifyFlags",
-        "FanoBundleReport",
-        "ShapeFilterResult",
         "Verdict",
         "VerdictStatus",
-        "admissible_normal_bundle",
         "classify_curve",
-        "fano_bundle_check",
-        "non_stable_shape_filter",
     ],
     "exactnum": [
         "Polynomial",
         "Surd",
         "compare",
-        "quadratic_roots",
         "render_value",
     ],
     "seshadri": [
@@ -72,7 +66,7 @@ PUBLIC_API = {
 
 def test_package_all_is_the_pinned_list_without_repeats():
     expected = sorted(["errors", *(n for names in PUBLIC_API.values() for n in names)])
-    assert len(fanoslope.__all__) == len(set(fanoslope.__all__)) == 40
+    assert len(fanoslope.__all__) == len(set(fanoslope.__all__)) == 34
     assert sorted(fanoslope.__all__) == expected
 
 
@@ -88,10 +82,6 @@ def test_each_name_is_declared_by_its_module_and_exported_as_itself():
 # public names that no src/ module reaches, each with the reason it stays
 KEPT_UNREACHED = {
     "manifold_slope": "the paper's mu, and README's library example",
-    "quadratic_roots": "the generic verdict engine from the roots of F wires it in",
-    "fano_bundle_check": "waits for the paper's classification as a check",
-    "admissible_normal_bundle": "waits for the paper's classification as a check",
-    "non_stable_shape_filter": "waits for the paper's classification as a check",
     "exceptional_restriction_poly": "perfbench's tracer patches slope's import of it",
 }
 # (module, name) imports that module never uses, each with its reason

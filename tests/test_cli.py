@@ -1918,6 +1918,52 @@ def test_unexpected_internal_error_exits_two(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def _classify_records(fmt, out):
+    """classify's stdout cut into one chunk per scenario, in file order."""
+    if fmt == "text":
+        return re.split(r"(?m)^(?=scenario: )", out)[1:]
+    if fmt == "csv":
+        return out.splitlines()[1:]
+    return re.split(r"(?m)^    \{$", out)[1:]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_program_fault_in_one_scenario_costs_that_scenario_only(
+    capsys, monkeypatch, fmt
+):
+    path = fixture("gallery.json")
+    names = [entry.name for entry in cli.load_scenario_file(path).entries]
+    assert names == ["quartic_line", "cubic_elliptic", "quadric_conic"]
+    clean_code, clean, _ = run_cli(capsys, "classify", path, "--format", fmt)
+    assert clean_code == 0
+    faulty = cli.load_scenario_file(path).entries[1].scenario
+    classify_curve = cli.classify_curve
+
+    def explode(scenario, *args, **kwargs):
+        if scenario == faulty:
+            raise RuntimeError("simulated")
+        return classify_curve(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify_curve", explode)
+    code, out, err = run_cli(capsys, "classify", path, "--format", fmt)
+    assert code == 2
+    assert err == "internal error: RuntimeError: simulated\n"
+    got, want = _classify_records(fmt, out), _classify_records(fmt, clean)
+    assert len(got) == len(want) == 3
+    assert (got[0], got[2]) == (want[0], want[2])
+    if fmt == "text":
+        assert got[1] == "scenario: cubic_elliptic\n  error: RuntimeError: simulated\n"
+    elif fmt == "csv":
+        assert out.splitlines()[0] == clean.splitlines()[0]
+        assert got[1] == "cubic_elliptic,error,,RuntimeError"
+    else:
+        assert json.loads(out)["verdicts"][1] == {
+            "name": "cubic_elliptic",
+            "error": "simulated",
+            "error_type": "RuntimeError",
+        }
+
+
 def test_module_entry_point_via_subprocess():
     # -S leaves site-packages out, so a third-party import in src/ fails here
     src = str(Path(__file__).parents[1] / "src")
@@ -2063,6 +2109,36 @@ def test_a_word_after_double_dash_is_a_positional(capsys, tmp_path, monkeypatch)
     assert exit_info.value.code == 1
     # without "--", -f.json reads as an unknown option, so no file is given
     assert "required: file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, file", [
+    (["classify", "f.json", "--"], "f.json"),
+    (["classify", "-1", "--"], "-1"),
+    (["--", "classify", "f.json"], "f.json"),
+    (["classify", "--", "--"], "--"),
+])
+def test_double_dash_reads_every_later_word_as_a_positional(argv, file):
+    args = cli._read_argv(argv)
+    assert (args.command, args.file) == ("classify", file)
+
+
+@pytest.mark.parametrize("argv, unrecognized", [
+    (["classify", "--", "a", "b"], "b"),
+    (["classify", "--", "f.json", "--format", "csv"], "--format csv"),
+    (["classify", "f.json", "--format", "csv", "--", "--"], "--"),
+    (["classify", "f.json", "-hh"], "-hh"),
+])
+def test_words_past_the_file_and_combined_short_options_are_unrecognized(
+    capsys, argv, unrecognized
+):
+    with pytest.raises(SystemExit) as exit_info:
+        cli._read_argv(argv)
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"fanoslope classify: error: unrecognized arguments: {unrecognized}"
+    )
 
 
 def test_an_option_value_may_follow_an_equals_sign_and_the_last_wins(capsys):

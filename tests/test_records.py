@@ -20,13 +20,14 @@ import pytest
 
 from fanoslope.blowup import CurveScenario
 from fanoslope.classify import (
-    BundleSplitting, ClassifyFlags, Verdict, VerdictStatus, fano_bundle_check,
-    non_stable_shape_filter,
+    BundleSplitting, ClassifyFlags, Verdict, VerdictStatus,
 )
 from fanoslope.cli import load_scenario_file
 from fanoslope.errors import InvalidScenario, ScenarioInconsistent
 from fanoslope.seshadri import SeshadriEstimate, linear_subspace_exact
 from fanoslope.slope import quotient_slope
+
+from paper_formulas import fano_bundle_check, non_stable_shape_filter
 
 SCENARIO = CurveScenario.anticanonical_curve(3, 0, 4, Fraction(64))
 ESTIMATE = linear_subspace_exact(3)
