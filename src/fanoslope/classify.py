@@ -101,10 +101,14 @@ def _stable(rule):
     return Verdict(status=VerdictStatus.STABLE, rule=rule)
 
 
-@lru_cache(maxsize=64)
-def _threshold(n):
-    """sqrt(n**2 - 1), the degree-1 threshold, built once per n."""
-    return _make(*_split_radicand(0, 1, 1, n * n - 1))
+@lru_cache(maxsize=192)
+def _regime(n, p):
+    """The rule and deciding zero of regime p = d - 2, built once per (n, p)."""
+    if p == -1:
+        return "degree-regime(d=1)", _make(*_split_radicand(0, 1, 1, n * n - 1))
+    if p == 0:
+        return "degree-regime(d=2)", Fraction(n)
+    return f"degree-regime(d>=3, d={n + 1})", Fraction(n + 1)
 
 
 def _regime_verdict(s, estimate, include_endpoint):
@@ -128,14 +132,11 @@ def _regime_verdict(s, estimate, include_endpoint):
     down yield a conditional verdict carrying the exact residual inequality.
     """
     n, d, p = s.n, s.degree, s.normal_degree
-    if p == 0:
-        rule, t = "degree-regime(d=2)", Fraction(n)
-    elif p == -1:
-        rule, t = "degree-regime(d=1)", _threshold(n)
-    else:
-        rule, t = f"degree-regime(d>=3, d={d})", Fraction(d)
-        if d != n + 1:
-            return _stable(rule + ": the quadratic is positive on (0, d]")
+    if p >= 1 and d != n + 1:
+        return _stable(
+            f"degree-regime(d>=3, d={d}): the quadratic is positive on (0, d]"
+        )
+    rule, t = _regime(n, p)
     crossing = p <= 0
     if crossing:
         name, tie = "the threshold", "epsilon equals the threshold"

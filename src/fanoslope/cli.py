@@ -15,6 +15,9 @@ silently rounded. A file is read once, when it loads, into exact values:
 resolving and rendering a scenario never parse JSON again. Exit codes: 0 on
 success, 1 when any scenario fails validation or the command line is
 malformed, 2 on an internal invariant violation.
+
+It reads files into scenarios and Seshadri steps (run_pipeline in
+fanoslope.seshadri runs them), renders the results and runs the commands.
 """
 
 import json
@@ -22,17 +25,17 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from types import SimpleNamespace
 
-from . import seshadri as _seshadri
 from .blowup import CurveScenario, check_epsilon_consistency
 from .classify import BundleSplitting, ClassifyFlags, classify_curve
 from .errors import FanoslopeError, GridOutOfRange, InvalidScenario
 from .exactnum import (
-    _MAX_RADICAND, Surd, _make, _require_rational, _split_radicand, compare,
-    render_value,
+    Surd, _read_bool, _read_int, _require_rational, compare, parse_rational,
+    parse_value, render_value,
 )
+from .seshadri import RULES, ProvenanceEntry, SeshadriEstimate, run_pipeline
 from .slope import destabilizing_quadratic, quotient_slope
 
 __all__ = [
@@ -43,83 +46,6 @@ __all__ = [
     "resolve_estimate",
     "format_fixed",
 ]
-
-
-# -- exact number (de)serialization ----------------------------------------
-
-# ASCII digits only: \d would also admit other scripts' digits such as "٣"
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
-def _rational_ints(value, context):
-    """A rational or surd part as (numerator, denominator > 0), unreduced."""
-    if isinstance(value, str):  # the usual case first
-        # [0-9]+, the commonest form, is an ASCII string that isdigit(): no regex
-        if (value.isdigit() and value.isascii()) or _RATIONAL.fullmatch(value):
-            numerator, slash, denominator = value.partition("/")
-            try:  # int() refuses more than 4300 digits with a ValueError
-                denominator = int(denominator) if slash else 1
-                if denominator:
-                    return int(numerator), denominator
-            except ValueError as exc:
-                raise InvalidScenario(f"{context}: bad rational {value!r}") from exc
-        raise InvalidScenario(f"{context}: bad rational {value!r}")
-    if isinstance(value, bool):
-        raise InvalidScenario(f"{context}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return value, 1
-    if isinstance(value, float):
-        raise InvalidScenario(
-            f"{context}: floats are not exact; write the rational as a "
-            'string like "18/5"'
-        )
-    raise InvalidScenario(f"{context}: cannot read a rational from {value!r}")
-
-
-def parse_rational(value, context="value"):
-    numerator, denominator = _rational_ints(value, context)
-    # Fraction(int) takes no gcd
-    return Fraction(numerator) if denominator == 1 else Fraction(numerator, denominator)
-
-
-_SURD_KEYS = frozenset(("rat", "coef", "rad"))
-
-
-def parse_value(value, context="value"):
-    """A rational or a surd object; a surd that turns out rational is
-    returned as its Fraction. A surd is built once, from its parts' integers."""
-    if isinstance(value, dict):
-        if not value.keys() <= _SURD_KEYS:
-            extra = sorted(value.keys() - _SURD_KEYS)
-            raise InvalidScenario(f"{context}: unknown surd fields {extra}")
-        rad = value.get("rad", 0)
-        if (
-            not isinstance(rad, int) or isinstance(rad, bool)
-            or not 0 <= rad < _MAX_RADICAND
-        ):
-            raise InvalidScenario(
-                f"{context}: surd radicand must be a non-negative integer "
-                f"below {_MAX_RADICAND}"
-            )
-        a, b = _rational_ints(value.get("rat", 0), f"{context}.rat")
-        c, d = _rational_ints(value.get("coef", 0), f"{context}.coef")
-        surd = _make(*_split_radicand(a * d, c * b, b * d, rad))
-        return surd.rat if surd.is_rational else surd
-    return parse_rational(value, context)
-
-
-def dump_value(value):
-    """The JSON spelling of an exact value in command output: a string, or
-    for an irrational Surd an object of its parts. Any other object raises
-    TypeError."""
-    if isinstance(value, Surd):
-        if value.is_rational:
-            return render_value(value.rat)
-        rat, coef = render_value(value.rat), render_value(value.coef)
-        return {"rat": rat, "coef": coef, "rad": value.rad}
-    if isinstance(value, Fraction):
-        return render_value(value)
-    raise TypeError(f"{type(value).__name__} is not an exact value")
 
 
 # -- scenario files --------------------------------------------------------
@@ -140,18 +66,6 @@ class NamedScenario(namedtuple(
 
 class ScenarioFile(namedtuple("ScenarioFile", "entries")):
     __slots__ = ()
-
-
-def _read_int(raw, context):
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise InvalidScenario(f"{context}: expected an integer, got {raw!r}")
-    return raw
-
-
-def _read_bool(raw, context):
-    if not isinstance(raw, bool):
-        raise InvalidScenario(f"{context}: expected true or false, got {raw!r}")
-    return raw
 
 
 def _read_text(raw, context):
@@ -325,30 +239,6 @@ def load_scenario_file(path):
     return parse_scenario_file(data)
 
 
-# -- the seshadri rule pipeline --------------------------------------------
-
-# Every rule with its slots in call order, as (key, kind) pairs. Rational and
-# value slots are read when the file is read, so a bad one fails the whole
-# file; the other kinds, and a missing rational or value slot, are checked
-# when the step runs and fail only their scenario. The scenario kind has no
-# key. A step may carry only "rule", "as" and its rule's slot keys.
-_RULES = {
-    "linear_subspace_exact": (("n", "int"),),
-    "witness_curve_upper": (("degree", "rational"),),
-    "proper_transform_upper": (("degree", "rational"), ("multiplicity", "rational")),
-    "intersection_min_lower": (("first", "ref"), ("second", "ref")),
-    "product_fiber_estimate": (("of", "ref"),),
-    "blowup_exceptional_shift": (("of", "ref"),),
-    "nested_restriction": (("inner", "ref"), ("ambient", "ref")),
-    "moving_curve_upper": ((None, "scenario"),),
-    "point_upper_bound": (("n", "int"), ("isPn", "bool")),
-    "certify_exact_by_restriction": (
-        ("upper", "ref"), ("ambient", "ref"), ("restricted", "value"),
-    ),
-    "combine": (("of", "refs"),),
-}
-
-
 _EXACT_KEYS, _INTERVAL_KEYS = frozenset(("exact",)), frozenset(("lower", "upper"))
 _DECLARED_KEYS = _EXACT_KEYS | _INTERVAL_KEYS
 
@@ -428,8 +318,9 @@ def _compile_fields(fields):
 
 _ENTRY_READERS = _compile_fields(_ENTRY_FIELDS)
 _FLAG_READERS = _compile_fields(_FLAG_FIELDS)
-# Per rule: the keys a step may carry, and the (key, reader) of each slot
-# read when the file loads.
+# Per rule: the keys a step may carry, and the (key, reader) of each rational
+# or value slot, read when the file loads, so a bad one fails the whole file.
+# run_pipeline checks the other slots when the step runs.
 _STEP_READERS = {
     rule: (
         frozenset(["rule", "as", *(key for key, _ in slots)]),
@@ -438,63 +329,8 @@ _STEP_READERS = {
             if kind in ("rational", "value")
         ),
     )
-    for rule, slots in _RULES.items()
+    for rule, slots in RULES.items()
 }
-
-
-def _run_pipeline(steps, scenario):
-    """Interpret a list of rule invocations into a single estimate.
-
-    Steps run in order; each may bind its result with "as" and refer to
-    earlier results by name. Where a step needs an input estimate ("of",
-    or rule-specific slots) the default is the previous step's result.
-    """
-    named = {}
-    previous = None
-
-    def fetch(ref, context):
-        if ref is None:
-            if previous is None:
-                raise InvalidScenario(f"{context}: no previous estimate to use")
-            return previous
-        if not isinstance(ref, str) or ref not in named:
-            raise InvalidScenario(f"{context}: unknown estimate name {ref!r}")
-        return named[ref]
-
-    def read(step, key, kind, context):
-        if kind == "scenario":
-            return scenario
-        if kind == "ref":
-            return fetch(step.get(key), context)
-        if kind == "refs":
-            refs = step.get(key)
-            if not isinstance(refs, list) or len(refs) < 2:
-                raise InvalidScenario(f"{context}: needs a list of names")
-            return [fetch(ref, context) for ref in refs]
-        if kind in ("rational", "value") and key in step:
-            return step[key]  # read when the file loaded
-        # an absent bool slot is false; any other absent slot fails to read
-        raw = step.get(key, False if kind == "bool" else None)
-        return _READERS[kind](raw, f"{context}.{key}")
-
-    for step in steps:
-        rule = step["rule"]
-        context = f"seshadri rule {rule}"
-        args = [read(step, key, kind, context) for key, kind in _RULES[rule]]
-        if rule == "combine":
-            estimate = reduce(_seshadri.SeshadriEstimate.merge, args[0])
-        else:
-            # looked up when the step runs, so a patched rule is the one called
-            estimate = getattr(_seshadri, rule)(*args)
-        if "as" in step:
-            label = step["as"]
-            if not isinstance(label, str) or not label:
-                raise InvalidScenario(
-                    f'{context}: "as" must be a non-empty name, got {label!r}'
-                )
-            named[label] = estimate
-        previous = estimate
-    return previous
 
 
 def _declared_value(value, context):
@@ -514,20 +350,17 @@ def resolve_estimate(entry):
     """Evaluate a NamedScenario's seshadri spec into a SeshadriEstimate,
     unchecked: each command runs check_epsilon_consistency on it once."""
     spec = entry.seshadri_spec
-    context = f"{entry.name}.seshadri"
     if isinstance(spec, tuple):
-        estimate = _run_pipeline(spec, entry.scenario)
-    else:
-        estimate = _seshadri._certificate(
-            "declared",
-            spec["statement"],
-            _declared_value(spec["lower"], context),
-            _declared_value(spec["upper"], context),
-        )
-    return estimate
+        return run_pipeline(spec, entry.scenario)
+    context = f"{entry.name}.seshadri"
+    return SeshadriEstimate(
+        _declared_value(spec["lower"], context),
+        _declared_value(spec["upper"], context),
+        (ProvenanceEntry("declared", spec["statement"]),),
+    )
 
 
-# -- deterministic decimal rendering ---------------------------------------
+# -- rendering -------------------------------------------------------------
 
 
 _PLACES = 6  # the decimal places of sweep's mu_lambda_decimal column
@@ -547,9 +380,6 @@ def format_fixed(value):
     return f"-{text}" if negative and q else text
 
 
-# -- rendering -------------------------------------------------------------
-
-
 # Each command writes one JSON document in the layout and escaping of
 # json.dumps(document, indent=2). Line breaks with indents are constants: an
 # f-string replacement field may hold no backslash before Python 3.12.
@@ -559,6 +389,20 @@ _SWEEP_COLUMNS = ("lambda", "mu_lambda", "mu_lambda_decimal", "f_lambda", "sign"
 _SWEEP_ROW = (  # a str.format template with one {} per column
     _N2 + "{{" + ",".join(f'{_N3}"{key}": {{}}' for key in _SWEEP_COLUMNS) + _N2 + "}}"
 )
+
+
+def dump_value(value):
+    """The JSON spelling of an exact value in command output: a string, or
+    for an irrational Surd an object of its parts. Any other object raises
+    TypeError."""
+    if isinstance(value, Surd):
+        if value.is_rational:
+            return render_value(value.rat)
+        rat, coef = render_value(value.rat), render_value(value.coef)
+        return {"rat": rat, "coef": coef, "rad": value.rad}
+    if isinstance(value, Fraction):
+        return render_value(value)
+    raise TypeError(f"{type(value).__name__} is not an exact value")
 
 
 def _json_array(items, close):
@@ -745,7 +589,7 @@ def cmd_sweep(args):
                 f"(0, {render_value(ceiling)}"
                 + (")" if args.open_interval else "]")
             )
-        mu = quotient_slope(scenario, lam).value
+        mu = quotient_slope(scenario, lam, cross_check=True).value
         f_value = quadratic(lam)
         sign = "+" if f_value > 0 else ("-" if f_value < 0 else "0")
         rows.append((render_value(lam), render_value(mu), format_fixed(mu),

@@ -10,7 +10,9 @@ equality). On top of that this module supplies
   lowest terms with trailing zeros stripped;
 * :class:`Surd` -- numbers ``rat + coef*sqrt(rad)`` with a square-free
   radicand below 10**12, such as ``sqrt(n**2 - 1)``, kept as integers
-  ``(x + y*sqrt(rad)) / q`` in lowest terms.
+  ``(x + y*sqrt(rad)) / q`` in lowest terms;
+* :func:`parse_rational` and :func:`parse_value` -- exact values read as
+  JSON spells them: "18/5", or ``{"rat": "a/b", "coef": "c/d", "rad": k}``.
 
 General algebraic-number arithmetic is deliberately not built: all surds in a
 computation share a single radicand, and mixing incommensurable radicands
@@ -25,6 +27,7 @@ and each Surd result is reduced by one gcd.
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -99,6 +102,18 @@ def _require_bool(value, name):
     if type(value) is not bool:
         raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
     return value
+
+
+def _read_int(raw, context):
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise InvalidScenario(f"{context}: expected an integer, got {raw!r}")
+    return raw
+
+
+def _read_bool(raw, context):
+    if not isinstance(raw, bool):
+        raise InvalidScenario(f"{context}: expected true or false, got {raw!r}")
+    return raw
 
 
 def _sign(a, b, m):
@@ -522,3 +537,63 @@ def _value_at(poly, a, b):
             acc += c * b_power
     return acc, poly._den * b_power
 
+
+# ASCII digits only: \d would also admit other scripts' digits such as "٣"
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _rational_ints(value, context):
+    """A rational or surd part as (numerator, denominator > 0), unreduced."""
+    if isinstance(value, str):  # the usual case first
+        # [0-9]+, the commonest form, is an ASCII string that isdigit(): no regex
+        if (value.isdigit() and value.isascii()) or _RATIONAL.fullmatch(value):
+            numerator, slash, denominator = value.partition("/")
+            try:  # int() refuses more than 4300 digits with a ValueError
+                denominator = int(denominator) if slash else 1
+                if denominator:
+                    return int(numerator), denominator
+            except ValueError as exc:
+                raise InvalidScenario(f"{context}: bad rational {value!r}") from exc
+        raise InvalidScenario(f"{context}: bad rational {value!r}")
+    if isinstance(value, bool):
+        raise InvalidScenario(f"{context}: expected a rational, got a boolean")
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, float):
+        raise InvalidScenario(
+            f"{context}: floats are not exact; write the rational as a "
+            'string like "18/5"'
+        )
+    raise InvalidScenario(f"{context}: cannot read a rational from {value!r}")
+
+
+def parse_rational(value, context="value"):
+    numerator, denominator = _rational_ints(value, context)
+    # Fraction(int) takes no gcd
+    return Fraction(numerator) if denominator == 1 else Fraction(numerator, denominator)
+
+
+_SURD_KEYS = frozenset(("rat", "coef", "rad"))
+
+
+def parse_value(value, context="value"):
+    """A rational or a surd object; a surd that turns out rational is
+    returned as its Fraction. A surd is built once, from its parts' integers."""
+    if isinstance(value, dict):
+        if not value.keys() <= _SURD_KEYS:
+            extra = sorted(value.keys() - _SURD_KEYS)
+            raise InvalidScenario(f"{context}: unknown surd fields {extra}")
+        rad = value.get("rad", 0)
+        if (
+            not isinstance(rad, int) or isinstance(rad, bool)
+            or not 0 <= rad < _MAX_RADICAND
+        ):
+            raise InvalidScenario(
+                f"{context}: surd radicand must be a non-negative integer "
+                f"below {_MAX_RADICAND}"
+            )
+        a, b = _rational_ints(value.get("rat", 0), f"{context}.rat")
+        c, d = _rational_ints(value.get("coef", 0), f"{context}.coef")
+        surd = _make(*_split_radicand(a * d, c * b, b * d, rad))
+        return surd.rat if surd.is_rational else surd
+    return parse_rational(value, context)

@@ -7,22 +7,24 @@ compose by intersecting intervals. Every application appends a provenance
 entry, so a finished estimate carries the full chain of facts that justify
 it. Rules whose hypotheses cannot be verified from the available bounds
 refuse to fire (HypothesisNotCertified) rather than silently weaken.
+
+``RULES`` is the rule table, each rule's slots in call order, and
+``run_pipeline(steps, scenario)`` runs rule steps into one estimate. A
+rule's effect is the first line of its docstring.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
-    HypothesisFails,
-    HypothesisNotCertified,
-    NonPositiveDegree,
-    NonPositiveMultiplicity,
-    ScenarioInconsistent,
+    DimensionTooSmall, HypothesisFails, HypothesisNotCertified, InvalidScenario,
+    NonPositiveDegree, NonPositiveMultiplicity, ScenarioInconsistent,
     ShiftBelowZero,
-    DimensionTooSmall,
 )
 from .exactnum import (
-    _require_bool, _require_int, _require_rational, compare, render_value,
+    _read_bool, _read_int, _require_bool, _require_int, _require_rational,
+    compare, parse_rational, render_value,
 )
 
 __all__ = [
@@ -38,6 +40,8 @@ __all__ = [
     "moving_curve_upper",
     "point_upper_bound",
     "certify_exact_by_restriction",
+    "combine",
+    "run_pipeline",
 ]
 
 
@@ -153,8 +157,9 @@ def witness_curve_upper(degree):
 
 
 def proper_transform_upper(degree, multiplicity):
-    """Refined witness bound epsilon <= L.C / mult for a curve meeting Z with
-    multiplicity mult (the proper transform meets E at least mult times)."""
+    """A curve meeting Z with multiplicity mult gives epsilon <= L.C / mult.
+
+    Its proper transform meets E at least mult times."""
     degree = _require_rational(degree, "degree")
     multiplicity = _require_rational(multiplicity, "multiplicity")
     if degree <= 0:
@@ -172,8 +177,7 @@ def proper_transform_upper(degree, multiplicity):
 
 
 def intersection_min_lower(first, second):
-    """For Z contained in both Z1 and Z2 (e.g. their intersection),
-    epsilon(Z) >= min(epsilon(Z1), epsilon(Z2)); only a lower bound."""
+    """Z inside Z1 and Z2 has epsilon(Z) >= min(epsilon(Z1), epsilon(Z2))."""
     lower = (
         first.lower if compare(first.lower, second.lower) <= 0 else second.lower
     )
@@ -187,8 +191,7 @@ def intersection_min_lower(first, second):
 
 
 def product_fiber_estimate(estimate):
-    """On a product X1 x X2 with the split polarization, the Seshadri
-    constant of X1 x Z equals that of Z in X2; bounds carry over unchanged."""
+    """In a split product X1 x X2, X1 x Z has the epsilon of Z in X2."""
     return _certificate(
         "product-fiber",
         "for a product with split polarization, epsilon of fiber-type "
@@ -200,8 +203,7 @@ def product_fiber_estimate(estimate):
 
 
 def blowup_exceptional_shift(estimate):
-    """Pass from Z in X to the exceptional divisor E of the blowup along Z,
-    polarized by sigma*L - E: every bound drops by exactly 1."""
+    """On the blowup along Z, polarized by sigma*L - E, E has epsilon(Z) - 1."""
     one = Fraction(1)
     if compare(estimate.lower, one) < 0:
         raise ShiftBelowZero(
@@ -220,8 +222,7 @@ def blowup_exceptional_shift(estimate):
 
 
 def nested_restriction(inner, ambient):
-    """For Z inside Y inside X with epsilon(Z, X) < epsilon(Y, X), the
-    constant of Z can be computed after restricting the polarization to Y.
+    """For Z in Y in X with epsilon(Z, X) < epsilon(Y, X), compute it on Y.
 
     The strict hypothesis must be certified from the available bounds:
     inner.upper < ambient.lower. Otherwise the rule refuses to fire.
@@ -242,8 +243,7 @@ def nested_restriction(inner, ambient):
 
 
 def moving_curve_upper(scenario):
-    """Anticanonical genus-zero curves of degree d >= 3 move enough to give
-    the self-bound epsilon(Z) <= d = (-K).Z."""
+    """An anticanonical rational curve of degree d >= 3 moves: epsilon <= d."""
     s = scenario
     if not s.anticanonical or s.genus != 0 or s.degree < 3:
         raise HypothesisFails(
@@ -260,8 +260,7 @@ def moving_curve_upper(scenario):
 
 
 def point_upper_bound(n, is_projective_space=False):
-    """epsilon of a point of a Fano n-fold, n >= 3: at most n in general,
-    exactly n + 1 on projective n-space."""
+    """A point of a Fano n-fold, n >= 3, has epsilon <= n, and n + 1 on P^n."""
     if _require_int(n, "n") < 3:
         raise DimensionTooSmall("the point bound is stated for n >= 3")
     if _require_bool(is_projective_space, "is_projective_space"):
@@ -316,3 +315,83 @@ def certify_exact_by_restriction(upper_for_z, ambient, restricted_value):
         u,
         (upper_for_z, ambient),
     )
+
+
+def combine(estimates):
+    """Merge estimates of one subvariety: largest lower, smallest upper bound."""
+    return reduce(SeshadriEstimate.merge, estimates)
+
+
+# -- the rule pipeline -------------------------------------------------------
+
+# Each rule's slots in call order, as (key, kind); the rule is the function of
+# that name here. A "value" is a rational or a Surd, a "ref" an earlier step's
+# name, "refs" two or more names; the "scenario" slot has no key.
+RULES = {
+    "linear_subspace_exact": (("n", "int"),),
+    "witness_curve_upper": (("degree", "rational"),),
+    "proper_transform_upper": (("degree", "rational"), ("multiplicity", "rational")),
+    "intersection_min_lower": (("first", "ref"), ("second", "ref")),
+    "product_fiber_estimate": (("of", "ref"),),
+    "blowup_exceptional_shift": (("of", "ref"),),
+    "nested_restriction": (("inner", "ref"), ("ambient", "ref")),
+    "moving_curve_upper": ((None, "scenario"),),
+    "point_upper_bound": (("n", "int"), ("isPn", "bool")),
+    "certify_exact_by_restriction": (
+        ("upper", "ref"), ("ambient", "ref"), ("restricted", "value"),
+    ),
+    "combine": (("of", "refs"),),
+}
+
+
+def run_pipeline(steps, scenario):
+    """Run rule steps, in order, into one estimate: the last step's.
+
+    A step is a dict of "rule", a name in RULES, an optional "as" naming its
+    result, and the rule's slots. A rational or value slot holds a Fraction
+    or a Surd; any other slot is checked as its step runs, and a bad one
+    raises InvalidScenario. An estimate slot left out takes the previous
+    step's result, and a bool slot left out is false.
+    """
+    named = {}  # each estimate by its "as" name, and the last one under None
+
+    def fetch(ref, context):
+        if ref is None and None not in named:
+            raise InvalidScenario(f"{context}: no previous estimate to use")
+        if ref is not None and (not isinstance(ref, str) or ref not in named):
+            raise InvalidScenario(f"{context}: unknown estimate name {ref!r}")
+        return named[ref]
+
+    def read(step, key, kind, context):
+        if kind == "scenario":
+            return scenario
+        if kind == "ref":
+            return fetch(step.get(key), context)
+        if kind == "refs":
+            refs = step.get(key)
+            if not isinstance(refs, list) or len(refs) < 2:
+                raise InvalidScenario(f"{context}: needs a list of names")
+            return [fetch(ref, context) for ref in refs]
+        if kind in ("rational", "value") and key in step:
+            return step[key]  # already read
+        # an absent bool slot is false; any other absent slot fails to read
+        if kind == "bool":
+            return _read_bool(step.get(key, False), f"{context}.{key}")
+        reader = _read_int if kind == "int" else parse_rational
+        return reader(step.get(key), f"{context}.{key}")
+
+    for step in steps:
+        rule = step["rule"]
+        context = f"seshadri rule {rule}"
+        args = [read(step, key, kind, context) for key, kind in RULES[rule]]
+        # looked up when the step runs, so a patched rule is the one called
+        estimate = globals()[rule](*args)
+        if "as" in step:
+            label = step["as"]
+            if not isinstance(label, str) or not label:
+                raise InvalidScenario(
+                    f'{context}: "as" must be a non-empty name, got {label!r}'
+                )
+            named[label] = estimate
+        named[None] = estimate
+    return named.get(None)

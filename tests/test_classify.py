@@ -12,8 +12,8 @@ from fanoslope.classify import (
     ClassifyFlags,
     Verdict,
     VerdictStatus,
+    _regime,
     _stable,
-    _threshold,
     classify_curve,
 )
 from fanoslope.errors import (
@@ -210,11 +210,19 @@ def test_degree_one_regime_surd_threshold():
 
 
 def test_the_degree_one_threshold_is_built_once_per_n():
+    # each regime's deciding zero, sqrt(n**2 - 1) at d = 1, n at d = 2 and
+    # n + 1 at d = n + 1, is built once per (n, p) and is the verdict's witness
     for n in range(3, 41):
-        t, built = _threshold(n), Surd(0, 1, n * n - 1)
-        assert t == built and hash(t) == hash(built)
-        assert (t.rat, t.coef, t.rad) == (built.rat, built.coef, built.rad)
-        assert str(t) == str(built) and _threshold(n) is t
+        for d, built in ((1, Surd(0, 1, n * n - 1)), (2, Fraction(n)),
+                         (n + 1, Fraction(n + 1))):
+            rule, t = _regime(n, d - 2)
+            assert type(t) is type(built) and t == built and hash(t) == hash(built)
+            assert str(t) == str(built) and repr(t) == repr(built)
+            assert _regime(n, d - 2)[1] is t
+            verdict = regime_verdict(anticanonical(n, d), exact(built))
+            assert verdict.status is VerdictStatus.SEMISTABLE_NOT_STABLE
+            assert verdict.rule.startswith(rule + ": ")
+            assert verdict.witness_lambda is t
 
 
 def test_degree_three_and_up_regime():

@@ -23,21 +23,18 @@ import argparse_oracle
 import surd_oracle
 import fanoslope.classify
 import fanoslope.cli as cli
-from fanoslope.cli import (
-    dump_value,
-    format_fixed,
-    main,
-    parse_rational,
-    parse_scenario_file,
-    parse_value,
-)
+import fanoslope.exactnum as exactnum
+import fanoslope.seshadri as seshadri
+import fanoslope.slope
+import pipeline_oracle
+from fanoslope.cli import dump_value, format_fixed, main, parse_scenario_file
 from fanoslope.blowup import CurveScenario
 from fanoslope.classify import (
     BundleSplitting, ClassifyFlags, Verdict, VerdictStatus,
 )
 from fanoslope.errors import FanoslopeError, GridOutOfRange, InvalidScenario
-from fanoslope.exactnum import _MAX_RADICAND, Surd
-from fanoslope.seshadri import ProvenanceEntry
+from fanoslope.exactnum import _MAX_RADICAND, Surd, parse_rational, parse_value
+from fanoslope.seshadri import RULES, ProvenanceEntry
 
 FIXTURES = files("fanoslope") / "fixtures"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -89,7 +86,7 @@ def test_parse_rational_reads_the_grammar_exactly():
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.from_regex(cli._RATIONAL, fullmatch=True))
+@given(st.from_regex(exactnum._RATIONAL, fullmatch=True))
 @example("0")
 @example("-0")
 @example("0123")
@@ -272,6 +269,33 @@ def test_sweep_csv_exact_output(capsys):
     )
     assert code == 0
     assert out == BLP3_SWEEP
+
+
+def test_sweep_checks_every_row_against_the_integral_route(capsys, monkeypatch):
+    slope = fanoslope.slope
+    route, points = slope.quotient_slope_via_integrals, []
+
+    def counted(scenario, lam):
+        points.append(lam)
+        return route(scenario, lam)
+
+    argv = ["sweep", fixture("blp3_fiber.json"), "--scenario", "blp3_fiber",
+            "--grid", "1,2,3"]
+    monkeypatch.setattr(slope, "quotient_slope_via_integrals", counted)
+    assert run_cli(capsys, *argv) == (0, BLP3_SWEEP, "")
+    assert points == [1, 2, 3]
+
+    # a broken route is a fault of the program: exit 2, the point named, and
+    # no table printed
+    monkeypatch.setattr(
+        slope, "quotient_slope_via_integrals", lambda scenario, lam: Fraction(-1)
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "internal error: ArithmeticError: quotient slope at lambda = 1: "
+        "closed form 18/5 but integral route -1\n"
+    )
 
 
 def test_sweep_is_byte_deterministic(capsys):
@@ -859,21 +883,36 @@ def test_bare_surd_spec_resolves_like_an_exact_one(rat, coef, rad):
     )
 
 
+# how README's rule table names each kind of slot
+_KIND_WORDS = {
+    "int": "integer",
+    "bool": "boolean",
+    "rational": "rational",
+    "value": "rational or surd",
+    "ref": "estimate name",
+    "refs": "list of names",
+}
+
+
 def test_readme_rule_table_matches_the_rule_table():
+    # README's table is the rule table's one description: the slots come from
+    # seshadri.RULES and each effect from its rule's docstring
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = text.split("Available rules and their slots:", 1)[1]
     rows = []
     for line in table.strip().splitlines()[2:]:
         if not line.startswith("|"):
             break
-        rule, slots = line.split("|")[1:3]
-        keys = re.findall(r"`(\w+)`", slots)
-        if slots.strip() == "(scenario)":
-            keys = [None]  # the scenario slot has no JSON key
-        rows.append((rule.strip().strip("`"), keys))
-    assert rows == [
-        (rule, [key for key, _ in slots]) for rule, slots in cli._RULES.items()
-    ]
+        rows.append(tuple(cell.strip() for cell in line.split("|")[1:-1]))
+    expected = []
+    for rule, slots in RULES.items():
+        cells = ", ".join(
+            "(scenario)" if key is None else f"`{key}` ({_KIND_WORDS[kind]})"
+            for key, kind in slots
+        )
+        effect = getattr(seshadri, rule).__doc__.splitlines()[0]
+        expected.append((f"`{rule}`", cells, effect))
+    assert rows == expected
 
 
 def _shown(default):
@@ -921,8 +960,8 @@ def test_the_compiled_readers_follow_the_tables():
     for kind, sample in (("int", 3), ("bool", True), ("text", "x")):
         assert type(sample) is cli._TAKEN_AS_IS[kind]
         assert cli._READERS[kind](sample, "x") is sample
-    assert list(cli._STEP_READERS) == list(cli._RULES)
-    for rule, slots in cli._RULES.items():
+    assert list(cli._STEP_READERS) == list(RULES)
+    for rule, slots in RULES.items():
         allowed, read_at_load = cli._STEP_READERS[rule]
         assert allowed == {"rule", "as"} | {key for key, _ in slots}
         assert [(key, kind_of[reader]) for key, reader in read_at_load] == [
@@ -945,7 +984,7 @@ def test_readme_library_example_shows_what_it_computes():
             shown.append((repr(value), comment.split(": ")[0]))
         else:
             exec(compile(ast.Module([node], []), "README", "exec"), namespace)
-    assert len(shown) == 7
+    assert len(shown) == 9
     for got, want in shown:
         assert got == want
 
@@ -1290,9 +1329,9 @@ def _oracle_step(step, context):
     if not isinstance(step, dict) or "rule" not in step:
         raise InvalidScenario(f"{context}: each pipeline step needs a rule")
     rule = step["rule"]
-    if not isinstance(rule, str) or rule not in cli._RULES:
+    if not isinstance(rule, str) or rule not in RULES:
         raise InvalidScenario(f"{context}: unknown rule {rule!r}")
-    slots = cli._RULES[rule]
+    slots = RULES[rule]
     extra = set(step) - {"rule", "as"} - {key for key, _ in slots}
     if extra:
         raise InvalidScenario(f"{context}: rule {rule} has no slots {sorted(extra)}")
@@ -1633,18 +1672,36 @@ _SLOT_VALUES = {
     "ref": st.sampled_from(["a", "b"]),
     "refs": st.lists(st.sampled_from(["a", "b"]), min_size=2, max_size=3),
 }
+# Values the file loads but a step refuses when it runs, as in
+# test_bad_pipeline_step_fails_its_scenario_only, plus an unknown name and a
+# null name, which means the previous estimate
+_RUN_TIME_FAULTS = {
+    "int": st.sampled_from(["3", 2.5, True, None]),
+    "bool": st.sampled_from(["false", 1, None]),
+    "ref": st.sampled_from(["c", ["a"], {"x": 1}, 7, None]),
+    "refs": st.sampled_from(["a", [], ["a"], ["a", ["a"]], ["a", "c"], ["a", None]]),
+    "as": st.sampled_from(["", 7, [1], None]),
+}
+
+
+def _slot(draw, kind, valid):
+    """A slot's value: one time in five a fault of its kind, if it has one."""
+    if kind in _RUN_TIME_FAULTS and draw(st.integers(0, 4)) == 0:
+        return draw(_RUN_TIME_FAULTS[kind])
+    return draw(valid)
 
 
 @st.composite
 def _steps(draw):
-    """One pipeline step: a rule, some of its slots, and perhaps a name."""
-    rule = draw(st.sampled_from(list(cli._RULES)))
+    """One pipeline step: a rule, some of its slots, and perhaps a name. A
+    slot is left out one time in four."""
+    rule = draw(st.sampled_from(list(RULES)))
     step = {"rule": rule}
-    for key, kind in cli._RULES[rule]:
-        if key is not None and draw(st.booleans()):
-            step[key] = draw(_SLOT_VALUES[kind])
+    for key, kind in RULES[rule]:
+        if key is not None and draw(st.integers(0, 3)):
+            step[key] = _slot(draw, kind, _SLOT_VALUES[kind])
     if draw(st.booleans()):
-        step["as"] = draw(st.sampled_from(["a", "b"]))
+        step["as"] = _slot(draw, "as", st.sampled_from(["a", "b"]))
     return step
 
 
@@ -1723,6 +1780,46 @@ def test_every_valid_entry_loads_as_the_oracle_reads_it(raw):
     assert _leaf_types(got) == _leaf_types(want)
 
 
+# The pipeline interpreter moved from the command line into the library; the
+# old one, kept verbatim in pipeline_oracle, must give every loaded pipeline
+# the same estimate, or the same error in the same words, so the order in
+# which faults are reported across steps is pinned too.
+
+_LINE = conic(name="line", degree=4, Ln="64")  # moving_curve_upper fires here
+# steps that bind "a" and "b" first, so later steps find the names they use
+_BOUND = [
+    {"rule": "linear_subspace_exact", "n": 3, "as": "a"},
+    {"rule": "point_upper_bound", "n": 3, "as": "b"},
+]
+
+
+def _outcome(run):
+    try:
+        estimate = run()
+    except Exception as error:  # the type and the words of any fault
+        return type(error), str(error)
+    return repr(estimate.lower), repr(estimate.upper), estimate.provenance
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from([[], _BOUND[:1], _BOUND]),
+    st.lists(_steps(), min_size=1, max_size=4),
+    st.sampled_from([conic(), _LINE]),
+)
+@example(_BOUND[:1], [{"rule": "witness_curve_upper", "degree": "7/2", "as": "b"},
+                      {"rule": "combine", "of": ["a", "b"]},
+                      {"rule": "blowup_exceptional_shift"}], _LINE)
+def test_a_pipeline_runs_as_the_old_interpreter_ran_it(bound, steps, raw):
+    spec = bound + steps
+    entry = parse_scenario_file({"scenarios": [{**raw, "seshadri": spec}]}).entries[0]
+    got = _outcome(lambda: cli.resolve_estimate(entry))
+    want = _outcome(
+        lambda: pipeline_oracle._run_pipeline(entry.seshadri_spec, entry.scenario)
+    )
+    assert got == want
+
+
 # -- parse once ------------------------------------------------------------
 
 
@@ -1755,8 +1852,10 @@ def test_a_loaded_scenario_is_never_parsed_again(monkeypatch):
     def refuse(value, context="value"):
         raise AssertionError(f"{context}: {value!r} parsed again")
 
-    monkeypatch.setattr(cli, "parse_value", refuse)
-    monkeypatch.setattr(cli, "parse_rational", refuse)
+    for module in (cli, exactnum, seshadri):
+        monkeypatch.setattr(module, "parse_rational", refuse)
+    for module in (cli, exactnum):
+        monkeypatch.setattr(module, "parse_value", refuse)
     for kind in ("rational", "value"):
         monkeypatch.setitem(cli._READERS, kind, refuse)
     assert outcomes() == before

@@ -140,3 +140,28 @@ def test_loading_the_command_line_imports_no_introspection_machinery():
     )
     assert result.stdout.startswith('{\n  "verdicts": [')
     assert result.stderr.split() == ["0"]
+
+
+def test_a_library_caller_runs_a_pipeline_without_the_command_line():
+    # pn_line's pipeline with typed steps: the rule table and the interpreter
+    # are the library's, so neither fanoslope.cli nor json is loaded
+    code = (
+        "import sys; from fanoslope.seshadri import run_pipeline; "
+        "from fanoslope.blowup import CurveScenario; "
+        "line = CurveScenario.anticanonical_curve(3, 0, 4, 64); "
+        "e = run_pipeline([{'rule': 'linear_subspace_exact', 'n': 3}], line); "
+        "print(e.describe(), *e.provenance[0]); "
+        "print(*sorted({'fanoslope.cli', 'json'} & sys.modules.keys()), file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert result.stdout == (
+        "exact 4 linear-subspace a linear subspace of projective 3-space has "
+        "Seshadri constant 4 in the anticanonical polarization\n"
+    )
+    assert result.stderr == "\n"
