@@ -477,7 +477,8 @@ class Polynomial:
 
     def __call__(self, point):
         if type(point) is int or type(point) is Fraction:
-            return Fraction(*_value_at(self, point.numerator, point.denominator))
+            value, scale = _value_at(self._nums, point.numerator, point.denominator)
+            return Fraction(value, self._den * scale)
         if not isinstance(point, Surd):
             raise TypeError(
                 "a point must be a Surd, an int or a Fraction, "
@@ -520,12 +521,11 @@ def _sum(left, right, sign):
     return Polynomial(out, left._den * scale)
 
 
-def _value_at(poly, a, b):
-    """``poly`` at a/b, b > 0, as an integer pair (numerator, denominator),
-    not reduced. Horner's scheme in homogeneous form: the numerator is the
-    sum of c_i * a**i * b**(degree - i) over the integer numerators c_i,
-    and the denominator is the polynomial's denominator times b**degree."""
-    nums = poly._nums
+def _value_at(nums, a, b):
+    """The integers ``nums``, ascending coefficients, at a/b, b > 0, as an
+    integer pair (numerator, b**degree). Horner's scheme in homogeneous
+    form: the numerator is the sum of c_i * a**i * b**(degree - i), and
+    zero numerators take part in no addition."""
     if not nums:
         return 0, 1
     acc = nums[-1]
@@ -535,7 +535,7 @@ def _value_at(poly, a, b):
         b_power *= b
         if c:
             acc += c * b_power
-    return acc, poly._den * b_power
+    return acc, b_power
 
 
 # ASCII digits only: \d would also admit other scripts' digits such as "٣"

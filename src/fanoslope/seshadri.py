@@ -351,8 +351,11 @@ def run_pipeline(steps, scenario):
     result, and the rule's slots. A rational or value slot holds a Fraction
     or a Surd; any other slot is checked as its step runs, and a bad one
     raises InvalidScenario. An estimate slot left out takes the previous
-    step's result, and a bool slot left out is false.
+    step's result, and a bool slot left out is false. An empty pipeline, a
+    step without a rule or a rule not in RULES raises InvalidScenario.
     """
+    if not steps:
+        raise InvalidScenario("seshadri pipeline: empty rule pipeline")
     named = {}  # each estimate by its "as" name, and the last one under None
 
     def fetch(ref, context):
@@ -381,7 +384,11 @@ def run_pipeline(steps, scenario):
         return reader(step.get(key), f"{context}.{key}")
 
     for step in steps:
+        if not isinstance(step, dict) or "rule" not in step:
+            raise InvalidScenario("seshadri pipeline: each pipeline step needs a rule")
         rule = step["rule"]
+        if not isinstance(rule, str) or rule not in RULES:
+            raise InvalidScenario(f"seshadri pipeline: unknown rule {rule!r}")
         context = f"seshadri rule {rule}"
         args = [read(step, key, kind, context) for key, kind in RULES[rule]]
         # looked up when the step runs, so a patched rule is the one called

@@ -24,6 +24,7 @@ Z destabilizes at lam exactly when mu_lam <= mu, which after clearing the
 :func:`destabilizing_quadratic`.
 """
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -76,7 +77,7 @@ def _require_dimension(scenario):
 
 def _require_positive(lam):
     lam = _require_rational(lam, "the twist lambda")
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise ValueError("the twist lambda must be positive")
     return lam
 
@@ -132,20 +133,42 @@ def subleading_deficit_poly(scenario):
     return _deficit(hilbert_subleading_poly(scenario))
 
 
+def _antiderivative(nums, den):
+    """int_0^x sum(nums[i] * x**i) / den, nums not all zero, as
+    (low, band, den'): x**low * sum(band[i] * x**i) / den', where low is
+    the power of its first non-zero term and band ends at its last one."""
+    powers = [i for i, c in enumerate(nums) if c]
+    low, high = powers[0], powers[-1]
+    common = math.lcm(*[i + 1 for i in powers])
+    band = [c * (common // i) for i, c in enumerate(nums[low:high + 1], low + 1)]
+    return low + 1, tuple(band), den * common
+
+
 @lru_cache(maxsize=4)
 def _deficit_integrals(scenario):
-    """int_0^x (atilde1 + atilde0'/2) and int_0^x atilde0, as polynomials.
+    """int_0^x (atilde1 + atilde0'/2) and int_0^x atilde0, each as
+    (low, band, den), meaning x**low * sum(band[i] * x**i) / den.
 
-    Built once per scenario, from the Hilbert polynomials through the
-    deficits, a derivative, a half, a sum and two integrals, each step on
-    integer numerators over one denominator; a loop over lambda reuses them.
-    The cache holds a few scenarios only, far fewer than a batch, so a
-    second pass over a batch builds every scenario's polynomials again.
+    Built once per scenario from the two deficit polynomials (a curve's
+    degree is positive, so neither is zero): the derivative, the half and
+    the sum run in one pass over their numerators, over one common
+    denominator, skipping zero numerators; each band has at most two
+    entries. The cache holds a few scenarios only, far fewer than a batch,
+    so a second pass over a batch builds them again.
     """
     s = scenario
-    atilde0 = leading_deficit_poly(s)
-    integrand = subleading_deficit_poly(s) + atilde0.differentiate() * Fraction(1, 2)
-    return integrand.integrate_from_zero(), atilde0.integrate_from_zero()
+    atilde0, atilde1 = leading_deficit_poly(s), subleading_deficit_poly(s)
+    lead, sub = atilde0._nums, atilde1._nums
+    den = math.lcm(2 * atilde0._den, atilde1._den)
+    half, whole = den // (2 * atilde0._den), den // atilde1._den
+    integrand = [0] * max(len(sub), len(lead) - 1)
+    for i, c in enumerate(sub):
+        if c:
+            integrand[i] = c * whole
+    for i, c in enumerate(lead[1:]):
+        if c:
+            integrand[i] += (i + 1) * c * half
+    return _antiderivative(integrand, den), _antiderivative(lead, atilde0._den)
 
 
 def quotient_slope_via_integrals(scenario, lam):
@@ -153,22 +176,31 @@ def quotient_slope_via_integrals(scenario, lam):
 
     This is the defining ratio of integrals, kept as an independent oracle
     for the closed form. The two antiderivatives are built from the Hilbert
-    polynomials once per scenario; each call evaluates both at lam in
-    integers and builds one Fraction, their quotient.
+    polynomials once per scenario, as x**low times a short band; each call
+    evaluates both bands at lam = a/b by integer Horner, cancels
+    lam**(low_top - low_bottom) as powers of a and b, and builds one
+    Fraction, their quotient.
     """
     s = scenario
     _require_dimension(s)
     lam = _require_positive(lam)
-    numerator_poly, denominator_poly = _deficit_integrals(s)
+    (top_low, top_band, top_den), (bottom_low, bottom_band, bottom_den) = (
+        _deficit_integrals(s)
+    )
     a, b = lam.numerator, lam.denominator
-    top, top_scale = _value_at(numerator_poly, a, b)
-    bottom, bottom_scale = _value_at(denominator_poly, a, b)
-    if not bottom:
+    top, top_scale = _value_at(top_band, a, b)
+    bottom, bottom_scale = _value_at(bottom_band, a, b)
+    if not bottom:  # lam > 0, so only the band can vanish
         raise ZeroDenominator(
             f"deficit integral vanishes at lambda = {lam}; "
             "the declared Seshadri range is inconsistent"
         )
-    return Fraction(top * bottom_scale, top_scale * bottom)
+    shift = top_low - bottom_low
+    if shift >= 0:
+        top, bottom = top * a**shift, bottom * b**shift
+    else:
+        top, bottom = top * b**-shift, bottom * a**-shift
+    return Fraction(top * bottom_den * bottom_scale, bottom * top_den * top_scale)
 
 
 def destabilizing_quadratic(scenario):

@@ -9,6 +9,7 @@ from fanoslope.errors import (
     DimensionTooSmall,
     HypothesisFails,
     HypothesisNotCertified,
+    InvalidScenario,
     NonPositiveDegree,
     NonPositiveMultiplicity,
     ScenarioInconsistent,
@@ -26,6 +27,7 @@ from fanoslope.seshadri import (
     point_upper_bound,
     product_fiber_estimate,
     proper_transform_upper,
+    run_pipeline,
     witness_curve_upper,
 )
 
@@ -291,3 +293,21 @@ def test_rule_certificate_is_pinned(case):
     call, lower, upper, provenance = RULE_CERTIFICATES[case]
     e = call()
     assert (e.lower, e.upper, e.provenance) == (lower, upper, provenance)
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([], "empty rule pipeline"),
+    ([{"n": 3}], "each pipeline step needs a rule"),
+    (["x"], "each pipeline step needs a rule"),
+    ([{"rule": "nope"}], "unknown rule 'nope'"),
+    ([{"rule": ["nope"]}], "unknown rule ['nope']"),
+    ([{"rule": "linear_subspace_exact", "n": 3}, {"n": 3}],
+     "each pipeline step needs a rule"),
+])
+def test_a_malformed_pipeline_raises_a_typed_error(steps, message):
+    # the command line refuses these when a file loads; a library caller
+    # gets the same words as an InvalidScenario
+    line = CurveScenario.anticanonical_curve(3, 0, 4, 64)
+    with pytest.raises(InvalidScenario) as raised:
+        run_pipeline(steps, line)
+    assert str(raised.value) == f"seshadri pipeline: {message}"
