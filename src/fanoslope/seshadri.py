@@ -352,16 +352,17 @@ def run_pipeline(steps, scenario):
     or a Surd; any other slot is checked as its step runs, and a bad one
     raises InvalidScenario. An estimate slot left out takes the previous
     step's result, and a bool slot left out is false. An empty pipeline, a
-    step without a rule or a rule not in RULES raises InvalidScenario.
+    step without a rule, a rule not in RULES or a null estimate name (in a
+    slot or in combine's list) raises InvalidScenario.
     """
     if not steps:
         raise InvalidScenario("seshadri pipeline: empty rule pipeline")
     named = {}  # each estimate by its "as" name, and the last one under None
 
-    def fetch(ref, context):
-        if ref is None and None not in named:
-            raise InvalidScenario(f"{context}: no previous estimate to use")
-        if ref is not None and (not isinstance(ref, str) or ref not in named):
+    def fetch(ref, context, key):
+        if ref is None:  # never read as "the previous estimate"
+            raise InvalidScenario(f"{context}.{key}: null is not an estimate name")
+        if not isinstance(ref, str) or ref not in named:
             raise InvalidScenario(f"{context}: unknown estimate name {ref!r}")
         return named[ref]
 
@@ -369,12 +370,16 @@ def run_pipeline(steps, scenario):
         if kind == "scenario":
             return scenario
         if kind == "ref":
-            return fetch(step.get(key), context)
+            if key in step:
+                return fetch(step[key], context, key)
+            if None not in named:
+                raise InvalidScenario(f"{context}: no previous estimate to use")
+            return named[None]
         if kind == "refs":
             refs = step.get(key)
             if not isinstance(refs, list) or len(refs) < 2:
                 raise InvalidScenario(f"{context}: needs a list of names")
-            return [fetch(ref, context) for ref in refs]
+            return [fetch(ref, context, key) for ref in refs]
         if kind in ("rational", "value") and key in step:
             return step[key]  # already read
         # an absent bool slot is false; any other absent slot fails to read

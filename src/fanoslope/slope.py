@@ -27,7 +27,6 @@ Z destabilizes at lam exactly when mu_lam <= mu, which after clearing the
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .blowup import (
     exceptional_restriction_poly,  # not called here; perfbench's tracer patches it
@@ -42,8 +41,6 @@ __all__ = [
     "QuotientSlopeReport",
     "quotient_slope",
     "quotient_slope_via_integrals",
-    "leading_deficit_poly",
-    "subleading_deficit_poly",
     "destabilizing_quadratic",
 ]
 
@@ -111,26 +108,7 @@ def quotient_slope(scenario, lam, cross_check=False):
                 f"quotient slope at lambda = {lam}: closed form {value} "
                 f"but integral route {via_integral}"
             )
-    return QuotientSlopeReport(
-        lam=lam,
-        value=value,
-        via_integral=via_integral,
-    )
-
-
-def _deficit(poly):
-    """a(0) - a(x): the non-constant coefficients of a(x), negated."""
-    return Polynomial([0] + [-c for c in poly._nums[1:]], poly._den)
-
-
-def leading_deficit_poly(scenario):
-    """atilde0(x) = a0(0) - a0(x) = (n*d*x**(n-1) - p*x**n) / n!"""
-    return _deficit(hilbert_leading_poly(scenario))
-
-
-def subleading_deficit_poly(scenario):
-    """atilde1(x) = a1(0) - a1(x)."""
-    return _deficit(hilbert_subleading_poly(scenario))
+    return QuotientSlopeReport(lam, value, via_integral)
 
 
 def _antiderivative(nums, den):
@@ -144,31 +122,56 @@ def _antiderivative(nums, den):
     return low + 1, tuple(band), den * common
 
 
-@lru_cache(maxsize=4)
 def _deficit_integrals(scenario):
     """int_0^x (atilde1 + atilde0'/2) and int_0^x atilde0, each as
     (low, band, den), meaning x**low * sum(band[i] * x**i) / den.
 
-    Built once per scenario from the two deficit polynomials (a curve's
-    degree is positive, so neither is zero): the derivative, the half and
-    the sum run in one pass over their numerators, over one common
-    denominator, skipping zero numerators; each band has at most two
-    entries. The cache holds a few scenarios only, far fewer than a batch,
-    so a second pass over a batch builds them again.
+    Built from the numerators of the two Hilbert polynomials (a curve's
+    degree is positive, so neither deficit is zero): a deficit
+    a(0) - a(x) is their non-constant numerators negated, and that
+    negation, the derivative, the half and the sum run in one pass over
+    one common denominator, skipping zero numerators; each band has at
+    most two entries. No deficit Polynomial is built.
     """
     s = scenario
-    atilde0, atilde1 = leading_deficit_poly(s), subleading_deficit_poly(s)
-    lead, sub = atilde0._nums, atilde1._nums
-    den = math.lcm(2 * atilde0._den, atilde1._den)
-    half, whole = den // (2 * atilde0._den), den // atilde1._den
-    integrand = [0] * max(len(sub), len(lead) - 1)
-    for i, c in enumerate(sub):
+    leading, subleading = hilbert_leading_poly(s), hilbert_subleading_poly(s)
+    atilde0 = [0] + [-c for c in leading._nums[1:]]
+    sub = subleading._nums
+    den = math.lcm(2 * leading._den, subleading._den)
+    half, whole = den // (2 * leading._den), den // subleading._den
+    integrand = [0] * max(len(sub), len(atilde0) - 1)
+    for i, c in enumerate(sub[1:], 1):
         if c:
-            integrand[i] = c * whole
-    for i, c in enumerate(lead[1:]):
+            integrand[i] = -c * whole  # atilde1
+    for i, c in enumerate(atilde0[1:]):
         if c:
             integrand[i] += (i + 1) * c * half
-    return _antiderivative(integrand, den), _antiderivative(lead, atilde0._den)
+    return _antiderivative(integrand, den), _antiderivative(atilde0, leading._den)
+
+
+# A few scenarios' antiderivatives, keyed by the scenario's integers so that
+# no Fraction is hashed per call; far fewer than a batch, so a second pass
+# over a batch builds them again. The oldest entry is dropped first.
+_INTEGRALS_KEPT = 4
+_integrals = {}
+
+
+def _cached_deficit_integrals(scenario):
+    """_deficit_integrals(scenario), built once while the scenario is kept.
+    A build that raises is not stored."""
+    s = scenario
+    ln, k_ln1 = s.ln, s.k_ln1
+    key = (
+        s.n, s.genus, s.degree, s.normal_degree, ln.numerator, ln.denominator,
+        k_ln1.numerator, k_ln1.denominator, s.anticanonical,
+    )
+    integrals = _integrals.get(key)
+    if integrals is None:
+        integrals = _deficit_integrals(s)
+        if len(_integrals) >= _INTEGRALS_KEPT:
+            del _integrals[next(iter(_integrals))]
+        _integrals[key] = integrals
+    return integrals
 
 
 def quotient_slope_via_integrals(scenario, lam):
@@ -185,7 +188,7 @@ def quotient_slope_via_integrals(scenario, lam):
     _require_dimension(s)
     lam = _require_positive(lam)
     (top_low, top_band, top_den), (bottom_low, bottom_band, bottom_den) = (
-        _deficit_integrals(s)
+        _cached_deficit_integrals(s)
     )
     a, b = lam.numerator, lam.denominator
     top, top_scale = _value_at(top_band, a, b)

@@ -4,16 +4,20 @@ Each function states one formula of the paper in exact arithmetic; the tests
 check it against the package's own polynomials and records. No command needs
 them: the verdicts come from the destabilizing quadratic and the Seshadri
 pipeline, so they live here rather than in the package's public API. That
-holds for the exact roots of a quadratic and for the bundle-side helpers,
-which answer the converse question: which normal-bundle splittings are even
-allowed for a curve that fails to be stable.
+holds for the Hilbert-coefficient deficits, which the integral route builds
+from the Hilbert numerators without them, for the exact roots of a
+quadratic and for the bundle-side helpers, which answer the converse
+question: which normal-bundle splittings are even allowed for a curve that
+fails to be stable.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from fanoslope.blowup import exceptional_restriction_poly
+from fanoslope.blowup import (
+    exceptional_restriction_poly, hilbert_leading_poly, hilbert_subleading_poly,
+)
 from fanoslope.classify import BundleSplitting
 from fanoslope.errors import (
     DimensionTooSmall, FanoslopeError, InvalidScenario, NotAnticanonical,
@@ -21,12 +25,22 @@ from fanoslope.errors import (
 from fanoslope.exactnum import (
     Polynomial, Surd, _require_bool, _require_int, _require_rational,
 )
-from fanoslope.slope import (
-    _require_dimension,
-    leading_deficit_poly,
-    manifold_slope,
-    subleading_deficit_poly,
-)
+from fanoslope.slope import _require_dimension, manifold_slope
+
+
+def _deficit(poly):
+    """a(0) - a(x): the non-constant coefficients of a(x), negated."""
+    return Polynomial([0] + [-c for c in poly._nums[1:]], poly._den)
+
+
+def leading_deficit_poly(scenario):
+    """atilde0(x) = a0(0) - a0(x) = (n*d*x**(n-1) - p*x**n) / n!"""
+    return _deficit(hilbert_leading_poly(scenario))
+
+
+def subleading_deficit_poly(scenario):
+    """atilde1(x) = a1(0) - a1(x)."""
+    return _deficit(hilbert_subleading_poly(scenario))
 
 
 def exceptional_power_table(scenario):

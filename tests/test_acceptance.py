@@ -30,7 +30,6 @@ from fanoslope.seshadri import (
 )
 from fanoslope.slope import (
     destabilizing_quadratic,
-    leading_deficit_poly,
     manifold_slope,
     quotient_slope,
     quotient_slope_via_integrals,
@@ -48,6 +47,7 @@ from paper_formulas import (
     anticanonical_square_exceptional,
     fano_bundle_check,
     fano_quadratic_at_degree,
+    leading_deficit_poly,
     margin_factorization_residual,
     normalized,
 )

@@ -56,18 +56,16 @@ PUBLIC_API = {
     "slope": [
         "QuotientSlopeReport",
         "destabilizing_quadratic",
-        "leading_deficit_poly",
         "manifold_slope",
         "quotient_slope",
         "quotient_slope_via_integrals",
-        "subleading_deficit_poly",
     ],
 }
 
 
 def test_package_all_is_the_pinned_list_without_repeats():
     expected = sorted(["errors", *(n for names in PUBLIC_API.values() for n in names)])
-    assert len(fanoslope.__all__) == len(set(fanoslope.__all__)) == 36
+    assert len(fanoslope.__all__) == len(set(fanoslope.__all__)) == 34
     assert sorted(fanoslope.__all__) == expected
 
 

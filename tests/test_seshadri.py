@@ -311,3 +311,19 @@ def test_a_malformed_pipeline_raises_a_typed_error(steps, message):
     with pytest.raises(InvalidScenario) as raised:
         run_pipeline(steps, line)
     assert str(raised.value) == f"seshadri pipeline: {message}"
+
+
+@pytest.mark.parametrize("step, slot", [
+    ({"rule": "product_fiber_estimate", "of": None}, "product_fiber_estimate.of"),
+    ({"rule": "intersection_min_lower", "first": None, "second": "a"},
+     "intersection_min_lower.first"),
+    ({"rule": "combine", "of": ["a", None]}, "combine.of"),
+])
+def test_a_null_estimate_name_is_refused_not_read_as_the_previous_one(step, slot):
+    # the witness step before it would be there to fall back on
+    line = CurveScenario.anticanonical_curve(3, 0, 4, 64)
+    bind = {"rule": "linear_subspace_exact", "n": 3, "as": "a"}
+    witness = {"rule": "witness_curve_upper", "degree": Fraction(9, 2)}
+    with pytest.raises(InvalidScenario) as raised:
+        run_pipeline([bind, witness, step], line)
+    assert str(raised.value) == f"seshadri rule {slot}: null is not an estimate name"

@@ -20,11 +20,9 @@ from fanoslope.errors import (
 from fanoslope.exactnum import Polynomial
 from fanoslope.slope import (
     destabilizing_quadratic,
-    leading_deficit_poly,
     manifold_slope,
     quotient_slope,
     quotient_slope_via_integrals,
-    subleading_deficit_poly,
 )
 
 from generators import (
@@ -34,7 +32,12 @@ from generators import (
     random_anticanonical_scenario,
     random_general_scenario,
 )
-from paper_formulas import fano_quadratic_at_degree, margin_factorization_residual
+from paper_formulas import (
+    fano_quadratic_at_degree,
+    leading_deficit_poly,
+    margin_factorization_residual,
+    subleading_deficit_poly,
+)
 import polynomial_oracle
 
 
@@ -189,7 +192,9 @@ def test_cached_integral_route_matches_a_fresh_build_interleaved(monkeypatch):
     base = CurveScenario(4, 1, 3, 3, Fraction(7), Fraction(-7))
     twins = [  # each differs from base in the one field named
         CurveScenario(4, 1, 3, 3, Fraction(9), Fraction(-7)),  # ln
+        CurveScenario(4, 1, 3, 3, Fraction(7, 2), Fraction(-7)),  # ln's denominator
         CurveScenario(4, 1, 3, 3, Fraction(7), Fraction(-5)),  # k_ln1
+        CurveScenario(4, 1, 3, 3, Fraction(7), Fraction(-7, 2)),  # k_ln1's denominator
         CurveScenario(4, 1, 3, 3, Fraction(7), Fraction(-7), anticanonical=True),
         CurveScenario(5, 1, 3, 3, Fraction(7), Fraction(-7)),  # n
         CurveScenario(4, 0, 3, 3, Fraction(7), Fraction(-7)),  # genus
@@ -206,7 +211,7 @@ def test_cached_integral_route_matches_a_fresh_build_interleaved(monkeypatch):
         slope, "hilbert_leading_poly", lambda s: builds.append(s) or real_leading(s)
     )
     for twin in twins:
-        slope._deficit_integrals.cache_clear()
+        slope._integrals.clear()
         builds.clear()
         for lam in lams:
             for s in (base, twin):
@@ -223,9 +228,37 @@ def test_small_dimension_raises_on_every_call():
         with pytest.raises(DimensionTooSmall):
             quotient_slope_via_integrals(flat, Fraction(1))
         with pytest.raises(DimensionTooSmall):
-            slope._deficit_integrals(flat)  # a failed build is not remembered
+            slope._cached_deficit_integrals(flat)  # a failed build is not remembered
         with pytest.raises(DimensionTooSmall):
             quotient_slope(flat, Fraction(1), cross_check=True)
+
+
+def test_the_integral_cache_keeps_the_four_latest_scenarios(monkeypatch):
+    scenarios = [
+        CurveScenario(3 + i % 7, i % 3, 1 + i, 2, Fraction(7 + i, 1 + i % 4), -5)
+        for i in range(100)
+    ]
+    assert len(set(scenarios)) == 100
+    slope._integrals.clear()
+    for s in scenarios:
+        quotient_slope_via_integrals(s, Fraction(1, 3))
+        assert len(slope._integrals) <= 4
+    kept = dict(slope._integrals)
+    assert len(kept) == 4
+    flat = CurveScenario(2, 0, 1, 0, Fraction(8), Fraction(-6))
+    with pytest.raises(DimensionTooSmall):
+        slope._cached_deficit_integrals(flat)
+    assert slope._integrals == kept  # a failed build is not stored
+    builds = []
+    real_leading = slope.hilbert_leading_poly
+    monkeypatch.setattr(
+        slope, "hilbert_leading_poly", lambda s: builds.append(s) or real_leading(s)
+    )
+    for s in scenarios[-4:]:
+        quotient_slope_via_integrals(s, Fraction(1, 3))
+    assert builds == []
+    quotient_slope_via_integrals(scenarios[0], Fraction(1, 3))
+    assert builds == [scenarios[0]]
 
 
 def test_closed_form_equals_integral_route_randomized():
@@ -380,7 +413,7 @@ def test_integral_route_matches_the_rational_coefficient_route(case):
 @given(scenarios_and_twists())
 def test_route_polynomials_match_the_rational_coefficient_ones(case):
     s, _ = case
-    integrals = slope._deficit_integrals.__wrapped__(s)
+    integrals = slope._deficit_integrals(s)
     # each antiderivative is x**low * band / den, its band starting and
     # ending at a non-zero term
     assert all(band[0] and band[-1] for _, band, _ in integrals)
@@ -405,11 +438,11 @@ def test_route_polynomials_match_the_rational_coefficient_ones(case):
     assert all(type(c) is Fraction for p in built for c in p.coeffs)
 
 
-def test_one_scenario_builds_five_polynomials(monkeypatch):
+def test_one_scenario_builds_three_polynomials(monkeypatch):
     # the benchmark counts Polynomial.__init__ calls: the two Hilbert
-    # polynomials, the two deficits and the quadratic are built through it,
-    # and the antiderivatives are built from their numerators, not as
-    # Polynomials
+    # polynomials and the quadratic are built through it, and the deficits
+    # and their antiderivatives are built from the Hilbert numerators, not
+    # as Polynomials
     built = []
     real_init = Polynomial.__init__
 
@@ -424,6 +457,6 @@ def test_one_scenario_builds_five_polynomials(monkeypatch):
         CurveScenario(5, 2, 3, -4, Fraction(7, 3), Fraction(-5, 6)),
     ):
         built.clear()
-        slope._deficit_integrals.__wrapped__(s)
+        slope._deficit_integrals(s)
         destabilizing_quadratic(s)
-        assert len(built) == 5
+        assert len(built) == 3
