@@ -114,10 +114,6 @@ class CurveScenario(namedtuple(
         """K_X.Z, derived from adjunction: 2g - 2 - p."""
         return 2 * self.genus - 2 - self.normal_degree
 
-    @property
-    def codimension(self):
-        return self.n - 1
-
 
 def exceptional_restriction_poly(scenario):
     """(sigma*L - x*E)**(n-1) . E as a polynomial in x.
@@ -126,8 +122,7 @@ def exceptional_restriction_poly(scenario):
     what makes a declared Seshadri bound consistent.
     """
     s = scenario
-    base = Polynomial.monomial(s.n - 2)
-    return base * Polynomial([(s.n - 1) * s.degree, -s.normal_degree])
+    return Polynomial([0] * (s.n - 2) + [(s.n - 1) * s.degree, -s.normal_degree])
 
 
 def hilbert_leading_poly(scenario):

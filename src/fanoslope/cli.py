@@ -35,7 +35,9 @@ from .exactnum import (
     Surd, _read_bool, _read_int, _require_rational, compare, parse_rational,
     parse_value, render_value,
 )
-from .seshadri import RULES, ProvenanceEntry, SeshadriEstimate, run_pipeline
+from .seshadri import (
+    RULES, ProvenanceEntry, SeshadriEstimate, run_pipeline, step_rule,
+)
 from .slope import destabilizing_quadratic, quotient_slope
 
 __all__ = [
@@ -272,16 +274,7 @@ def _read_seshadri_spec(spec, context):
 
 
 def _read_step(step, context):
-    if not isinstance(step, dict) or "rule" not in step:
-        raise InvalidScenario(f"{context}: each pipeline step needs a rule")
-    rule = step["rule"]
-    readers = _STEP_READERS.get(rule) if isinstance(rule, str) else None
-    if readers is None:
-        raise InvalidScenario(f"{context}: unknown rule {rule!r}")
-    allowed, read_at_load = readers
-    if not step.keys() <= allowed:
-        extra = sorted(step.keys() - allowed)
-        raise InvalidScenario(f"{context}: rule {rule} has no slots {extra}")
+    read_at_load = _STEP_READERS[step_rule(step, context)]
     out = dict(step)
     for key, reader in read_at_load:
         if key in out:
@@ -318,16 +311,12 @@ def _compile_fields(fields):
 
 _ENTRY_READERS = _compile_fields(_ENTRY_FIELDS)
 _FLAG_READERS = _compile_fields(_FLAG_FIELDS)
-# Per rule: the keys a step may carry, and the (key, reader) of each rational
-# or value slot, read when the file loads, so a bad one fails the whole file.
-# run_pipeline checks the other slots when the step runs.
+# Per rule: the (key, reader) of each rational or value slot, read when the
+# file loads, so a bad one fails the whole file. run_pipeline checks the
+# other slots when the step runs.
 _STEP_READERS = {
-    rule: (
-        frozenset(["rule", "as", *(key for key, _ in slots)]),
-        tuple(
-            (key, _READERS[kind]) for key, kind in slots
-            if kind in ("rational", "value")
-        ),
+    rule: tuple(
+        (key, _READERS[kind]) for key, kind in slots if kind in ("rational", "value")
     )
     for rule, slots in RULES.items()
 }

@@ -7,7 +7,8 @@ equality). On top of that this module supplies
 
 * :class:`Polynomial` -- univariate polynomials with rational coefficients,
   kept as ascending integer numerators over one positive denominator, in
-  lowest terms with trailing zeros stripped;
+  lowest terms with trailing zeros stripped; they are built, read and
+  evaluated, and have no arithmetic of their own;
 * :class:`Surd` -- numbers ``rat + coef*sqrt(rad)`` with a square-free
   radicand below 10**12, such as ``sqrt(n**2 - 1)``, kept as integers
   ``(x + y*sqrt(rad)) / q`` in lowest terms;
@@ -371,12 +372,14 @@ class Polynomial:
     over one positive denominator, in lowest terms, with trailing zeros
     stripped, so equal polynomials are stored alike; ``coeffs`` reads them
     back as a tuple of Fractions. The zero polynomial has no numerators
-    and reports degree -1. Instances are immutable; arithmetic runs on the
-    numerators and returns new objects. Evaluation uses Horner's scheme at
-    an int, Fraction or Surd point (anything else raises TypeError) and
-    returns the type the point arithmetic produces: at a rational point it
-    runs in integers and builds one Fraction, and at a Surd point zero
-    coefficients are passed through without arithmetic.
+    and reports degree -1. Instances are immutable and compare and hash
+    by value. A polynomial is built, read and evaluated, nothing more: the
+    package writes each one down in closed form, so it has no arithmetic
+    on polynomials. Evaluation uses Horner's scheme at an int, Fraction or
+    Surd point (anything else raises TypeError) and returns the type the
+    point arithmetic produces: at a rational point it runs in integers and
+    builds one Fraction, and at a Surd point zero coefficients are passed
+    through without arithmetic.
     """
 
     __slots__ = ("_nums", "_den")
@@ -409,12 +412,6 @@ class Polynomial:
 
     __delattr__ = __setattr__
 
-    @classmethod
-    def monomial(cls, power, coefficient=1):
-        if _require_int(power, "power") < 0:
-            raise ValueError("power must be non-negative")
-        return cls([0] * power + [coefficient])
-
     @property
     def coeffs(self):
         """The coefficients, ascending, as Fractions."""
@@ -423,12 +420,6 @@ class Polynomial:
     @property
     def degree(self):
         return len(self._nums) - 1
-
-    def coefficient(self, power):
-        """Coefficient of x**power (zero beyond the degree)."""
-        if 0 <= _require_int(power, "power") < len(self._nums):
-            return Fraction(self._nums[power], self._den)
-        return Fraction(0)
 
     def __bool__(self):
         return bool(self._nums)
@@ -440,40 +431,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return _sum(self, other, 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return _sum(self, other, -1)
-
-    def __neg__(self):
-        return Polynomial([-c for c in self._nums], self._den)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            left, right = self._nums, other._nums
-            if not left or not right:
-                return Polynomial()
-            terms = [(j, b) for j, b in enumerate(right) if b]
-            out = [0] * (len(left) + len(right) - 1)
-            for i, a in enumerate(left):
-                if a:
-                    for j, b in terms:
-                        out[i + j] += a * b
-            return Polynomial(out, self._den * other._den)
-        if isinstance(other, (int, Fraction)) and type(other) is not bool:
-            factor = other.numerator
-            return Polynomial(
-                [c * factor for c in self._nums], self._den * other.denominator
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __call__(self, point):
         if type(point) is int or type(point) is Fraction:
@@ -492,33 +449,8 @@ class Polynomial:
                 acc = acc + c
         return acc
 
-    def differentiate(self):
-        return Polynomial([c * i for i, c in enumerate(self._nums)][1:], self._den)
-
-    def integrate_from_zero(self):
-        """The antiderivative with zero constant term."""
-        nums = self._nums
-        common = math.lcm(*[i + 1 for i, c in enumerate(nums) if c])
-        return Polynomial(
-            [0] + [c * (common // (i + 1)) for i, c in enumerate(nums)],
-            self._den * common,
-        )
-
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-def _sum(left, right, sign):
-    """left + sign*right, over the least common denominator; only the
-    non-zero numerators of right take part in any arithmetic."""
-    divisor = math.gcd(left._den, right._den)
-    scale, other_scale = right._den // divisor, sign * (left._den // divisor)
-    out = [c * scale for c in left._nums]
-    out.extend([0] * (len(right._nums) - len(out)))
-    for i, c in enumerate(right._nums):
-        if c:
-            out[i] += c * other_scale
-    return Polynomial(out, left._den * scale)
 
 
 def _value_at(nums, a, b):

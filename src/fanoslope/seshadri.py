@@ -8,9 +8,10 @@ entry, so a finished estimate carries the full chain of facts that justify
 it. Rules whose hypotheses cannot be verified from the available bounds
 refuse to fire (HypothesisNotCertified) rather than silently weaken.
 
-``RULES`` is the rule table, each rule's slots in call order, and
-``run_pipeline(steps, scenario)`` runs rule steps into one estimate. A
-rule's effect is the first line of its docstring.
+``RULES`` is the rule table, each rule's slots in call order, ``STEP_KEYS``
+the keys a step of each rule may carry, and ``run_pipeline(steps,
+scenario)`` runs rule steps into one estimate. A rule's effect is the first
+line of its docstring.
 """
 
 from collections import namedtuple
@@ -342,6 +343,26 @@ RULES = {
     ),
     "combine": (("of", "refs"),),
 }
+# The keys a step of each rule may carry: "rule", "as" and its slots' keys.
+STEP_KEYS = {
+    rule: frozenset(["rule", "as", *(key for key, _ in slots if key)])
+    for rule, slots in RULES.items()
+}
+
+
+def step_rule(step, context):
+    """The rule a pipeline step names, once the step is a dict with a rule in
+    RULES and no key but that rule's; anything else raises InvalidScenario
+    naming ``context``. The file loader and run_pipeline share these words."""
+    if not isinstance(step, dict) or "rule" not in step:
+        raise InvalidScenario(f"{context}: each pipeline step needs a rule")
+    rule = step["rule"]
+    if not isinstance(rule, str) or rule not in RULES:
+        raise InvalidScenario(f"{context}: unknown rule {rule!r}")
+    if not step.keys() <= STEP_KEYS[rule]:
+        extra = sorted(step.keys() - STEP_KEYS[rule], key=str)
+        raise InvalidScenario(f"{context}: rule {rule} has no slots {extra}")
+    return rule
 
 
 def run_pipeline(steps, scenario):
@@ -352,8 +373,9 @@ def run_pipeline(steps, scenario):
     or a Surd; any other slot is checked as its step runs, and a bad one
     raises InvalidScenario. An estimate slot left out takes the previous
     step's result, and a bool slot left out is false. An empty pipeline, a
-    step without a rule, a rule not in RULES or a null estimate name (in a
-    slot or in combine's list) raises InvalidScenario.
+    step without a rule, a rule not in RULES, a key the rule has no slot
+    for or a null estimate name (in a slot or in combine's list) raises
+    InvalidScenario.
     """
     if not steps:
         raise InvalidScenario("seshadri pipeline: empty rule pipeline")
@@ -389,11 +411,7 @@ def run_pipeline(steps, scenario):
         return reader(step.get(key), f"{context}.{key}")
 
     for step in steps:
-        if not isinstance(step, dict) or "rule" not in step:
-            raise InvalidScenario("seshadri pipeline: each pipeline step needs a rule")
-        rule = step["rule"]
-        if not isinstance(rule, str) or rule not in RULES:
-            raise InvalidScenario(f"seshadri pipeline: unknown rule {rule!r}")
+        rule = step_rule(step, "seshadri pipeline")
         context = f"seshadri rule {rule}"
         args = [read(step, key, kind, context) for key, kind in RULES[rule]]
         # looked up when the step runs, so a patched rule is the one called

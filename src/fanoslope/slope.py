@@ -149,28 +149,20 @@ def _deficit_integrals(scenario):
     return _antiderivative(integrand, den), _antiderivative(atilde0, leading._den)
 
 
-# A few scenarios' antiderivatives, keyed by the scenario's integers so that
-# no Fraction is hashed per call; far fewer than a batch, so a second pass
-# over a batch builds them again. The oldest entry is dropped first.
-_INTEGRALS_KEPT = 4
-_integrals = {}
+# The last scenario's antiderivatives, with the scenario itself: a lambda
+# loop over one scenario object builds them once, and holding the object
+# keeps its id from being reused.
+_last_integrals = (None, None)
 
 
 def _cached_deficit_integrals(scenario):
-    """_deficit_integrals(scenario), built once while the scenario is kept.
-    A build that raises is not stored."""
-    s = scenario
-    ln, k_ln1 = s.ln, s.k_ln1
-    key = (
-        s.n, s.genus, s.degree, s.normal_degree, ln.numerator, ln.denominator,
-        k_ln1.numerator, k_ln1.denominator, s.anticanonical,
-    )
-    integrals = _integrals.get(key)
-    if integrals is None:
-        integrals = _deficit_integrals(s)
-        if len(_integrals) >= _INTEGRALS_KEPT:
-            del _integrals[next(iter(_integrals))]
-        _integrals[key] = integrals
+    """_deficit_integrals(scenario), built again unless scenario is the
+    object of the last build. A build that raises is not stored."""
+    global _last_integrals
+    kept, integrals = _last_integrals
+    if kept is not scenario:
+        integrals = _deficit_integrals(scenario)
+        _last_integrals = scenario, integrals
     return integrals
 
 
@@ -179,10 +171,10 @@ def quotient_slope_via_integrals(scenario, lam):
 
     This is the defining ratio of integrals, kept as an independent oracle
     for the closed form. The two antiderivatives are built from the Hilbert
-    polynomials once per scenario, as x**low times a short band; each call
-    evaluates both bands at lam = a/b by integer Horner, cancels
-    lam**(low_top - low_bottom) as powers of a and b, and builds one
-    Fraction, their quotient.
+    polynomials as x**low times a short band and kept for the last scenario
+    object only; each call evaluates both bands at lam = a/b by integer
+    Horner, cancels lam**(low_top - low_bottom) as powers of a and b, and
+    builds one Fraction, their quotient.
     """
     s = scenario
     _require_dimension(s)

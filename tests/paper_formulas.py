@@ -26,6 +26,7 @@ from fanoslope.exactnum import (
     Polynomial, Surd, _require_bool, _require_int, _require_rational,
 )
 from fanoslope.slope import _require_dimension, manifold_slope
+import polynomial_oracle
 
 
 def _deficit(poly):
@@ -105,15 +106,17 @@ def margin_factorization_residual(scenario, x):
         )
     _require_dimension(s)
     mu = manifold_slope(s)
-    atilde0 = leading_deficit_poly(s)
+    # the package's polynomials, read into the oracle class, which has arithmetic
+    ring = polynomial_oracle.Polynomial
+    atilde0 = ring(leading_deficit_poly(s).coeffs)
     lhs = (
         atilde0 * (-mu)
-        + subleading_deficit_poly(s)
+        + ring(subleading_deficit_poly(s).coeffs)
         + atilde0.differentiate() * Fraction(1, 2)
     )
     rhs = (
-        Polynomial([s.n - 1, -1])
-        * exceptional_restriction_poly(s)
+        ring([s.n - 1, -1])
+        * ring(exceptional_restriction_poly(s).coeffs)
         * Fraction(1, 2 * factorial(s.n - 1))
     )
     return (lhs - rhs)(_require_rational(x, "x"))

@@ -4,11 +4,13 @@ Each public name is declared once, in the ``__all__`` beside its
 definition; ``fanoslope`` re-exports every module's ``__all__``. The list
 below pins that set, so adding or retiring a public name is one
 ``__all__`` edit plus one edit here. A public name must also be reached
-from ``src/``: a helper that only tests call lives in the tests.
+from ``src/``: a helper that only tests call lives in the tests. So must
+each public method and property of a public class.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import fanoslope
@@ -83,6 +85,12 @@ KEPT_UNREACHED = {
     "manifold_slope": "the paper's mu, and README's library example",
     "exceptional_restriction_poly": "perfbench's tracer patches slope's import of it",
 }
+# public methods and properties that no src/ module reaches, with reasons
+KEPT_UNREACHED_MEMBERS = {
+    ("CurveScenario", "anticanonical_curve"): "README's library example and CI "
+    "build scenarios with it",
+    ("SeshadriEstimate", "is_exact"): "perfbench/test_perfbench.py reads it",
+}
 # (module, name) imports that module never uses, each with its reason
 UNUSED_IMPORTS = {
     ("slope", "exceptional_restriction_poly"): "perfbench's tracer patches it there",
@@ -98,12 +106,19 @@ def _modules():
     }
 
 
-def test_every_public_name_is_reached_from_src_or_kept_for_a_reason():
+def _reached_names():
+    """Every name src/ reads: a variable, an attribute or an imported name.
+
+    It matches by name alone, so a field or a variable called ``degree``
+    also reaches ``Polynomial.degree``. A name's own definition, or an
+    assignment to it, does not reach it."""
     reached = set(fanoslope.seshadri.RULES)  # rule names dispatch by name
     for module, tree in _modules().items():
         for statement in tree.body:
             names = set()
             for node in ast.walk(statement):
+                if isinstance(getattr(node, "ctx", None), ast.Store):
+                    continue
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
@@ -114,10 +129,37 @@ def test_every_public_name_is_reached_from_src_or_kept_for_a_reason():
                         alias.name for alias in node.names
                         if (module, alias.name) not in UNUSED_IMPORTS
                     )
-            # a name's own definition does not reach it
             reached |= names - {getattr(statement, "name", None)}
-    unreached = set(fanoslope.__all__) - reached
+    return reached
+
+
+def public_members():
+    """(class, name) of each public method and property that a class in
+    fanoslope.__all__ defines itself: no dunder, and no named-tuple field or
+    enum member."""
+    members = set()
+    for class_name in fanoslope.__all__:
+        cls = getattr(fanoslope, class_name)
+        if isinstance(cls, type):
+            members.update(
+                (class_name, name) for name, value in vars(cls).items()
+                if not name.startswith("_") and (
+                    inspect.isfunction(value)
+                    or isinstance(value, (property, classmethod, staticmethod))
+                )
+            )
+    return members
+
+
+def test_every_public_name_is_reached_from_src_or_kept_for_a_reason():
+    unreached = set(fanoslope.__all__) - _reached_names()
     assert unreached == set(KEPT_UNREACHED)
+
+
+def test_every_public_method_is_reached_from_src_or_kept_for_a_reason():
+    reached = _reached_names()
+    unreached = {member for member in public_members() if member[1] not in reached}
+    assert unreached == set(KEPT_UNREACHED_MEMBERS)
 
 
 def test_no_src_module_imports_a_name_it_never_uses():

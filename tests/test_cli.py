@@ -34,7 +34,7 @@ from fanoslope.classify import (
 )
 from fanoslope.errors import FanoslopeError, GridOutOfRange, InvalidScenario
 from fanoslope.exactnum import _MAX_RADICAND, Surd, parse_rational, parse_value
-from fanoslope.seshadri import RULES, ProvenanceEntry
+from fanoslope.seshadri import RULES, STEP_KEYS, ProvenanceEntry
 
 FIXTURES = files("fanoslope") / "fixtures"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -305,7 +305,6 @@ def test_sweep_builds_the_integral_route_once(capsys, monkeypatch):
     monkeypatch.setattr(
         slope, "hilbert_leading_poly", lambda s: builds.append(s) or real_leading(s)
     )
-    slope._integrals.clear()
     code, out, _ = run_cli(
         capsys, "sweep", fixture("blp3_fiber.json"), "--scenario", "blp3_fiber",
         "--grid", "1/2,1,3/2,2,3",
@@ -994,11 +993,11 @@ def test_the_compiled_readers_follow_the_tables():
     for kind, sample in (("int", 3), ("bool", True), ("text", "x")):
         assert type(sample) is cli._TAKEN_AS_IS[kind]
         assert cli._READERS[kind](sample, "x") is sample
-    assert list(cli._STEP_READERS) == list(RULES)
+    assert list(cli._STEP_READERS) == list(STEP_KEYS) == list(RULES)
     for rule, slots in RULES.items():
-        allowed, read_at_load = cli._STEP_READERS[rule]
-        assert allowed == {"rule", "as"} | {key for key, _ in slots}
-        assert [(key, kind_of[reader]) for key, reader in read_at_load] == [
+        # the scenario slot has no key
+        assert STEP_KEYS[rule] == {"rule", "as"} | {key for key, _ in slots if key}
+        assert [(key, kind_of[reader]) for key, reader in cli._STEP_READERS[rule]] == [
             (key, kind) for key, kind in slots if kind in ("rational", "value")
         ]
 

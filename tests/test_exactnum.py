@@ -46,15 +46,6 @@ def test_trailing_zeros_are_stripped():
     assert Polynomial().degree == -1
 
 
-def test_basic_arithmetic():
-    p = Polynomial([1, 2])       # 1 + 2x
-    q = Polynomial([0, 0, 3])    # 3x^2
-    assert (p + q) == Polynomial([1, 2, 3])
-    assert (p * q) == Polynomial([0, 0, 3, 6])
-    assert (p - p) == Polynomial()
-    assert p * Fraction(1, 2) == Polynomial([Fraction(1, 2), 1])
-
-
 def test_evaluation_at_rational_and_surd_points():
     p = Polynomial([24, 0, -3])  # -3x^2 + 24
     assert p(Fraction(2)) == 12
@@ -62,38 +53,26 @@ def test_evaluation_at_rational_and_surd_points():
     assert p(Surd(1, 1, 2)) == Surd(15, -6, 2)  # -3(1+sqrt2)^2 + 24
 
 
-def test_differentiate_and_integrate():
-    p = Polynomial([5, 0, 3])  # 5 + 3x^2
-    assert p.differentiate() == Polynomial([0, 6])
-    assert p.integrate_from_zero() == Polynomial([0, 5, 0, 1])
-    assert p.integrate_from_zero()(Fraction(0)) == 0
-
-
-@given(poly_st)
-def test_integrate_then_differentiate_round_trips(p):
-    assert p.integrate_from_zero().differentiate() == p
+def oracle_poly(poly):
+    """``poly`` as the test oracle's class, which adds, multiplies and
+    differentiates; Polynomial itself is only built and evaluated."""
+    return polynomial_oracle.Polynomial(poly.coeffs)
 
 
 @given(poly_st, poly_st, fractions_st)
 def test_evaluation_is_a_ring_homomorphism(p, q, x):
-    assert (p + q)(x) == p(x) + q(x)
-    assert (p * q)(x) == p(x) * q(x)
-
-
-def test_monomial_and_coefficient_access():
-    m = Polynomial.monomial(3, Fraction(2, 5))
-    assert m.degree == 3
-    assert m.coefficient(3) == Fraction(2, 5)
-    assert m.coefficient(7) == 0
+    total = Polynomial((oracle_poly(p) + oracle_poly(q)).coeffs)
+    product = Polynomial((oracle_poly(p) * oracle_poly(q)).coeffs)
+    assert total(x) == p(x) + q(x)
+    assert product(x) == p(x) * q(x)
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Polynomial.monomial(-1), "power must be non-negative"),
         (lambda: Surd(1, 1, -2), "radicand must be non-negative"),
     ],
-    ids=["negative-power", "negative-radicand"],
+    ids=["negative-radicand"],
 )
 def test_out_of_domain_arguments_raise_value_error(build, message):
     with pytest.raises(ValueError, match=message):
@@ -422,7 +401,6 @@ def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
         lambda: surd_sqrt(bad),
         lambda: Polynomial([1, bad]),
         lambda: Polynomial([bad]),
-        lambda: Polynomial.monomial(2, bad),
         lambda: Polynomial([1, 2])(bad),
         lambda: quadratic_roots(bad, 0, -1),
         lambda: quadratic_roots(1, bad, -1),
@@ -446,10 +424,6 @@ def test_exact_constructors_refuse_floats_strings_and_decimals(bad):
     ):
         with pytest.raises(TypeError, match="int or a Fraction"):
             build()
-    poly = Polynomial([1, 2])
-    for build in (lambda: poly * bad, lambda: bad * poly):
-        with pytest.raises(TypeError):
-            build()
     with pytest.raises(TypeError, match="radicand must be an int"):
         Surd(1, 1, bad)
 
@@ -460,8 +434,6 @@ def test_dimensions_and_genus_are_plain_ints(bad):
         lambda: linear_subspace_exact(bad),
         lambda: point_upper_bound(bad),
         lambda: anticanonical_square_exceptional(4, bad),
-        lambda: Polynomial.monomial(bad),
-        lambda: Polynomial([1, 2, 3]).coefficient(bad),
     ):
         with pytest.raises(TypeError, match="must be an int"):
             build()
@@ -548,7 +520,7 @@ wide_poly_st = st.lists(
     st.lists(st.one_of(wide_rationals_st, rationals_st, any_surd_st), max_size=6),
 )
 @example(
-    Polynomial.monomial(15, Fraction(1, 7)) + Polynomial([0, 0, Fraction(-3, 4)]),
+    Polynomial([0, 0, Fraction(-3, 4)] + [0] * 12 + [Fraction(1, 7)]),
     [Fraction(-5, 3), -(10**20), Fraction(10**20 + 1, 10**12), 2, Fraction(-5, 3)],
 )
 def test_evaluation_at_point_after_point_matches_plain_horner(poly, points):
@@ -831,11 +803,13 @@ def test_a_perfect_square_radicand_needs_no_bound():
     assert quadratic_roots(4, 0, -(10**14)) == (-(5 * 10**6), 5 * 10**6)
 
 
-# -- sparse polynomial arithmetic against the dense routines ----------------
+# -- the oracle's sparse polynomial arithmetic against dense routines --------
 #
-# Polynomial arithmetic passes zero coefficients through without touching
-# them. The dense versions below do Fraction arithmetic on every coefficient;
-# results must be equal, with Fraction coefficients throughout.
+# Polynomial has no arithmetic: tests that state the paper's identities add,
+# multiply, differentiate and integrate in polynomial_oracle.Polynomial,
+# which passes zero coefficients through without touching them. The dense
+# versions below do Fraction arithmetic on every coefficient; results must be
+# equal, with Fraction coefficients throughout.
 
 
 def dense_coefficient(coeffs, power):
@@ -844,7 +818,7 @@ def dense_coefficient(coeffs, power):
 
 def dense_add(p, q):
     size = max(len(p.coeffs), len(q.coeffs))
-    return Polynomial(
+    return polynomial_oracle.Polynomial(
         [
             dense_coefficient(p.coeffs, i) + dense_coefficient(q.coeffs, i)
             for i in range(size)
@@ -853,29 +827,31 @@ def dense_add(p, q):
 
 
 def dense_neg(p):
-    return Polynomial([-c for c in p.coeffs])
+    return polynomial_oracle.Polynomial([-c for c in p.coeffs])
 
 
 def dense_mul(p, q):
     if not p.coeffs or not q.coeffs:
-        return Polynomial()
+        return polynomial_oracle.Polynomial()
     out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
     for i, a in enumerate(p.coeffs):
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
-    return Polynomial(out)
+    return polynomial_oracle.Polynomial(out)
 
 
 def dense_scale(p, factor):
-    return Polynomial([c * Fraction(factor) for c in p.coeffs])
+    return polynomial_oracle.Polynomial([c * Fraction(factor) for c in p.coeffs])
 
 
 def dense_differentiate(p):
-    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+    return polynomial_oracle.Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
 
 
 def dense_integrate(p):
-    return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(p.coeffs)])
+    return polynomial_oracle.Polynomial(
+        [Fraction(0)] + [c / (i + 1) for i, c in enumerate(p.coeffs)]
+    )
 
 
 def same_polynomial(p, q):
@@ -884,14 +860,16 @@ def same_polynomial(p, q):
 
 @given(any_poly_st, any_poly_st)
 def test_sparse_add_sub_neg_match_dense(p, q):
+    p, q = oracle_poly(p), oracle_poly(q)
     assert same_polynomial(p + q, dense_add(p, q))
     assert same_polynomial(p - q, dense_add(p, dense_neg(q)))
     assert same_polynomial(-p, dense_neg(p))
-    assert same_polynomial(p - p, Polynomial())
+    assert same_polynomial(p - p, polynomial_oracle.Polynomial())
 
 
 @given(any_poly_st, any_poly_st, rationals_st)
 def test_sparse_products_match_dense(p, q, factor):
+    p, q = oracle_poly(p), oracle_poly(q)
     assert same_polynomial(p * q, dense_mul(p, q))
     assert same_polynomial(p * factor, dense_scale(p, factor))
     assert same_polynomial(factor * p, dense_scale(p, factor))
@@ -899,6 +877,7 @@ def test_sparse_products_match_dense(p, q, factor):
 
 @given(any_poly_st)
 def test_sparse_calculus_matches_dense(p):
+    p = oracle_poly(p)
     assert same_polynomial(p.differentiate(), dense_differentiate(p))
     assert same_polynomial(p.integrate_from_zero(), dense_integrate(p))
 
@@ -929,10 +908,14 @@ def test_evaluation_through_a_mid_horner_cancellation(top, low, shift, point):
     if isinstance(point, Surd):
         # minimal polynomial of a + b*sqrt(m)
         a, b, m = point.rat, point.coef, point.rad
-        vanishing = Polynomial([a * a - b * b * m, -2 * a, 1])
+        vanishing = polynomial_oracle.Polynomial([a * a - b * b * m, -2 * a, 1])
     else:
-        vanishing = Polynomial([-Fraction(point), 1])
-    poly = top * vanishing * Polynomial.monomial(len(low.coeffs) + shift) + low
+        vanishing = polynomial_oracle.Polynomial([-Fraction(point), 1])
+    # built in the oracle class, which has arithmetic
+    power = polynomial_oracle.Polynomial.monomial(len(low.coeffs) + shift)
+    poly = Polynomial(
+        (oracle_poly(top) * vanishing * power + oracle_poly(low)).coeffs
+    )
     assert same_value(poly(point), oracle_horner(poly, point))
     assert poly(point) == oracle_horner(low, point)
 
@@ -940,8 +923,8 @@ def test_evaluation_through_a_mid_horner_cancellation(top, low, shift, point):
 # -- integer numerators over one denominator ----------------------------------
 #
 # A Polynomial keeps integer numerators over one positive denominator. The
-# earlier class kept a tuple of Fractions; every operation must give the
-# same coefficients, and evaluation the same value and type.
+# earlier class kept a tuple of Fractions; building must give the same
+# coefficients, and evaluation the same value and type.
 
 
 @settings(derandomize=True, database=None)
@@ -1010,33 +993,15 @@ def same_as_oracle(poly, old):
 @given(
     huge_coefficients_st,
     huge_coefficients_st,
-    st.one_of(wide_rationals_st, huge_fractions_st),
     st.one_of(wide_rationals_st, huge_fractions_st, any_surd_st),
 )
-@example([], [Fraction(1, 10**15)], 0, Surd(1, 1, 2))
+@example([], [Fraction(1, 10**15)], Surd(1, 1, 2))
 def test_polynomial_operations_match_the_rational_coefficient_class(
-    left, right, factor, point
+    left, right, point
 ):
+    # what Polynomial does: build, compare, hash, print and evaluate
     p, q = Polynomial(left), Polynomial(right)
     old_p, old_q = polynomial_oracle.Polynomial(left), polynomial_oracle.Polynomial(right)
     assert same_as_oracle(p, old_p) and same_as_oracle(q, old_q)
     assert (p == q) is (old_p == old_q)
-    for new, old in (
-        (p + q, old_p + old_q),
-        (p - q, old_p - old_q),
-        (-p, -old_p),
-        (p * q, old_p * old_q),
-        (p * factor, old_p * factor),
-        (factor * p, factor * old_p),
-        (p.differentiate(), old_p.differentiate()),
-        (p.integrate_from_zero(), old_p.integrate_from_zero()),
-        (
-            Polynomial.monomial(len(left), factor),
-            polynomial_oracle.Polynomial.monomial(len(left), factor),
-        ),
-    ):
-        assert same_as_oracle(new, old)
-    for power in range(-1, len(left) + 2):
-        assert p.coefficient(power) == old_p.coefficient(power)
-        assert type(p.coefficient(power)) is Fraction
     assert same_value(p(point), old_p(point))

@@ -303,6 +303,16 @@ def test_rule_certificate_is_pinned(case):
     ([{"rule": ["nope"]}], "unknown rule ['nope']"),
     ([{"rule": "linear_subspace_exact", "n": 3}, {"n": 3}],
      "each pipeline step needs a rule"),
+    # a key the rule has no slot for is refused, not ignored
+    ([{"rule": "linear_subspace_exact", "n": 3, "nn": 4}],
+     "rule linear_subspace_exact has no slots ['nn']"),
+    ([{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
+      {"rule": "witness_curve_upper", "degree": Fraction(5), "of": "a"}],
+     "rule witness_curve_upper has no slots ['of']"),
+    ([{"rule": "moving_curve_upper", None: 1}],
+     "rule moving_curve_upper has no slots [None]"),
+    ([{"rule": "moving_curve_upper", "z": 1, 2: 0}],
+     "rule moving_curve_upper has no slots [2, 'z']"),
 ])
 def test_a_malformed_pipeline_raises_a_typed_error(steps, message):
     # the command line refuses these when a file loads; a library caller

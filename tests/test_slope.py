@@ -181,10 +181,12 @@ def test_integer_closed_form_matches_the_fraction_chain(case):
 
 
 def _fresh_integral_route(scenario, lam):
-    """The integral route with every polynomial built anew for this call."""
-    atilde0 = leading_deficit_poly(scenario)
+    """The integral route with every polynomial built anew for this call,
+    from the package's deficits read into the oracle class."""
+    ring = polynomial_oracle.Polynomial
+    atilde0 = ring(leading_deficit_poly(scenario).coeffs)
     half_derivative = atilde0.differentiate() * Fraction(1, 2)
-    integrand = subleading_deficit_poly(scenario) + half_derivative
+    integrand = ring(subleading_deficit_poly(scenario).coeffs) + half_derivative
     return integrand.integrate_from_zero()(lam) / atilde0.integrate_from_zero()(lam)
 
 
@@ -211,15 +213,14 @@ def test_cached_integral_route_matches_a_fresh_build_interleaved(monkeypatch):
         slope, "hilbert_leading_poly", lambda s: builds.append(s) or real_leading(s)
     )
     for twin in twins:
-        slope._integrals.clear()
         builds.clear()
         for lam in lams:
             for s in (base, twin):
                 value = expected[s, lam]
                 assert quotient_slope_via_integrals(s, lam) == value
                 assert quotient_slope(s, lam, cross_check=True).via_integral == value
-        # one build for each of the two: the cache key tells them apart
-        assert builds == [base, twin]
+        # only the last scenario is kept: each switch builds again
+        assert builds == [base, twin] * len(lams)
 
 
 def test_small_dimension_raises_on_every_call():
@@ -233,32 +234,39 @@ def test_small_dimension_raises_on_every_call():
             quotient_slope(flat, Fraction(1), cross_check=True)
 
 
-def test_the_integral_cache_keeps_the_four_latest_scenarios(monkeypatch):
+def test_the_integral_cache_keeps_the_last_scenario_only(monkeypatch):
     scenarios = [
         CurveScenario(3 + i % 7, i % 3, 1 + i, 2, Fraction(7 + i, 1 + i % 4), -5)
-        for i in range(100)
+        for i in range(10)
     ]
-    assert len(set(scenarios)) == 100
-    slope._integrals.clear()
     for s in scenarios:
         quotient_slope_via_integrals(s, Fraction(1, 3))
-        assert len(slope._integrals) <= 4
-    kept = dict(slope._integrals)
-    assert len(kept) == 4
+    last = scenarios[-1]
+    kept = slope._last_integrals
+    assert kept[0] is last
     flat = CurveScenario(2, 0, 1, 0, Fraction(8), Fraction(-6))
     with pytest.raises(DimensionTooSmall):
         slope._cached_deficit_integrals(flat)
-    assert slope._integrals == kept  # a failed build is not stored
+    assert slope._last_integrals is kept  # a failed build is not stored
     builds = []
     real_leading = slope.hilbert_leading_poly
     monkeypatch.setattr(
         slope, "hilbert_leading_poly", lambda s: builds.append(s) or real_leading(s)
     )
-    for s in scenarios[-4:]:
-        quotient_slope_via_integrals(s, Fraction(1, 3))
+    for lam in (Fraction(1, 3), Fraction(1), Fraction(5, 2)):
+        quotient_slope_via_integrals(last, lam)
     assert builds == []
-    quotient_slope_via_integrals(scenarios[0], Fraction(1, 3))
-    assert builds == [scenarios[0]]
+    # an equal scenario that is another object is built again, and then kept
+    twin = CurveScenario(*last)
+    assert twin == last and twin is not last
+    for _ in range(2):
+        assert quotient_slope_via_integrals(twin, Fraction(1, 3)) == (
+            _fresh_integral_route(last, Fraction(1, 3))
+        )
+    assert builds == [twin]
+    quotient_slope_via_integrals(scenarios[-2], Fraction(1, 3))
+    assert builds == [twin, scenarios[-2]]
+    assert slope._last_integrals[0] is scenarios[-2]
 
 
 def test_closed_form_equals_integral_route_randomized():
