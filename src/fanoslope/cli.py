@@ -32,8 +32,8 @@ from .blowup import CurveScenario, check_epsilon_consistency
 from .classify import BundleSplitting, ClassifyFlags, classify_curve
 from .errors import FanoslopeError, GridOutOfRange, InvalidScenario
 from .exactnum import (
-    Surd, _read_bool, _read_int, _require_rational, compare, parse_rational,
-    parse_value, render_value,
+    Surd, _ints, _read_bool, _read_int, _require_rational, _sign, compare,
+    parse_rational, parse_value, render_value,
 )
 from .seshadri import (
     RULES, ProvenanceEntry, SeshadriEstimate, run_pipeline, step_rule,
@@ -327,7 +327,8 @@ def _declared_value(value, context):
     constants are positive, so a negative one is an error of this scenario."""
     if value is None:
         return None
-    if (value.sign() if isinstance(value, Surd) else value) < 0:
+    x, y, _, m = _ints(value)  # the sign of (x + y*sqrt(m))/q, q > 0
+    if _sign(x, y, m) < 0:
         raise InvalidScenario(
             f"{context}: a Seshadri bound cannot be negative, "
             f"got {render_value(value)}"

@@ -381,47 +381,50 @@ def run_pipeline(steps, scenario):
         raise InvalidScenario("seshadri pipeline: empty rule pipeline")
     named = {}  # each estimate by its "as" name, and the last one under None
 
-    def fetch(ref, context, key):
+    def error(problem, slot=""):  # the step's context is built only to raise
+        return InvalidScenario(f"seshadri rule {rule}{slot}: {problem}")
+
+    def fetch(ref, key):
         if ref is None:  # never read as "the previous estimate"
-            raise InvalidScenario(f"{context}.{key}: null is not an estimate name")
+            raise error("null is not an estimate name", f".{key}")
         if not isinstance(ref, str) or ref not in named:
-            raise InvalidScenario(f"{context}: unknown estimate name {ref!r}")
+            raise error(f"unknown estimate name {ref!r}")
         return named[ref]
 
-    def read(step, key, kind, context):
+    def read(step, key, kind):
         if kind == "scenario":
             return scenario
         if kind == "ref":
             if key in step:
-                return fetch(step[key], context, key)
+                return fetch(step[key], key)
             if None not in named:
-                raise InvalidScenario(f"{context}: no previous estimate to use")
+                raise error("no previous estimate to use")
             return named[None]
         if kind == "refs":
             refs = step.get(key)
             if not isinstance(refs, list) or len(refs) < 2:
-                raise InvalidScenario(f"{context}: needs a list of names")
-            return [fetch(ref, context, key) for ref in refs]
+                raise error("needs a list of names")
+            return [fetch(ref, key) for ref in refs]
         if kind in ("rational", "value") and key in step:
             return step[key]  # already read
-        # an absent bool slot is false; any other absent slot fails to read
-        if kind == "bool":
-            return _read_bool(step.get(key, False), f"{context}.{key}")
-        reader = _read_int if kind == "int" else parse_rational
-        return reader(step.get(key), f"{context}.{key}")
+        # an absent bool slot is false; any other absent slot fails to read.
+        # A bool in a bool slot or an int in an int slot is returned as its
+        # reader would return it, so only a slot to refuse builds a context.
+        raw = step.get(key, False) if kind == "bool" else step.get(key)
+        if type(raw) is (bool if kind == "bool" else int):
+            return raw
+        reader = {"bool": _read_bool, "int": _read_int}.get(kind, parse_rational)
+        return reader(raw, f"seshadri rule {rule}.{key}")
 
     for step in steps:
         rule = step_rule(step, "seshadri pipeline")
-        context = f"seshadri rule {rule}"
-        args = [read(step, key, kind, context) for key, kind in RULES[rule]]
+        args = [read(step, key, kind) for key, kind in RULES[rule]]
         # looked up when the step runs, so a patched rule is the one called
         estimate = globals()[rule](*args)
         if "as" in step:
             label = step["as"]
             if not isinstance(label, str) or not label:
-                raise InvalidScenario(
-                    f'{context}: "as" must be a non-empty name, got {label!r}'
-                )
+                raise error(f'"as" must be a non-empty name, got {label!r}')
             named[label] = estimate
         named[None] = estimate
     return named.get(None)

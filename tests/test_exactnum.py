@@ -13,10 +13,12 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from fanoslope.blowup import CurveScenario
+from fanoslope.classify import _regime
 from fanoslope.cli import format_fixed
 from fanoslope.errors import IncomparableRadicands, InvalidScenario
 from fanoslope.exactnum import (
-    _MAX_RADICAND, Polynomial, Surd, _squarefree_decompose, compare, render_value,
+    _MAX_RADICAND, Polynomial, Surd, _ints, _squarefree_decompose, compare,
+    parse_rational, render_value,
 )
 from fanoslope.seshadri import (
     linear_subspace_exact,
@@ -390,6 +392,108 @@ def test_compare_of_conjugates_and_near_misses(a, b, m):
 def test_compare_rejects_non_numbers(left, right):
     with pytest.raises(TypeError):
         compare(left, right)
+
+
+class IntSubclass(int):
+    """Not exactly an int: compare reads it through numerator/denominator."""
+
+
+class FractionSubclass(Fraction):
+    """Not exactly a Fraction: compare reads it through its properties."""
+
+
+# past 2**64, and past the 4300 digits Python will print or parse as an int
+wide_ints_st = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-(2**80), 2**80),
+    st.builds(
+        lambda lead, tail: lead * 10**4300 + tail,
+        st.integers(-9, 9).filter(bool), st.integers(-10**6, 10**6),
+    ),
+)
+wide_denominators_st = st.one_of(
+    st.integers(1, 5), st.integers(2**64, 2**80), st.just(10**4300 + 1)
+)
+wide_fractions_st = st.builds(Fraction, wide_ints_st, wide_denominators_st)
+wide_rationals_st = st.one_of(
+    wide_ints_st,
+    wide_fractions_st,
+    wide_ints_st.map(IntSubclass),
+    st.builds(FractionSubclass, wide_ints_st, wide_denominators_st),
+)
+wide_numbers_st = st.one_of(
+    wide_rationals_st,
+    any_surd_st,
+    st.builds(Surd, wide_fractions_st, rationals_st, radicands_st),
+)
+# a second value at or next to the first, in another of the exact forms
+nudges_st = st.sampled_from([0, Fraction(1, 10**30), Fraction(-1, 10**30), 1])
+forms_st = st.sampled_from([
+    lambda x: x, Fraction, FractionSubclass, lambda x: Surd(x),
+])
+
+
+def check_compare_both_ways(left, right):
+    for x, y in ((left, right), (right, left)):
+        try:
+            expected = oracle_compare(x, y)
+        except IncomparableRadicands:
+            with pytest.raises(IncomparableRadicands):
+                compare(x, y)
+            continue
+        assert compare(x, y) == expected
+
+
+@given(wide_numbers_st, wide_numbers_st)
+@example(2**64, Fraction(2**65 + 1, 2))
+@example(IntSubclass(3), Fraction(3))
+@example(FractionSubclass(-7, 3), Fraction(-7, 3))
+@example(FractionSubclass(1, 2**70), IntSubclass(0))
+@settings(deadline=None)  # the oracle divides 4300-digit Fractions
+def test_compare_matches_the_oracle_on_wide_and_subclassed_operands(left, right):
+    check_compare_both_ways(left, right)
+
+
+def test_compare_decides_values_past_4300_digits():
+    # not @example: hypothesis prints an explicit example, and such an int
+    # has no repr
+    big = 10**4300 + 1
+    for left, right in (
+        (big, Fraction(big)),
+        (big, FractionSubclass(big * 3, 3)),
+        (IntSubclass(big), Fraction(big + 1)),
+        (Fraction(big, 2**64), Surd(0, 1, 2)),
+        (Fraction(1, big), Fraction(1, big - 1)),
+    ):
+        check_compare_both_ways(left, right)
+
+
+@given(wide_rationals_st, nudges_st, forms_st)
+@settings(deadline=None)
+def test_compare_decides_equal_and_nearly_equal_wide_values(value, nudge, form):
+    # equal values and ones 10**-30 apart, read in two different forms
+    check_compare_both_ways(value, form(value + nudge))
+
+
+def test_fractions_the_package_builds_keep_their_integers_in_the_slots():
+    # compare and _ints read a Fraction's _numerator and _denominator slots
+    # in place of its numerator and denominator properties
+    ln = parse_rational("64")
+    built = [
+        ln, parse_rational(7), parse_rational("-18/5"), parse_rational("6/4"),
+        parse_rational(f"{10**30}/{2**70}"),
+        ln + parse_rational("1/3"), ln * 3, ln / 6, -parse_rational("2/3"),
+        CurveScenario.anticanonical_curve(3, 0, 4, ln).k_ln1,
+        CurveScenario.anticanonical_curve(3, 0, 4, 64).k_ln1,
+        _regime(3, 0)[1], _regime(4, 1)[1],
+    ]
+    for value in built:
+        assert type(value) is Fraction
+        assert (value._numerator, value._denominator) == (
+            value.numerator, value.denominator
+        )
+        assert _ints(value) == (value.numerator, 0, value.denominator, 0)
+        assert compare(value, value.numerator) == oracle_compare(value, value.numerator)
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, "1/2", "3", Decimal("0.5"), True, False])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fanoslope.blowup import CurveScenario
+from fanoslope.classify import classify_curve
 from fanoslope.errors import (
     DimensionTooSmall,
     HypothesisFails,
@@ -41,6 +42,31 @@ def test_estimate_invariants():
     assert e.exact == 3 and e.is_exact
     assert SeshadriEstimate(upper=Fraction(2)).exact is None
     assert SeshadriEstimate(lower=Fraction(2)).upper is None
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, 3.0, "3"])
+def test_estimates_and_verdicts_refuse_bool_float_and_string_bounds(bad):
+    # a bool is an int to isinstance: compare's fast path for exact ints and
+    # Fractions must not take it, nor the checks on either side of it
+    line = CurveScenario.anticanonical_curve(3, 0, 4, 64)  # epsilon = 4
+    good = SeshadriEstimate(Fraction(1), Fraction(4))
+    unbounded = SeshadriEstimate(Fraction(1))
+    # a certificate that skipped its own checks, as only a caller can build one
+    smuggled_lower = tuple.__new__(SeshadriEstimate, (bad, None, ()))
+    smuggled_upper = tuple.__new__(SeshadriEstimate, (Fraction(1), bad, ()))
+    for build in (
+        lambda: SeshadriEstimate(bad),
+        lambda: SeshadriEstimate(Fraction(1), bad),
+        lambda: SeshadriEstimate(lower=Fraction(0), upper=bad),
+        lambda: good.merge(smuggled_lower),
+        lambda: smuggled_lower.merge(good),
+        lambda: good.merge(smuggled_upper),
+        lambda: unbounded.merge(smuggled_upper),
+        lambda: classify_curve(line, smuggled_lower),
+        lambda: classify_curve(line, smuggled_upper),
+    ):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            build()
 
 
 def test_estimate_describe():
