@@ -16,8 +16,9 @@ resolving and rendering a scenario never parse JSON again. Exit codes: 0 on
 success, 1 when any scenario fails validation or the command line is
 malformed, 2 on an internal invariant violation.
 
-It reads files into scenarios and Seshadri steps (run_pipeline in
-fanoslope.seshadri runs them), renders the results and runs the commands.
+It reads files into scenarios, each Seshadri pipeline once into Step records
+or the InvalidScenario that fails that scenario only (any other field's fault
+fails the file), renders the results and runs the commands.
 """
 
 import json
@@ -36,7 +37,7 @@ from .exactnum import (
     parse_rational, parse_value, render_value,
 )
 from .seshadri import (
-    RULES, ProvenanceEntry, SeshadriEstimate, run_pipeline, step_rule,
+    ProvenanceEntry, SeshadriEstimate, read_pipeline, run_pipeline,
 )
 from .slope import destabilizing_quadratic, quotient_slope
 
@@ -59,9 +60,9 @@ class NamedScenario(namedtuple(
     defaults=(None, None),
 )):
     """One scenario as read from a file. ``seshadri_spec`` is a declared
-    ``{"lower": v, "upper": v or None, "statement": s}`` or a tuple of
-    pipeline steps whose rational and value slots are already read; every
-    value is a Fraction or a Surd."""
+    ``{"lower": v, "upper": v or None, "statement": s}``, a pipeline's
+    ``seshadri.Step`` records, or the InvalidScenario its pipeline raised when
+    read, which resolve_estimate raises; every value is a Fraction or a Surd."""
 
     __slots__ = ()
 
@@ -250,9 +251,10 @@ def _read_seshadri_spec(spec, context):
     if isinstance(spec, dict) and "rule" in spec:
         spec = [spec]
     if isinstance(spec, list):
-        if not spec:
-            raise InvalidScenario(f"{context}: empty rule pipeline")
-        return tuple([_read_step(step, context) for step in spec])
+        try:
+            return read_pipeline(spec, context)
+        except InvalidScenario as fault:  # costs this scenario only
+            return InvalidScenario(*fault.args)  # no traceback holding the file
     if isinstance(spec, dict) and not spec.keys().isdisjoint(_DECLARED_KEYS):
         allowed = _EXACT_KEYS if "exact" in spec else _INTERVAL_KEYS
         if not spec.keys() <= allowed:
@@ -273,22 +275,12 @@ def _read_seshadri_spec(spec, context):
     return {"lower": value, "upper": value, "statement": statement}
 
 
-def _read_step(step, context):
-    read_at_load = _STEP_READERS[step_rule(step, context)]
-    out = dict(step)
-    for key, reader in read_at_load:
-        if key in out:
-            out[key] = reader(out[key], f"{context}.{key}")
-    return out
-
-
 # The reader of each field kind: it checks a raw JSON value and returns what
 # the scenario holds, or raises InvalidScenario naming ``context``.
 _READERS = {
     "int": _read_int,
     "bool": _read_bool,
     "rational": parse_rational,
-    "value": parse_value,
     "text": _read_text,
     "twists": _read_twists,
     "seshadri": _read_seshadri_spec,
@@ -311,15 +303,6 @@ def _compile_fields(fields):
 
 _ENTRY_READERS = _compile_fields(_ENTRY_FIELDS)
 _FLAG_READERS = _compile_fields(_FLAG_FIELDS)
-# Per rule: the (key, reader) of each rational or value slot, read when the
-# file loads, so a bad one fails the whole file. run_pipeline checks the
-# other slots when the step runs.
-_STEP_READERS = {
-    rule: tuple(
-        (key, _READERS[kind]) for key, kind in slots if kind in ("rational", "value")
-    )
-    for rule, slots in RULES.items()
-}
 
 
 def _declared_value(value, context):
@@ -342,6 +325,8 @@ def resolve_estimate(entry):
     spec = entry.seshadri_spec
     if isinstance(spec, tuple):
         return run_pipeline(spec, entry.scenario)
+    if isinstance(spec, InvalidScenario):  # a pipeline that failed to read
+        raise spec.with_traceback(None)  # not the last raise's traceback too
     context = f"{entry.name}.seshadri"
     return SeshadriEstimate(
         _declared_value(spec["lower"], context),

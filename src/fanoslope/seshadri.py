@@ -9,9 +9,9 @@ it. Rules whose hypotheses cannot be verified from the available bounds
 refuse to fire (HypothesisNotCertified) rather than silently weaken.
 
 ``RULES`` is the rule table, each rule's slots in call order, ``STEP_KEYS``
-the keys a step of each rule may carry, and ``run_pipeline(steps,
-scenario)`` runs rule steps into one estimate. A rule's effect is the first
-line of its docstring.
+the keys a step of each rule may carry, ``read_pipeline`` checks steps once
+into ``Step`` records and ``run_pipeline(steps, scenario)`` runs them into
+one estimate. A rule's effect is the first line of its docstring.
 """
 
 from collections import namedtuple
@@ -24,8 +24,8 @@ from .errors import (
     ShiftBelowZero,
 )
 from .exactnum import (
-    _read_bool, _read_int, _require_bool, _require_int, _require_rational,
-    compare, parse_rational, render_value,
+    Surd, _read_bool, _read_int, _require_bool, _require_int, _require_rational,
+    compare, parse_rational, parse_value, render_value,
 )
 
 __all__ = [
@@ -350,81 +350,95 @@ STEP_KEYS = {
 }
 
 
-def step_rule(step, context):
-    """The rule a pipeline step names, once the step is a dict with a rule in
-    RULES and no key but that rule's; anything else raises InvalidScenario
-    naming ``context``. The file loader and run_pipeline share these words."""
-    if not isinstance(step, dict) or "rule" not in step:
-        raise InvalidScenario(f"{context}: each pipeline step needs a rule")
-    rule = step["rule"]
-    if not isinstance(rule, str) or rule not in RULES:
-        raise InvalidScenario(f"{context}: unknown rule {rule!r}")
-    if not step.keys() <= STEP_KEYS[rule]:
-        extra = sorted(step.keys() - STEP_KEYS[rule], key=str)
-        raise InvalidScenario(f"{context}: rule {rule} has no slots {extra}")
-    return rule
+# A step read: its rule, the arguments in call order, its "as" name or None.
+# An estimate slot holds a name (None: the previous step's), combine's a tuple.
+Step = namedtuple("Step", "rule args label")
+# The reader of each kind of value slot, and the types it takes as they are
+# (a library caller's Fraction or Surd is already read).
+_SLOT_READERS = {
+    "int": ((int,), _read_int),
+    "bool": ((bool,), _read_bool),
+    "rational": ((Fraction,), parse_rational),
+    "value": ((Fraction, Surd), parse_value),
+}
+# The rules with an estimate or scenario slot, which is bound as the step runs
+_INPUTS = {rule for rule, slots in RULES.items()
+           if any(kind not in _SLOT_READERS for _, kind in slots)}
+
+
+def _error(rule, tail):  # the words are built only to raise
+    return InvalidScenario(f"seshadri rule {rule}{tail}")
+
+
+def _name_fault(rule, key, ref):  # for a name that no earlier step bound
+    if ref is None:  # never read as "the previous estimate"
+        return _error(rule, f".{key}: null is not an estimate name")
+    return _error(rule, f": unknown estimate name {ref!r}")
+
+
+def read_pipeline(steps, context):
+    """A pipeline's steps, dicts as a scenario file holds them, checked once
+    into a tuple of Step records. A fault of the pipeline's shape raises
+    InvalidScenario naming ``context``, any other names the rule. An estimate
+    name must be an earlier "as"; absent, it is the previous step's result."""
+    records, bound = [], set()  # bound: the "as" names of the steps read
+    for step in steps:
+        if not isinstance(step, dict) or "rule" not in step:
+            raise InvalidScenario(f"{context}: each pipeline step needs a rule")
+        rule = step["rule"]
+        if not isinstance(rule, str) or rule not in RULES:
+            raise InvalidScenario(f"{context}: unknown rule {rule!r}")
+        if not step.keys() <= STEP_KEYS[rule]:
+            extra = sorted(step.keys() - STEP_KEYS[rule], key=str)
+            raise InvalidScenario(f"{context}: rule {rule} has no slots {extra}")
+        args = []
+        for key, kind in RULES[rule]:  # the scenario slot's None is its arg
+            arg = step.get(key, False) if kind == "bool" else step.get(key)
+            read = _SLOT_READERS.get(kind)
+            if read:  # a reader's words start with the key it is given
+                taken, reader = read
+                if type(arg) not in taken:
+                    try:
+                        arg = reader(arg, key)
+                    except InvalidScenario as fault:
+                        raise _error(rule, f".{fault}") from None
+            elif kind == "ref":
+                if key not in step and not records:
+                    raise _error(rule, ": no previous estimate to use")
+                if key in step and (not isinstance(arg, str) or arg not in bound):
+                    raise _name_fault(rule, key, arg)
+            elif kind == "refs":
+                if not isinstance(arg, list) or len(arg) < 2:
+                    raise _error(rule, ": needs a list of names")
+                for ref in arg:
+                    if not isinstance(ref, str) or ref not in bound:
+                        raise _name_fault(rule, key, ref)
+                arg = tuple(arg)
+            args.append(arg)
+        label = step.get("as")
+        if "as" in step and not (isinstance(label, str) and label):
+            raise _error(rule, f': "as" must be a non-empty name, got {label!r}')
+        bound.add(label)  # None without "as", which no name is
+        records.append(Step(rule, tuple(args), label))
+    if not records:
+        raise InvalidScenario(f"{context}: empty rule pipeline")
+    return tuple(records)
 
 
 def run_pipeline(steps, scenario):
-    """Run rule steps, in order, into one estimate: the last step's.
-
-    A step is a dict of "rule", a name in RULES, an optional "as" naming its
-    result, and the rule's slots. A rational or value slot holds a Fraction
-    or a Surd; any other slot is checked as its step runs, and a bad one
-    raises InvalidScenario. An estimate slot left out takes the previous
-    step's result, and a bool slot left out is false. An empty pipeline, a
-    step without a rule, a rule not in RULES, a key the rule has no slot
-    for or a null estimate name (in a slot or in combine's list) raises
-    InvalidScenario.
-    """
-    if not steps:
-        raise InvalidScenario("seshadri pipeline: empty rule pipeline")
+    """Run a pipeline into one estimate, the last step's; steps that are not
+    read_pipeline's Step records are read by it first."""
+    if type(steps) is not tuple or {*map(type, steps)} != {Step}:
+        steps = read_pipeline(steps, "seshadri pipeline")
     named = {}  # each estimate by its "as" name, and the last one under None
-
-    def error(problem, slot=""):  # the step's context is built only to raise
-        return InvalidScenario(f"seshadri rule {rule}{slot}: {problem}")
-
-    def fetch(ref, key):
-        if ref is None:  # never read as "the previous estimate"
-            raise error("null is not an estimate name", f".{key}")
-        if not isinstance(ref, str) or ref not in named:
-            raise error(f"unknown estimate name {ref!r}")
-        return named[ref]
-
-    def read(step, key, kind):
-        if kind == "scenario":
-            return scenario
-        if kind == "ref":
-            if key in step:
-                return fetch(step[key], key)
-            if None not in named:
-                raise error("no previous estimate to use")
-            return named[None]
-        if kind == "refs":
-            refs = step.get(key)
-            if not isinstance(refs, list) or len(refs) < 2:
-                raise error("needs a list of names")
-            return [fetch(ref, key) for ref in refs]
-        if kind in ("rational", "value") and key in step:
-            return step[key]  # already read
-        # an absent bool slot is false; any other absent slot fails to read.
-        # A bool in a bool slot or an int in an int slot is returned as its
-        # reader would return it, so only a slot to refuse builds a context.
-        raw = step.get(key, False) if kind == "bool" else step.get(key)
-        if type(raw) is (bool if kind == "bool" else int):
-            return raw
-        reader = {"bool": _read_bool, "int": _read_int}.get(kind, parse_rational)
-        return reader(raw, f"seshadri rule {rule}.{key}")
-
-    for step in steps:
-        rule = step_rule(step, "seshadri pipeline")
-        args = [read(step, key, kind) for key, kind in RULES[rule]]
-        # looked up when the step runs, so a patched rule is the one called
-        estimate = globals()[rule](*args)
-        if "as" in step:
-            label = step["as"]
-            if not isinstance(label, str) or not label:
-                raise error(f'"as" must be a non-empty name, got {label!r}')
-            named[label] = estimate
-        named[None] = estimate
-    return named.get(None)
+    for rule, args, label in steps:
+        if rule in _INPUTS:
+            args = [
+                scenario if kind == "scenario" else named[arg] if kind == "ref"
+                else [named[ref] for ref in arg] if kind == "refs" else arg
+                for (_, kind), arg in zip(RULES[rule], args)
+            ]
+        # looked up when the step runs, so a patched rule is the one called;
+        # a step with no "as" has the label None, the last estimate's key
+        estimate = named[None] = named[label] = globals()[rule](*args)
+    return estimate

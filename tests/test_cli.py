@@ -34,7 +34,9 @@ from fanoslope.classify import (
 )
 from fanoslope.errors import FanoslopeError, GridOutOfRange, InvalidScenario
 from fanoslope.exactnum import _MAX_RADICAND, Surd, parse_rational, parse_value
-from fanoslope.seshadri import RULES, STEP_KEYS, ProvenanceEntry
+from fanoslope.seshadri import (
+    RULES, STEP_KEYS, ProvenanceEntry, SeshadriEstimate, Step,
+)
 
 FIXTURES = files("fanoslope") / "fixtures"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -615,16 +617,29 @@ def test_picard_rank_one_flag_false_keeps_the_verdict(capsys, tmp_path):
     ],
 )
 def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
-    with pytest.raises(InvalidScenario, match=field):
-        parse_scenario_file({"scenarios": [conic(**overrides)]})
     path = tmp_path / "bad.json"
     path.write_text(
         json.dumps({"scenarios": [conic(**overrides)]}), encoding="utf-8"
     )
     code, out, err = run_cli(capsys, "classify", str(path))
-    assert code == 1
-    assert err.startswith("error: conic") and field in err
-    assert "internal error" not in err and out == ""
+    assert code == 1 and "internal error" not in err
+    if _is_a_pipeline(overrides.get("seshadri")):
+        # a pipeline's fault is its scenario's, read once when the file loads
+        (entry,) = parse_scenario_file({"scenarios": [conic(**overrides)]}).entries
+        assert isinstance(entry.seshadri_spec, InvalidScenario)
+        assert field in str(entry.seshadri_spec)
+        assert err == "" and out == (
+            f"scenario: conic\n  error: InvalidScenario: {entry.seshadri_spec}\n"
+        )
+        return
+    with pytest.raises(InvalidScenario, match=field):
+        parse_scenario_file({"scenarios": [conic(**overrides)]})
+    assert err.startswith("error: conic") and field in err and out == ""
+
+
+def _is_a_pipeline(spec):
+    """Whether a seshadri entry is a rule pipeline: a list, or one step."""
+    return isinstance(spec, list) or (isinstance(spec, dict) and "rule" in spec)
 
 
 def test_every_fano_index_a_fano_manifold_can_have_loads():
@@ -662,7 +677,9 @@ def test_splitting_of_the_wrong_rank_is_rejected_at_load(
     [
         ({"seshadri": {"lower": {"rat": 0, "coef": 1, "rad": 10**30}}},
          "radicand"),
-        ({"seshadri": [{"rule": "certify_exact_by_restriction",
+        # a step before it, so that the slots before "restricted" read
+        ({"seshadri": [{"rule": "linear_subspace_exact", "n": 3},
+                       {"rule": "certify_exact_by_restriction",
                         "restricted": {"coef": 1, "rad": 10**12}}]},
          "radicand"),
         # the threshold radicand n*n - 1 is past the bound
@@ -678,10 +695,18 @@ def test_oversized_radicands_are_rejected_at_load(
         json.dumps({"scenarios": [conic(name="ok"), conic(**overrides)]}),
         encoding="utf-8",
     )
-    code, out, err = run_cli(capsys, "classify", str(path))
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and message in err
-    assert "internal error" not in err
+    code, out, err = run_cli(capsys, "classify", str(path), "--format", "csv")
+    assert code == 1 and "internal error" not in err
+    if _is_a_pipeline(overrides.get("seshadri")):  # refused at load, for its scenario
+        assert err == "" and out.splitlines()[1:] == [
+            'ok,semistable-not-stable,3,"degree-regime(d=2): epsilon equals the '
+            'threshold"',
+            "conic,error,,InvalidScenario",
+        ]
+        (_, entry) = cli.load_scenario_file(str(path)).entries
+        assert message in str(entry.seshadri_spec)
+    else:
+        assert out == "" and err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize(
@@ -831,6 +856,76 @@ def test_bad_pipeline_step_fails_its_scenario_only(capsys, tmp_path, step):
         else "estimate name"
     )
     assert field in records["bad"]["error"]
+
+
+# One step of the middle scenario's pipeline, at a place in it, that fails to
+# read, and the words of its fault
+@pytest.mark.parametrize("step, at, message", [
+    ({"rule": "nope"}, 1, "bad.seshadri: unknown rule 'nope'"),
+    ({"rule": "linear_subspace_exact", "n": 3, "note": "x"}, 1,
+     "bad.seshadri: rule linear_subspace_exact has no slots ['note']"),
+    ({"rule": "linear_subspace_exact", "n": "3"}, 1,
+     "seshadri rule linear_subspace_exact.n: expected an integer, got '3'"),
+    ({"rule": "point_upper_bound", "n": 3, "isPn": "yes"}, 1,
+     "seshadri rule point_upper_bound.isPn: expected true or false, got 'yes'"),
+    ({"rule": "witness_curve_upper", "degree": "x"}, 1,
+     "seshadri rule witness_curve_upper.degree: bad rational 'x'"),
+    ({"rule": "certify_exact_by_restriction", "upper": "a", "ambient": "a",
+      "restricted": {"rat": "1", "coef": "w", "rad": 2}}, 1,
+     "seshadri rule certify_exact_by_restriction.restricted.coef: "
+     "bad rational 'w'"),
+    ({"rule": "product_fiber_estimate", "of": "b"}, 1,
+     "seshadri rule product_fiber_estimate: unknown estimate name 'b'"),
+    ({"rule": "product_fiber_estimate", "of": None}, 1,
+     "seshadri rule product_fiber_estimate.of: null is not an estimate name"),
+    ({"rule": "combine", "of": "a"}, 1, "seshadri rule combine: needs a list of names"),
+    ({"rule": "linear_subspace_exact", "n": 3, "as": ""}, 1,
+     'seshadri rule linear_subspace_exact: "as" must be a non-empty name, got \'\''),
+    ({"rule": "blowup_exceptional_shift"}, 0,
+     "seshadri rule blowup_exceptional_shift: no previous estimate to use"),
+], ids=["unknown-rule", "extra-key", "string-int", "string-bool", "bad-rational",
+        "bad-surd-part", "unknown-name", "null-name", "combine-of-one-name",
+        "empty-as", "no-previous-estimate"])
+def test_a_pipeline_fault_costs_only_its_scenario(tmp_path, step, at, message):
+    clean = [{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
+             {"rule": "product_fiber_estimate", "of": "a"}]
+    faulty = clean[:at] + [step] + clean[at:]
+    paths = {}
+    for label, pipeline in (("clean", clean), ("faulty", faulty)):
+        paths[label] = str(tmp_path / f"{label}.json")
+        Path(paths[label]).write_text(json.dumps({"scenarios": [
+            conic(name="first"), conic(name="bad", seshadri=pipeline),
+            conic(name="last"),
+        ]}), encoding="utf-8")
+    (_, bad, _) = cli.load_scenario_file(paths["faulty"]).entries
+    assert type(bad.seshadri_spec) is InvalidScenario
+    assert str(bad.seshadri_spec) == message
+    error = {"name": "bad", "error": message, "error_type": "InvalidScenario"}
+    for fmt in ("text", "csv", "json"):
+        clean_code, clean_out, _ = _run_quietly(
+            ["classify", paths["clean"], "--format", fmt]
+        )
+        code, out, err = _run_quietly(["classify", paths["faulty"], "--format", fmt])
+        assert (clean_code, code, err) == (0, 1, "")
+        # the faulty file's output is the clean one's, the middle record swapped
+        bad = _classify_records(fmt, out)[1]
+        assert out == clean_out.replace(_classify_records(fmt, clean_out)[1], bad)
+        if fmt == "json":
+            assert json.loads(out)["verdicts"][1] == error
+        else:
+            assert bad == {
+                "text": f"scenario: bad\n  error: InvalidScenario: {message}\n",
+                "csv": "bad,error,,InvalidScenario",
+            }[fmt]
+    # seshadri and sweep fail only for the scenario that holds the fault
+    for argv in (["seshadri", "--scenario", "first", "--format", "json"],
+                 ["sweep", "--scenario", "last", "--grid", "1,2"]):
+        clean_run = _run_quietly([argv[0], paths["clean"], *argv[1:]])
+        assert clean_run[0] == 0
+        assert _run_quietly([argv[0], paths["faulty"], *argv[1:]]) == clean_run
+    for command in (["seshadri"], ["sweep", "--grid", "1"]):
+        assert _run_quietly([command[0], paths["faulty"], "--scenario", "bad",
+                             *command[1:]]) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("step", [
@@ -993,13 +1088,18 @@ def test_the_compiled_readers_follow_the_tables():
     for kind, sample in (("int", 3), ("bool", True), ("text", "x")):
         assert type(sample) is cli._TAKEN_AS_IS[kind]
         assert cli._READERS[kind](sample, "x") is sample
-    assert list(cli._STEP_READERS) == list(STEP_KEYS) == list(RULES)
+    assert list(STEP_KEYS) == list(RULES)
     for rule, slots in RULES.items():
         # the scenario slot has no key
         assert STEP_KEYS[rule] == {"rule", "as"} | {key for key, _ in slots if key}
-        assert [(key, kind_of[reader]) for key, reader in cli._STEP_READERS[rule]] == [
-            (key, kind) for key, kind in slots if kind in ("rational", "value")
-        ]
+    # a pipeline reads each kind of value slot by its own reader, and takes as
+    # it is only a value of a type that reader returns
+    kinds = {kind for slots in RULES.values() for _, kind in slots}
+    assert set(seshadri._SLOT_READERS) == kinds - {"ref", "refs", "scenario"}
+    for kind, sample in (("int", 3), ("bool", True), ("rational", "3/4"),
+                         ("value", "3/4"), ("value", {"coef": "1", "rad": 2})):
+        taken, reader = seshadri._SLOT_READERS[kind]
+        assert type(reader(sample, "x")) in taken
 
 
 def test_readme_library_example_shows_what_it_computes():
@@ -1471,6 +1571,37 @@ def _read_with(reader, raw):
         return str(error)
 
 
+def _as_loaded(entry):
+    """A loaded entry, or its message, with a pipeline's fault as its words."""
+    if isinstance(entry, cli.NamedScenario) and isinstance(
+        entry.seshadri_spec, InvalidScenario
+    ):
+        return entry._replace(seshadri_spec=str(entry.seshadri_spec))
+    return entry
+
+
+def _as_loaded_now(entry):
+    """An entry the old loader read, or its message, with its pipeline as the
+    loader keeps it now: the words of the fault the old interpreter met
+    first in reading it, or else the Step records of its steps."""
+    if not isinstance(entry, cli.NamedScenario):
+        return entry
+    steps = entry.seshadri_spec
+    if not isinstance(steps, tuple):
+        return entry
+    fault = _reading_fault(steps, entry.scenario)
+    if fault is not None:
+        return entry._replace(seshadri_spec=fault)
+    return entry._replace(seshadri_spec=tuple(
+        Step(step["rule"], tuple(
+            tuple(step[key]) if kind == "refs"
+            else step.get(key, False if kind == "bool" else None)
+            for key, kind in RULES[step["rule"]]
+        ), step.get("as"))
+        for step in steps
+    ))
+
+
 def _entries_to_break():
     """Every scenario entry of the fixtures and the golden inputs."""
     paths = [fixture(name) for name in ALL_FIXTURES]
@@ -1496,15 +1627,31 @@ def _names_the_failing_part(value, got, want):
     return _read_with(lambda raw: read(raw, "x"), part) == f"x: {fault}"
 
 
+def _in_the_old_loaders_words(entry):
+    """The message of an entry's pipeline fault as the old loader worded it:
+    a slot it read named by the entry's context, not by the rule."""
+    message = entry.seshadri_spec
+    if not message.startswith("seshadri rule "):
+        return message
+    context, _, fault = message.partition(": ")
+    return f"{entry.name}.seshadri.{context.partition('.')[2]}: {fault}"
+
+
 def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
-    compared = named = 0
+    compared = named = moved = 0
     for entry in _entries_to_break():
         for path in _fields(entry):
             for value in MALFORMED:
                 raw = _replaced(entry, path, value)
-                got = _read_with(cli._parse_entry, raw)
-                want = _read_with(_oracle_entry, raw)
+                got = _as_loaded(_read_with(cli._parse_entry, raw))
+                want = _as_loaded_now(_read_with(_oracle_entry, raw))
                 compared += 1
+                # a pipeline fault the old loader refused the whole file for
+                # now fails its scenario only
+                if isinstance(want, str) and isinstance(got, cli.NamedScenario):
+                    if isinstance(got.seshadri_spec, str):
+                        got = _in_the_old_loaders_words(got)
+                        moved += 1
                 if got == want:
                     continue
                 # a Seshadri-spec error names the failing part of the spec
@@ -1520,7 +1667,7 @@ def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
                     f"{want.name}.fanoIndex: a Fano {n}-fold has index 1 to "
                     f"{n + 1}, got {index}"
                 )
-    assert compared > 20_000 and named > 50
+    assert compared > 20_000 and named > 50 and moved > 1000
 
 
 # -- the surd loader against the route through Fractions ---------------------
@@ -1628,16 +1775,19 @@ def test_generated_surd_parts_load_as_the_fraction_route_loaded_them(raw):
         ({"upper": {"coef": "1", "rad": -2}},
          "conic.seshadri.upper: surd radicand must be a non-negative integer "
          f"below {_MAX_RADICAND}"),
+        # a pipeline's fault is its scenario's, and names the rule's slot
         ([{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
           {"rule": "certify_exact_by_restriction", "upper": "a", "ambient": "a",
            "restricted": {"rat": "1", "coef": "w", "rad": 2}}],
-         "conic.seshadri.restricted.coef: bad rational 'w'"),
+         "seshadri rule certify_exact_by_restriction.restricted.coef: "
+         "bad rational 'w'"),
         # a literal is the whole spec, so the whole spec is named
         ("x", "conic.seshadri: bad rational 'x'"),
     ],
 )
 def test_a_seshadri_spec_error_names_the_failing_part(spec, message):
-    assert _read_with(cli._parse_entry, conic(seshadri=spec)) == message
+    got = _as_loaded(_read_with(cli._parse_entry, conic(seshadri=spec)))
+    assert (got.seshadri_spec if isinstance(got, cli.NamedScenario) else got) == message
 
 
 def test_a_type_fault_is_reported_before_a_fault_across_fields():
@@ -1807,18 +1957,19 @@ def _leaf_types(value):
                        {"rule": "certify_exact_by_restriction", "upper": "a",
                         "ambient": "b", "restricted": {"rat": "3", "rad": 4}}]})
 def test_every_valid_entry_loads_as_the_oracle_reads_it(raw):
-    got, want = cli._parse_entry(raw), _oracle_entry(raw)
+    got, want = _as_loaded(cli._parse_entry(raw)), _as_loaded_now(_oracle_entry(raw))
     assert got == want
     assert repr(got) == repr(want)
     assert _leaf_types(got) == _leaf_types(want)
 
 
 # The pipeline interpreter moved from the command line into the library; the
-# old one, kept verbatim in pipeline_oracle, must give every loaded pipeline
-# the same estimate, or the same error in the same words, so the order in
-# which faults are reported across steps is pinned too. The old one read a
-# null estimate name as the previous estimate, which run_pipeline refuses, so
-# pipelines holding one are left out here.
+# old one, kept verbatim in pipeline_oracle, must give every pipeline that
+# reads the same estimate, or the same error in the same words. A pipeline
+# is now read whole before any rule runs: it must fail to read exactly when
+# the old one, its rules stubbed, met a fault, and with the same words. The
+# old one read a null estimate name as the previous estimate, which
+# run_pipeline refuses, so pipelines holding one are left out here.
 
 _LINE = conic(name="line", degree=4, Ln="64")  # moving_curve_upper fires here
 # steps that bind "a" and "b" first, so later steps find the names they use
@@ -1828,15 +1979,46 @@ _BOUND = [
 ]
 
 
-def _holds_a_null_name(step):
-    """Whether an estimate slot of the step, or an entry of its list, is null."""
+def _null_name_slot(step):
+    """The first estimate slot of the step that is null, or holds a null in
+    its list, or None."""
     for key, kind in RULES.get(step.get("rule"), ()):
         value = step.get(key, ())
-        if value is None or (
+        if (kind == "ref" and value is None) or (
             kind == "refs" and isinstance(value, list) and None in value
         ):
-            return True
-    return False
+            return key
+    return None
+
+
+_ANY_ESTIMATE = SeshadriEstimate(Fraction(1), Fraction(1))
+_NULL = "\0null"  # a name no step binds, standing in for a null one
+
+
+def _reading_fault(steps, scenario):
+    """The words of the first fault the old interpreter met in reading steps
+    as the old loader kept them, with every rule stubbed to succeed so that
+    no rule's refusal comes first; None if it read every step. A null name
+    is refused where it stands, as run_pipeline has refused it since it
+    stopped reading it as the previous estimate."""
+    with pytest.MonkeyPatch.context() as patch:
+        for rule in RULES:  # the old interpreter merged for combine itself
+            patch.setattr(seshadri, rule, lambda *args: _ANY_ESTIMATE)
+        for i, step in enumerate(steps):
+            key = _null_name_slot(step)
+            if key is not None:
+                names = step[key]
+                step = {**step, key: _NULL if names is None else [
+                    _NULL if name is None else name for name in names
+                ]}
+            try:
+                pipeline_oracle._run_pipeline([*steps[:i], step], scenario)
+            except InvalidScenario as fault:
+                where = f"seshadri rule {step['rule']}"
+                if str(fault) != f"{where}: unknown estimate name {_NULL!r}":
+                    return str(fault)
+                return f"{where}.{key}: null is not an estimate name"
+    return None
 
 
 def _outcome(run):
@@ -1858,13 +2040,22 @@ def _outcome(run):
                       {"rule": "blowup_exceptional_shift"}], _LINE)
 def test_a_pipeline_runs_as_the_old_interpreter_ran_it(bound, steps, raw):
     spec = bound + steps
-    assume(not any(_holds_a_null_name(step) for step in spec))
+    assume(not any(_null_name_slot(step) is not None for step in spec))
     entry = parse_scenario_file({"scenarios": [{**raw, "seshadri": spec}]}).entries[0]
+    old = _oracle_seshadri_spec(spec, "line.seshadri")  # as the old loader kept it
     got = _outcome(lambda: cli.resolve_estimate(entry))
-    want = _outcome(
-        lambda: pipeline_oracle._run_pipeline(entry.seshadri_spec, entry.scenario)
-    )
-    assert got == want
+    want = _outcome(lambda: pipeline_oracle._run_pipeline(old, entry.scenario))
+    fault = _reading_fault(old, entry.scenario)
+    read = isinstance(entry.seshadri_spec, tuple)
+    assert read == (fault is None)
+    if read or want[0] is InvalidScenario:
+        assert got == want
+    else:
+        # every step is read before any rule runs, where the old interpreter
+        # ran each step's rule before it read the next step: a rule it ran
+        # first refused
+        assert got == (InvalidScenario, fault)
+        assert isinstance(want[0], type) and issubclass(want[0], FanoslopeError)
 
 
 # -- parse once ------------------------------------------------------------
@@ -1932,6 +2123,12 @@ def _conic_file(tail):
     return head[: -len(b"}]}")] + tail + b"}]}"
 
 
+def _conic_with(key, value):
+    """A one-scenario file, as bytes, whose ``key`` holds the JSON ``value``."""
+    content = json.dumps({"scenarios": [conic(**{key: "@"})]}).encode("utf-8")
+    return content.replace(b'"@"', value)
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -1944,9 +2141,18 @@ def _conic_file(tail):
          "not valid JSON"),
         (json.dumps({"scenarios": [conic(seshadri="@")]}).encode("utf-8").replace(
             b'"@"', b'{"a": ' * 50_000 + b"1" + b"}" * 50_000), "not valid JSON"),
+        # a key repeated in a nested object: a cheaper check must still see these
+        (_conic_with("seshadri", b'[{"rule": "linear_subspace_exact", "n": 3, '
+                                 b'"n": 4}]'),
+         "repeated key 'n' in a JSON object"),
+        (_conic_with("seshadri", b'{"lower": {"rat": "1", "coef": "1", "rad": 2, '
+                     b'"rat": "2"}}'), "repeated key 'rat' in a JSON object"),
+        (_conic_with("flags", b'{"isPn": false, "isPn": true}'),
+         "repeated key 'isPn' in a JSON object"),
     ],
     ids=["oversized-integer", "invalid-utf8", "repeated-key", "repeated-top-key",
-         "deeply-nested-arrays", "deeply-nested-seshadri"],
+         "deeply-nested-arrays", "deeply-nested-seshadri", "repeated-key-in-a-step",
+         "repeated-key-in-a-surd", "repeated-key-in-flags"],
 )
 def test_undecodable_file_exits_one(capsys, tmp_path, content, message):
     path = tmp_path / "undecodable.json"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import fanoslope.seshadri as seshadri
 from fanoslope.blowup import CurveScenario
 from fanoslope.classify import classify_curve
 from fanoslope.errors import (
@@ -28,6 +29,7 @@ from fanoslope.seshadri import (
     point_upper_bound,
     product_fiber_estimate,
     proper_transform_upper,
+    read_pipeline,
     run_pipeline,
     witness_curve_upper,
 )
@@ -363,3 +365,29 @@ def test_a_null_estimate_name_is_refused_not_read_as_the_previous_one(step, slot
     with pytest.raises(InvalidScenario) as raised:
         run_pipeline([bind, witness, step], line)
     assert str(raised.value) == f"seshadri rule {slot}: null is not an estimate name"
+
+
+def test_a_library_step_is_read_as_a_file_step_is_and_records_run_as_they_are(
+    monkeypatch,
+):
+    line = CurveScenario.anticanonical_curve(3, 0, 4, 64)
+    steps = [{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
+             {"rule": "witness_curve_upper", "degree": "7/2"},
+             {"rule": "combine", "of": ["a", "a"]}]
+    records = read_pipeline(steps, "x")
+    as_fractions = [*steps[:1], {**steps[1], "degree": Fraction(7, 2)}, *steps[2:]]
+    # a rational slot reads "7/2" as a file's does, and takes a Fraction as it is
+    assert run_pipeline(steps, line) == run_pipeline(as_fractions, line)
+    with pytest.raises(InvalidScenario) as raised:
+        run_pipeline([{"rule": "witness_curve_upper", "degree": 3.5}], line)
+    assert str(raised.value).startswith(
+        "seshadri rule witness_curve_upper.degree: floats are not exact"
+    )
+
+    def read_again(steps, context):
+        raise AssertionError("a read pipeline was read again")
+
+    monkeypatch.setattr(seshadri, "read_pipeline", read_again)
+    assert run_pipeline(records, line) == run_pipeline(tuple(records), line)
+    assert run_pipeline(records, line).describe() == "exact 4"
+
