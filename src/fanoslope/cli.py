@@ -16,9 +16,10 @@ resolving and rendering a scenario never parse JSON again. Exit codes: 0 on
 success, 1 when any scenario fails validation or the command line is
 malformed, 2 on an internal invariant violation.
 
-It reads files into scenarios, each Seshadri pipeline once into Step records
-or the InvalidScenario that fails that scenario only (any other field's fault
-fails the file), renders the results and runs the commands.
+It reads files into scenarios, each seshadri entry once into its pipeline's
+Step records, its declared value's certificate, or the fault that fails that
+scenario only (any other field's fault fails the file), renders the results
+and runs the commands.
 """
 
 import json
@@ -33,12 +34,10 @@ from .blowup import CurveScenario, check_epsilon_consistency
 from .classify import BundleSplitting, ClassifyFlags, classify_curve
 from .errors import FanoslopeError, GridOutOfRange, InvalidScenario
 from .exactnum import (
-    Surd, _ints, _read_bool, _read_int, _require_rational, _sign, compare,
-    parse_rational, parse_value, render_value,
+    Surd, _read_int, _require_rational, compare, parse_rational, parse_value,
+    render_value,
 )
-from .seshadri import (
-    ProvenanceEntry, SeshadriEstimate, read_pipeline, run_pipeline,
-)
+from .seshadri import _SLOT_READERS, _declared, _run, read_pipeline
 from .slope import destabilizing_quadratic, quotient_slope
 
 __all__ = [
@@ -59,10 +58,11 @@ class NamedScenario(namedtuple(
     "name scenario seshadri_spec flags splitting description",
     defaults=(None, None),
 )):
-    """One scenario as read from a file. ``seshadri_spec`` is a declared
-    ``{"lower": v, "upper": v or None, "statement": s}``, a pipeline's
-    ``seshadri.Step`` records, or the InvalidScenario its pipeline raised when
-    read, which resolve_estimate raises; every value is a Fraction or a Surd."""
+    """One scenario as read from a file. ``seshadri_spec`` is one outcome of
+    reading the seshadri entry: a pipeline's ``seshadri.Step`` records, a
+    declared value's ``SeshadriEstimate``, or the FanoslopeError the entry
+    raised, which resolve_estimate raises; every value is a Fraction or a
+    Surd."""
 
     __slots__ = ()
 
@@ -136,7 +136,7 @@ def _read_fields(raw, readers, context, what):
     get, append = raw.get, values.append
     for key, taken, reader, default in rows:
         value = get(key, _REQUIRED)
-        if type(value) is not taken:  # always for an absent key: no kind takes object
+        if type(value) not in taken:  # always for an absent key: no kind takes object
             if value is not _REQUIRED:
                 value = reader(value, f"{context}.{key}")
             elif default is _REQUIRED:
@@ -248,56 +248,52 @@ _DECLARED_KEYS = _EXACT_KEYS | _INTERVAL_KEYS
 
 def _read_seshadri_spec(spec, context):
     """The seshadri entry in the form ``NamedScenario.seshadri_spec`` holds."""
-    if isinstance(spec, dict) and "rule" in spec:
-        spec = [spec]
-    if isinstance(spec, list):
-        try:
+    try:
+        if isinstance(spec, dict) and "rule" in spec:
+            spec = [spec]
+        if isinstance(spec, list):
             return read_pipeline(spec, context)
-        except InvalidScenario as fault:  # costs this scenario only
-            return InvalidScenario(*fault.args)  # no traceback holding the file
-    if isinstance(spec, dict) and not spec.keys().isdisjoint(_DECLARED_KEYS):
-        allowed = _EXACT_KEYS if "exact" in spec else _INTERVAL_KEYS
-        if not spec.keys() <= allowed:
-            extra = sorted(spec.keys() - allowed)
-            raise InvalidScenario(f"{context}: unknown fields {extra}")
-        if "exact" not in spec:
-            lower = parse_value(spec.get("lower", 0), f"{context}.lower")
-            upper = None
-            if "upper" in spec:
-                upper = parse_value(spec["upper"], f"{context}.upper")
-            return {"lower": lower, "upper": upper, "statement": "declared interval"}
-        value = parse_value(spec["exact"], f"{context}.exact")
-    elif not (isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec)):
-        raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
-    else:  # an exact value: a literal, or a bare surd whose fields parse_value checks
-        value = parse_value(spec, context)
-    statement = f"declared exact value {render_value(value)}"
-    return {"lower": value, "upper": value, "statement": statement}
+        if isinstance(spec, dict) and not spec.keys().isdisjoint(_DECLARED_KEYS):
+            allowed = _EXACT_KEYS if "exact" in spec else _INTERVAL_KEYS
+            if not spec.keys() <= allowed:
+                extra = sorted(spec.keys() - allowed)
+                raise InvalidScenario(f"{context}: unknown fields {extra}")
+            if "exact" not in spec:
+                lower = parse_value(spec.get("lower", 0), f"{context}.lower")
+                upper = None
+                if "upper" in spec:
+                    upper = parse_value(spec["upper"], f"{context}.upper")
+                return _declared(context, "declared interval", lower, upper)
+            value = parse_value(spec["exact"], f"{context}.exact")
+        elif not (isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec)):
+            raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
+        else:  # an exact value: a literal, or a bare surd whose fields parse_value checks
+            value = parse_value(spec, context)
+        statement = f"declared exact value {render_value(value)}"
+        return _declared(context, statement, value, value)
+    except FanoslopeError as fault:  # costs this scenario only
+        return type(fault)(*fault.args)  # no traceback holding the file
 
 
-# The reader of each field kind: it checks a raw JSON value and returns what
-# the scenario holds, or raises InvalidScenario naming ``context``.
+# The reader of each field kind, and the types a JSON value of that kind has
+# when it needs no reading: such a value is taken as it is, without a reader
+# call or a context string. A reader checks a raw JSON value and returns what
+# the scenario holds, or raises InvalidScenario naming ``context``. The int,
+# bool and rational kinds are read as a pipeline step's slots are.
 _READERS = {
-    "int": _read_int,
-    "bool": _read_bool,
-    "rational": parse_rational,
-    "text": _read_text,
-    "twists": _read_twists,
-    "seshadri": _read_seshadri_spec,
-    "flags": _read_flags,
+    **_SLOT_READERS,
+    "text": ((str,), _read_text),
+    "twists": ((), _read_twists),
+    "seshadri": ((), _read_seshadri_spec),
+    "flags": ((), _read_flags),
 }
-# The type a JSON value of a kind has when it needs no reading: such a value
-# is taken as it is, without a reader call or a context string.
-_TAKEN_AS_IS = {"int": int, "bool": bool, "text": str}
 
 
 def _compile_fields(fields):
     """A field table as _read_fields reads it: its key set, and a row
-    (key, type taken as is, reader, default) per key in table order. A kind
-    always read has None as its type, which no value's type is."""
+    (key, types taken as they are, reader, default) per key in table order."""
     return frozenset(fields), tuple(
-        (key, _TAKEN_AS_IS.get(kind), _READERS[kind], default)
-        for key, (kind, default) in fields.items()
+        (key, *_READERS[kind], default) for key, (kind, default) in fields.items()
     )
 
 
@@ -305,34 +301,16 @@ _ENTRY_READERS = _compile_fields(_ENTRY_FIELDS)
 _FLAG_READERS = _compile_fields(_FLAG_FIELDS)
 
 
-def _declared_value(value, context):
-    """A declared Seshadri value, or None for no upper bound. Seshadri
-    constants are positive, so a negative one is an error of this scenario."""
-    if value is None:
-        return None
-    x, y, _, m = _ints(value)  # the sign of (x + y*sqrt(m))/q, q > 0
-    if _sign(x, y, m) < 0:
-        raise InvalidScenario(
-            f"{context}: a Seshadri bound cannot be negative, "
-            f"got {render_value(value)}"
-        )
-    return value
-
-
 def resolve_estimate(entry):
-    """Evaluate a NamedScenario's seshadri spec into a SeshadriEstimate,
-    unchecked: each command runs check_epsilon_consistency on it once."""
+    """A NamedScenario's SeshadriEstimate, unchecked: each command runs
+    check_epsilon_consistency on it once. A pipeline's records run; a kept
+    certificate is returned and a kept fault raised as they are."""
     spec = entry.seshadri_spec
-    if isinstance(spec, tuple):
-        return run_pipeline(spec, entry.scenario)
-    if isinstance(spec, InvalidScenario):  # a pipeline that failed to read
+    if type(spec) is tuple:  # Step records; a certificate is a tuple subclass
+        return _run(spec, entry.scenario)
+    if isinstance(spec, FanoslopeError):  # an entry that failed to read
         raise spec.with_traceback(None)  # not the last raise's traceback too
-    context = f"{entry.name}.seshadri"
-    return SeshadriEstimate(
-        _declared_value(spec["lower"], context),
-        _declared_value(spec["upper"], context),
-        (ProvenanceEntry("declared", spec["statement"]),),
-    )
+    return spec
 
 
 # -- rendering -------------------------------------------------------------

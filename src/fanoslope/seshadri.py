@@ -10,8 +10,8 @@ refuse to fire (HypothesisNotCertified) rather than silently weaken.
 
 ``RULES`` is the rule table, each rule's slots in call order, ``STEP_KEYS``
 the keys a step of each rule may carry, ``read_pipeline`` checks steps once
-into ``Step`` records and ``run_pipeline(steps, scenario)`` runs them into
-one estimate. A rule's effect is the first line of its docstring.
+into ``Step`` records and ``run_pipeline(steps, scenario)`` reads and runs
+them into one estimate. A rule's effect is the first line of its docstring.
 """
 
 from collections import namedtuple
@@ -24,8 +24,8 @@ from .errors import (
     ShiftBelowZero,
 )
 from .exactnum import (
-    Surd, _read_bool, _read_int, _require_bool, _require_int, _require_rational,
-    compare, parse_rational, parse_value, render_value,
+    Surd, _ints, _read_bool, _read_int, _require_bool, _require_int,
+    _require_rational, _sign, compare, parse_rational, parse_value, render_value,
 )
 
 __all__ = [
@@ -118,6 +118,21 @@ def _certificate(rule, statement, lower=Fraction(0), upper=None, sources=()):
     return SeshadriEstimate(
         lower, upper, provenance + (ProvenanceEntry(rule, statement),)
     )
+
+
+def _declared(context, statement, lower, upper):
+    """The certificate of a declared interval, upper None when unbounded, or
+    of an exact value, ``upper is lower``, which is checked once. Seshadri
+    constants are positive, so a negative bound raises InvalidScenario
+    naming ``context``."""
+    for bound in (lower,) if upper is None or upper is lower else (lower, upper):
+        x, y, _, m = _ints(bound)  # the sign of (x + y*sqrt(m))/q, q > 0
+        if _sign(x, y, m) < 0:
+            raise InvalidScenario(
+                f"{context}: a Seshadri bound cannot be negative, "
+                f"got {render_value(bound)}"
+            )
+    return _certificate("declared", statement, lower, upper)
 
 
 def linear_subspace_exact(n):
@@ -354,7 +369,8 @@ STEP_KEYS = {
 # An estimate slot holds a name (None: the previous step's), combine's a tuple.
 Step = namedtuple("Step", "rule args label")
 # The reader of each kind of value slot, and the types it takes as they are
-# (a library caller's Fraction or Surd is already read).
+# (a library caller's Fraction or Surd is already read); the file loader's
+# field readers extend this table.
 _SLOT_READERS = {
     "int": ((int,), _read_int),
     "bool": ((bool,), _read_bool),
@@ -426,10 +442,13 @@ def read_pipeline(steps, context):
 
 
 def run_pipeline(steps, scenario):
-    """Run a pipeline into one estimate, the last step's; steps that are not
-    read_pipeline's Step records are read by it first."""
-    if type(steps) is not tuple or {*map(type, steps)} != {Step}:
-        steps = read_pipeline(steps, "seshadri pipeline")
+    """Run a pipeline, its steps as a scenario file holds them, into one
+    estimate, the last step's; every step is read by read_pipeline first."""
+    return _run(read_pipeline(steps, "seshadri pipeline"), scenario)
+
+
+def _run(steps, scenario):
+    """The estimate of read_pipeline's Step records, run as they are."""
     named = {}  # each estimate by its "as" name, and the last one under None
     for rule, args, label in steps:
         if rule in _INPUTS:

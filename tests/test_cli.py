@@ -623,8 +623,8 @@ def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
     )
     code, out, err = run_cli(capsys, "classify", str(path))
     assert code == 1 and "internal error" not in err
-    if _is_a_pipeline(overrides.get("seshadri")):
-        # a pipeline's fault is its scenario's, read once when the file loads
+    if "seshadri" in overrides:
+        # a seshadri entry's fault is its scenario's, read once when the file loads
         (entry,) = parse_scenario_file({"scenarios": [conic(**overrides)]}).entries
         assert isinstance(entry.seshadri_spec, InvalidScenario)
         assert field in str(entry.seshadri_spec)
@@ -635,11 +635,6 @@ def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
     with pytest.raises(InvalidScenario, match=field):
         parse_scenario_file({"scenarios": [conic(**overrides)]})
     assert err.startswith("error: conic") and field in err and out == ""
-
-
-def _is_a_pipeline(spec):
-    """Whether a seshadri entry is a rule pipeline: a list, or one step."""
-    return isinstance(spec, list) or (isinstance(spec, dict) and "rule" in spec)
 
 
 def test_every_fano_index_a_fano_manifold_can_have_loads():
@@ -697,7 +692,7 @@ def test_oversized_radicands_are_rejected_at_load(
     )
     code, out, err = run_cli(capsys, "classify", str(path), "--format", "csv")
     assert code == 1 and "internal error" not in err
-    if _is_a_pipeline(overrides.get("seshadri")):  # refused at load, for its scenario
+    if message == "radicand":  # a seshadri entry's fault, refused at load for its scenario
         assert err == "" and out.splitlines()[1:] == [
             'ok,semistable-not-stable,3,"degree-regime(d=2): epsilon equals the '
             'threshold"',
@@ -890,11 +885,36 @@ def test_a_pipeline_fault_costs_only_its_scenario(tmp_path, step, at, message):
     clean = [{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
              {"rule": "product_fiber_estimate", "of": "a"}]
     faulty = clean[:at] + [step] + clean[at:]
+    _costs_only_its_scenario(tmp_path, clean, faulty, message)
+
+
+# A malformed declared value of each kind in the middle scenario, and the
+# words the loader once failed the whole file with
+@pytest.mark.parametrize("spec, message", [
+    ({"lower": "1", "upper": "x"}, "bad.seshadri.upper: bad rational 'x'"),
+    ({"exact": "4", "upper": "3"}, "bad.seshadri: unknown fields ['upper']"),
+    ({}, "bad.seshadri: unreadable seshadri entry {}"),
+    ({"lower": {"rat": "1", "coef": "1", "rad": -2}},
+     "bad.seshadri.lower: surd radicand must be a non-negative integer below "
+     f"{_MAX_RADICAND}"),
+    ({"rat": "0", "coef": "1", "rad": 10**12},
+     f"bad.seshadri: surd radicand must be a non-negative integer below "
+     f"{_MAX_RADICAND}"),
+], ids=["bad-rational", "unknown-key", "empty", "negative-radicand",
+        "huge-radicand"])
+def test_a_declared_value_fault_costs_only_its_scenario(tmp_path, spec, message):
+    _costs_only_its_scenario(tmp_path, {"lower": "1", "upper": "3"}, spec, message)
+
+
+def _costs_only_its_scenario(tmp_path, clean, faulty, message):
+    """A file whose middle scenario's seshadri entry is ``faulty`` gives the
+    output of the one where it is ``clean``, but for that scenario's record,
+    which holds ``message``; the other scenarios' commands do not see it."""
     paths = {}
-    for label, pipeline in (("clean", clean), ("faulty", faulty)):
+    for label, spec in (("clean", clean), ("faulty", faulty)):
         paths[label] = str(tmp_path / f"{label}.json")
         Path(paths[label]).write_text(json.dumps({"scenarios": [
-            conic(name="first"), conic(name="bad", seshadri=pipeline),
+            conic(name="first"), conic(name="bad", seshadri=spec),
             conic(name="last"),
         ]}), encoding="utf-8")
     (_, bad, _) = cli.load_scenario_file(paths["faulty"]).entries
@@ -1073,7 +1093,7 @@ def test_readme_field_table_matches_the_field_tables():
 
 def test_the_compiled_readers_follow_the_tables():
     # README's table tests read the tables; this ties what the loader runs to them
-    kind_of = {reader: kind for kind, reader in cli._READERS.items()}
+    kind_of = {reader: kind for kind, (_, reader) in cli._READERS.items()}
     for table, (keys, rows) in (
         (cli._ENTRY_FIELDS, cli._ENTRY_READERS),
         (cli._FLAG_FIELDS, cli._FLAG_READERS),
@@ -1082,12 +1102,18 @@ def test_the_compiled_readers_follow_the_tables():
         read = [(key, kind_of[reader], default) for key, _, reader, default in rows]
         assert read == [(key, kind, default) for key, (kind, default) in table.items()]
         assert [taken for _, taken, _, _ in rows] == [
-            cli._TAKEN_AS_IS.get(kind) for kind, _ in table.values()
+            cli._READERS[kind][0] for kind, _ in table.values()
         ]
-    # a value taken as it is is what its reader would have returned
+    # the loader's table extends the pipeline's: one row per kind, stated once
+    for kind, row in seshadri._SLOT_READERS.items():
+        assert cli._READERS[kind] is row
+    # a value taken as it is is what its reader would have returned; the
+    # other kinds are always read
     for kind, sample in (("int", 3), ("bool", True), ("text", "x")):
-        assert type(sample) is cli._TAKEN_AS_IS[kind]
-        assert cli._READERS[kind](sample, "x") is sample
+        taken, reader = cli._READERS[kind]
+        assert taken == (type(sample),) and reader(sample, "x") is sample
+    for kind in ("twists", "seshadri", "flags"):
+        assert cli._READERS[kind][0] == ()
     assert list(STEP_KEYS) == list(RULES)
     for rule, slots in RULES.items():
         # the scenario slot has no key
@@ -1572,21 +1598,44 @@ def _read_with(reader, raw):
 
 
 def _as_loaded(entry):
-    """A loaded entry, or its message, with a pipeline's fault as its words."""
+    """A loaded entry, or its message, with its seshadri entry's fault as
+    its words."""
     if isinstance(entry, cli.NamedScenario) and isinstance(
-        entry.seshadri_spec, InvalidScenario
+        entry.seshadri_spec, FanoslopeError
     ):
         return entry._replace(seshadri_spec=str(entry.seshadri_spec))
     return entry
 
 
+def _old_certificate(spec, context):
+    """A declared ``{"lower", "upper", "statement"}`` as the old
+    resolve_estimate made it a certificate, or the words of its fault."""
+    try:
+        for bound in (spec["lower"], spec["upper"]):
+            if bound is not None and bound < 0:
+                raise InvalidScenario(
+                    f"{context}: a Seshadri bound cannot be negative, got {bound}"
+                )
+        return SeshadriEstimate(
+            spec["lower"], spec["upper"],
+            (ProvenanceEntry("declared", spec["statement"]),),
+        )
+    except FanoslopeError as fault:
+        return str(fault)
+
+
 def _as_loaded_now(entry):
-    """An entry the old loader read, or its message, with its pipeline as the
-    loader keeps it now: the words of the fault the old interpreter met
-    first in reading it, or else the Step records of its steps."""
+    """An entry the old loader read, or its message, with its seshadri entry
+    as the loader keeps it now. A declared value becomes the certificate the
+    old resolve_estimate built from it, or its fault's words; a pipeline
+    becomes the words of the fault the old interpreter met first in reading
+    it, or else the Step records of its steps."""
     if not isinstance(entry, cli.NamedScenario):
         return entry
     steps = entry.seshadri_spec
+    if isinstance(steps, dict):
+        context = f"{entry.name}.seshadri"
+        return entry._replace(seshadri_spec=_old_certificate(steps, context))
     if not isinstance(steps, tuple):
         return entry
     fault = _reading_fault(steps, entry.scenario)
@@ -1646,8 +1695,8 @@ def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
                 got = _as_loaded(_read_with(cli._parse_entry, raw))
                 want = _as_loaded_now(_read_with(_oracle_entry, raw))
                 compared += 1
-                # a pipeline fault the old loader refused the whole file for
-                # now fails its scenario only
+                # a seshadri entry's fault the old loader refused the whole
+                # file for now fails its scenario only
                 if isinstance(want, str) and isinstance(got, cli.NamedScenario):
                     if isinstance(got.seshadri_spec, str):
                         got = _in_the_old_loaders_words(got)
@@ -2090,12 +2139,14 @@ def test_a_loaded_scenario_is_never_parsed_again(monkeypatch):
     def refuse(value, context="value"):
         raise AssertionError(f"{context}: {value!r} parsed again")
 
-    for module in (cli, exactnum, seshadri):
-        monkeypatch.setattr(module, "parse_rational", refuse)
+    # a read goes through a module's name for the function, or through a row
+    # of the one reader table, which holds the function it was built with
     for module in (cli, exactnum):
+        monkeypatch.setattr(module, "parse_rational", refuse)
         monkeypatch.setattr(module, "parse_value", refuse)
     for kind in ("rational", "value"):
-        monkeypatch.setitem(cli._READERS, kind, refuse)
+        taken, _ = seshadri._SLOT_READERS[kind]
+        monkeypatch.setitem(seshadri._SLOT_READERS, kind, (taken, refuse))
     assert outcomes() == before
 
 

@@ -20,6 +20,7 @@ from fanoslope.errors import (
 from fanoslope.exactnum import Surd
 from fanoslope.seshadri import (
     SeshadriEstimate,
+    Step,
     blowup_exceptional_shift,
     certify_exact_by_restriction,
     intersection_min_lower,
@@ -377,17 +378,35 @@ def test_a_library_step_is_read_as_a_file_step_is_and_records_run_as_they_are(
     records = read_pipeline(steps, "x")
     as_fractions = [*steps[:1], {**steps[1], "degree": Fraction(7, 2)}, *steps[2:]]
     # a rational slot reads "7/2" as a file's does, and takes a Fraction as it is
-    assert run_pipeline(steps, line) == run_pipeline(as_fractions, line)
+    want = run_pipeline(steps, line)
+    assert want == run_pipeline(as_fractions, line)
     with pytest.raises(InvalidScenario) as raised:
         run_pipeline([{"rule": "witness_curve_upper", "degree": 3.5}], line)
     assert str(raised.value).startswith(
         "seshadri rule witness_curve_upper.degree: floats are not exact"
     )
 
+    # run_pipeline reads whatever it is given, so records are no steps to it
+    with pytest.raises(InvalidScenario) as raised:
+        run_pipeline(records, line)
+    assert str(raised.value) == "seshadri pipeline: each pipeline step needs a rule"
+
     def read_again(steps, context):
         raise AssertionError("a read pipeline was read again")
 
+    # the loader's records run through the private runner as they are
     monkeypatch.setattr(seshadri, "read_pipeline", read_again)
-    assert run_pipeline(records, line) == run_pipeline(tuple(records), line)
-    assert run_pipeline(records, line).describe() == "exact 4"
+    estimate = seshadri._run(records, line)
+    assert estimate == want and estimate.describe() == "exact 4"
+
+
+@pytest.mark.parametrize("record", [
+    Step("combine", (("zz", "yy"),), None),  # names no step bound
+    Step("linear_subspace_exact", ("3",), None),  # a slot never read
+])
+def test_a_hand_built_record_is_read_as_a_step_and_refused(record):
+    line = CurveScenario.anticanonical_curve(3, 0, 4, 64)
+    with pytest.raises(InvalidScenario) as raised:
+        run_pipeline((record,), line)
+    assert str(raised.value) == "seshadri pipeline: each pipeline step needs a rule"
 
