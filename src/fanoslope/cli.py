@@ -17,9 +17,9 @@ success, 1 when any scenario fails validation or the command line is
 malformed, 2 on an internal invariant violation.
 
 It reads files into scenarios, each seshadri entry once into its pipeline's
-Step records, its declared value's certificate, or the fault that fails that
-scenario only (any other field's fault fails the file), renders the results
-and runs the commands.
+Step records or its declared value's certificate; an entry with a field that
+fails to read keeps its fault, which fails that scenario only. It renders the
+results and runs the commands.
 """
 
 import json
@@ -58,11 +58,11 @@ class NamedScenario(namedtuple(
     "name scenario seshadri_spec flags splitting description",
     defaults=(None, None),
 )):
-    """One scenario as read from a file. ``seshadri_spec`` is one outcome of
-    reading the seshadri entry: a pipeline's ``seshadri.Step`` records, a
-    declared value's ``SeshadriEstimate``, or the FanoslopeError the entry
-    raised, which resolve_estimate raises; every value is a Fraction or a
-    Surd."""
+    """One scenario as read from a file. ``seshadri_spec`` holds a pipeline's
+    ``seshadri.Step`` records or a declared value's ``SeshadriEstimate``; for
+    an entry that failed to read, it holds the FanoslopeError, which
+    resolve_estimate raises, and ``scenario`` and ``flags`` are None. Every
+    value is a Fraction or a Surd."""
 
     __slots__ = ()
 
@@ -203,11 +203,18 @@ def parse_scenario_file(data):
     entries = data["scenarios"]
     if not isinstance(entries, list):
         raise InvalidScenario("scenarios must be a list")
-    parsed = tuple(map(_parse_entry, entries))
-    names = [e.name for e in parsed]
-    if len(set(names)) != len(names):
+    parsed = []
+    for position, raw in enumerate(entries, 1):
+        try:
+            parsed.append(_parse_entry(raw))
+        except FanoslopeError as fault:  # costs this scenario only
+            name = raw.get("name") if isinstance(raw, dict) else None
+            label = name if isinstance(name, str) and name else f"#{position}"
+            fault = type(fault)(*fault.args)  # no traceback holding the file
+            parsed.append(NamedScenario(label, None, fault, None))
+    if len({entry.name for entry in parsed}) != len(parsed):
         raise InvalidScenario("scenario names must be unique within a file")
-    return ScenarioFile(entries=parsed)
+    return ScenarioFile(entries=tuple(parsed))
 
 
 def _object_without_repeats(pairs):
@@ -242,37 +249,23 @@ def load_scenario_file(path):
     return parse_scenario_file(data)
 
 
-_EXACT_KEYS, _INTERVAL_KEYS = frozenset(("exact",)), frozenset(("lower", "upper"))
-_DECLARED_KEYS = _EXACT_KEYS | _INTERVAL_KEYS
-
-
 def _read_seshadri_spec(spec, context):
-    """The seshadri entry in the form ``NamedScenario.seshadri_spec`` holds."""
-    try:
-        if isinstance(spec, dict) and "rule" in spec:
-            spec = [spec]
-        if isinstance(spec, list):
-            return read_pipeline(spec, context)
-        if isinstance(spec, dict) and not spec.keys().isdisjoint(_DECLARED_KEYS):
-            allowed = _EXACT_KEYS if "exact" in spec else _INTERVAL_KEYS
-            if not spec.keys() <= allowed:
-                extra = sorted(spec.keys() - allowed)
-                raise InvalidScenario(f"{context}: unknown fields {extra}")
-            if "exact" not in spec:
-                lower = parse_value(spec.get("lower", 0), f"{context}.lower")
-                upper = None
-                if "upper" in spec:
-                    upper = parse_value(spec["upper"], f"{context}.upper")
-                return _declared(context, "declared interval", lower, upper)
-            value = parse_value(spec["exact"], f"{context}.exact")
-        elif not (isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec)):
-            raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
-        else:  # an exact value: a literal, or a bare surd whose fields parse_value checks
-            value = parse_value(spec, context)
-        statement = f"declared exact value {render_value(value)}"
-        return _declared(context, statement, value, value)
-    except FanoslopeError as fault:  # costs this scenario only
-        return type(fault)(*fault.args)  # no traceback holding the file
+    """A readable seshadri entry's Step records or declared certificate."""
+    if isinstance(spec, dict) and "rule" in spec:
+        spec = [spec]
+    if isinstance(spec, list):
+        return read_pipeline(spec, context)
+    if isinstance(spec, dict) and not spec.keys().isdisjoint(_DECLARED_KEYS):
+        if "exact" not in spec:
+            lower, upper = _read_fields(spec, _INTERVAL_READERS, context, "fields")
+            return _declared(context, "declared interval", lower, upper)
+        (value,) = _read_fields(spec, _EXACT_READERS, context, "fields")
+    elif not (isinstance(spec, (str, int)) or (isinstance(spec, dict) and spec)):
+        raise InvalidScenario(f"{context}: unreadable seshadri entry {spec!r}")
+    else:  # an exact value: a literal, or a bare surd whose fields parse_value checks
+        value = parse_value(spec, context)
+    statement = f"declared exact value {render_value(value)}"
+    return _declared(context, statement, value, value)
 
 
 # The reader of each field kind, and the types a JSON value of that kind has
@@ -299,6 +292,12 @@ def _compile_fields(fields):
 
 _ENTRY_READERS = _compile_fields(_ENTRY_FIELDS)
 _FLAG_READERS = _compile_fields(_FLAG_FIELDS)
+# a declared seshadri value: exact, or an interval with no upper bound if absent
+_EXACT_READERS = _compile_fields({"exact": ("value", _REQUIRED)})
+_INTERVAL_READERS = _compile_fields(
+    {"lower": ("value", Fraction(0)), "upper": ("value", None)}
+)
+_DECLARED_KEYS = _EXACT_READERS[0] | _INTERVAL_READERS[0]
 
 
 def resolve_estimate(entry):

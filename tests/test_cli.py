@@ -165,26 +165,34 @@ def minimal_entry(**overrides):
     return {"scenarios": [entry]}
 
 
+def _kept_fault(data):
+    """The words of the fault the one entry of ``data`` failed to read with:
+    the file loads, and the entry keeps the fault in place of its scenario."""
+    (entry,) = parse_scenario_file(data).entries
+    assert (entry.scenario, entry.flags) == (None, None)
+    assert type(entry.seshadri_spec) is InvalidScenario
+    assert entry.seshadri_spec.__traceback__ is None  # holding no frame of the load
+    return str(entry.seshadri_spec)
+
+
 def test_scenario_file_rejects_unknown_fields():
-    with pytest.raises(InvalidScenario, match="bogus"):
-        parse_scenario_file(minimal_entry(bogus=1))
+    fault = _kept_fault(minimal_entry(bogus=1))
+    assert fault == "x: unknown fields ['bogus']"
 
 
 def test_scenario_file_rejects_float_literals():
-    with pytest.raises(InvalidScenario, match="floats are not exact"):
-        parse_scenario_file(minimal_entry(Ln=64.0))
+    fault = _kept_fault(minimal_entry(Ln=64.0))
+    assert fault.startswith("x.Ln: floats are not exact")
 
 
 def test_scenario_file_rejects_inconsistent_kln1():
-    with pytest.raises(InvalidScenario, match="KLn1 = -Ln"):
-        parse_scenario_file(minimal_entry(KLn1="-60"))
+    fault = _kept_fault(minimal_entry(KLn1="-60"))
+    assert fault == "x: anticanonical scenarios have KLn1 = -Ln"
 
 
 def test_scenario_file_rejects_splitting_degree_mismatch():
-    with pytest.raises(InvalidScenario, match="sum"):
-        parse_scenario_file(
-            minimal_entry(splitting=[0, 0], normalBundleDegree=2)
-        )
+    fault = _kept_fault(minimal_entry(splitting=[0, 0], normalBundleDegree=2))
+    assert fault == "x: splitting twists sum to 0, but normalBundleDegree is 2"
 
 
 def test_scenario_file_rejects_duplicate_names():
@@ -623,18 +631,11 @@ def test_non_exact_field_types_are_rejected(capsys, tmp_path, overrides, field):
     )
     code, out, err = run_cli(capsys, "classify", str(path))
     assert code == 1 and "internal error" not in err
-    if "seshadri" in overrides:
-        # a seshadri entry's fault is its scenario's, read once when the file loads
-        (entry,) = parse_scenario_file({"scenarios": [conic(**overrides)]}).entries
-        assert isinstance(entry.seshadri_spec, InvalidScenario)
-        assert field in str(entry.seshadri_spec)
-        assert err == "" and out == (
-            f"scenario: conic\n  error: InvalidScenario: {entry.seshadri_spec}\n"
-        )
-        return
-    with pytest.raises(InvalidScenario, match=field):
-        parse_scenario_file({"scenarios": [conic(**overrides)]})
-    assert err.startswith("error: conic") and field in err and out == ""
+    # any field's fault is its scenario's, read once when the file loads
+    fault = _kept_fault({"scenarios": [conic(**overrides)]})
+    assert field in fault
+    assert "seshadri" in overrides or fault.startswith("conic")
+    assert err == "" and out == f"scenario: conic\n  error: InvalidScenario: {fault}\n"
 
 
 def test_every_fano_index_a_fano_manifold_can_have_loads():
@@ -643,9 +644,7 @@ def test_every_fano_index_a_fano_manifold_can_have_loads():
             entry = conic(n=n, flags={"fanoIndex": index})
             parsed = parse_scenario_file({"scenarios": [entry]}).entries[0]
             assert parsed.flags.fano_index == index
-    with pytest.raises(InvalidScenario) as error:
-        parse_scenario_file({"scenarios": [conic(flags={"fanoIndex": 0})]})
-    assert str(error.value) == (
+    assert _kept_fault({"scenarios": [conic(flags={"fanoIndex": 0})]}) == (
         "conic.fanoIndex: a Fano 3-fold has index 1 to 4, got 0"
     )
 
@@ -655,16 +654,23 @@ def test_splitting_of_the_wrong_rank_is_rejected_at_load(
     capsys, tmp_path, twists
 ):
     # a curve in a 3-fold has a normal bundle of rank 2
-    with pytest.raises(InvalidScenario, match=f"rank {len(twists)}.*rank 2"):
-        parse_scenario_file({"scenarios": [conic(splitting=twists)]})
+    fault = _kept_fault({"scenarios": [conic(splitting=twists)]})
+    assert fault == (
+        f"conic: splitting has rank {len(twists)}, but a curve in an 3-fold "
+        "has normal bundle of rank 2"
+    )
     path = tmp_path / "rank.json"
     path.write_text(
         json.dumps({"scenarios": [conic(name="ok"), conic(splitting=twists)]}),
         encoding="utf-8",
     )
-    code, out, err = run_cli(capsys, "classify", str(path))
-    assert code == 1 and out == ""
-    assert err.startswith("error: conic: splitting has rank")
+    code, out, err = run_cli(capsys, "classify", str(path), "--format", "csv")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        'ok,semistable-not-stable,3,"degree-regime(d=2): epsilon equals the '
+        'threshold"',
+        "conic,error,,InvalidScenario",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -691,26 +697,26 @@ def test_oversized_radicands_are_rejected_at_load(
         encoding="utf-8",
     )
     code, out, err = run_cli(capsys, "classify", str(path), "--format", "csv")
-    assert code == 1 and "internal error" not in err
-    if message == "radicand":  # a seshadri entry's fault, refused at load for its scenario
-        assert err == "" and out.splitlines()[1:] == [
-            'ok,semistable-not-stable,3,"degree-regime(d=2): epsilon equals the '
-            'threshold"',
-            "conic,error,,InvalidScenario",
-        ]
-        (_, entry) = cli.load_scenario_file(str(path)).entries
-        assert message in str(entry.seshadri_spec)
-    else:
-        assert out == "" and err.startswith("error: ") and message in err
+    # refused at load, for its scenario only
+    assert (code, err) == (1, "") and out.splitlines()[1:] == [
+        'ok,semistable-not-stable,3,"degree-regime(d=2): epsilon equals the '
+        'threshold"',
+        "conic,error,,InvalidScenario",
+    ]
+    (_, entry) = cli.load_scenario_file(str(path)).entries
+    assert message in str(entry.seshadri_spec)
 
 
 @pytest.mark.parametrize(
     "scenarios, command, message",
     [
-        # an error CurveScenario finds names the scenario it belongs to
-        ([conic(n=1)], ["classify"], "error: conic: ambient dimension must be"),
-        ([conic(genus=-1)], ["classify"], "error: conic: genus must be non-negative"),
-        ([conic(normalBundleDegree=5)], ["classify"],
+        # an error CurveScenario finds names the scenario it belongs to, and
+        # is the error of a command that names that scenario
+        ([conic(n=1)], ["seshadri", "--scenario", "conic"],
+         "error: conic: ambient dimension must be"),
+        ([conic(genus=-1)], ["seshadri", "--scenario", "conic"],
+         "error: conic: genus must be non-negative"),
+        ([conic(normalBundleDegree=5)], ["sweep", "--scenario", "conic", "--grid", "1"],
          "error: conic: anticanonical adjunction forces normal bundle degree 0, got 5"),
         ([conic(seshadri=[])], ["classify"], "conic.seshadri: empty rule pipeline"),
         ([conic(seshadri={"rat": "1", "root": 2})], ["classify"],
@@ -885,7 +891,9 @@ def test_a_pipeline_fault_costs_only_its_scenario(tmp_path, step, at, message):
     clean = [{"rule": "linear_subspace_exact", "n": 3, "as": "a"},
              {"rule": "product_fiber_estimate", "of": "a"}]
     faulty = clean[:at] + [step] + clean[at:]
-    _costs_only_its_scenario(tmp_path, clean, faulty, message)
+    _costs_only_its_scenario(
+        tmp_path, {"seshadri": clean}, {"seshadri": faulty}, message
+    )
 
 
 # A malformed declared value of each kind in the middle scenario, and the
@@ -903,24 +911,39 @@ def test_a_pipeline_fault_costs_only_its_scenario(tmp_path, step, at, message):
 ], ids=["bad-rational", "unknown-key", "empty", "negative-radicand",
         "huge-radicand"])
 def test_a_declared_value_fault_costs_only_its_scenario(tmp_path, spec, message):
-    _costs_only_its_scenario(tmp_path, {"lower": "1", "upper": "3"}, spec, message)
+    _costs_only_its_scenario(
+        tmp_path, {"seshadri": {"lower": "1", "upper": "3"}}, {"seshadri": spec},
+        message,
+    )
 
 
-def _costs_only_its_scenario(tmp_path, clean, faulty, message):
-    """A file whose middle scenario's seshadri entry is ``faulty`` gives the
-    output of the one where it is ``clean``, but for that scenario's record,
-    which holds ``message``; the other scenarios' commands do not see it."""
+_ABSENT = object()  # an override that drops its key from the entry
+
+
+def _middle(override):
+    """conic(name="bad") with ``override``'s fields, a field set to _ABSENT
+    dropped; an override that is not an object is the whole entry."""
+    if not isinstance(override, dict):
+        return override
+    entry = conic(**{"name": "bad", **override})
+    return {key: value for key, value in entry.items() if value is not _ABSENT}
+
+
+def _costs_only_its_scenario(tmp_path, clean, faulty, message, label="bad"):
+    """A file whose middle entry is _middle(faulty) gives the output of the
+    one where it is _middle(clean), but for that entry's record, which holds
+    ``message`` under ``label``; the other scenarios' commands do not see it."""
     paths = {}
-    for label, spec in (("clean", clean), ("faulty", faulty)):
-        paths[label] = str(tmp_path / f"{label}.json")
-        Path(paths[label]).write_text(json.dumps({"scenarios": [
-            conic(name="first"), conic(name="bad", seshadri=spec),
-            conic(name="last"),
+    for version, override in (("clean", clean), ("faulty", faulty)):
+        paths[version] = str(tmp_path / f"{version}.json")
+        Path(paths[version]).write_text(json.dumps({"scenarios": [
+            conic(name="first"), _middle(override), conic(name="last"),
         ]}), encoding="utf-8")
     (_, bad, _) = cli.load_scenario_file(paths["faulty"]).entries
-    assert type(bad.seshadri_spec) is InvalidScenario
+    assert (bad.name, type(bad.seshadri_spec)) == (label, InvalidScenario)
     assert str(bad.seshadri_spec) == message
-    error = {"name": "bad", "error": message, "error_type": "InvalidScenario"}
+    assert (bad.scenario, bad.flags) == (None, None)
+    error = {"name": label, "error": message, "error_type": "InvalidScenario"}
     for fmt in ("text", "csv", "json"):
         clean_code, clean_out, _ = _run_quietly(
             ["classify", paths["clean"], "--format", fmt]
@@ -934,8 +957,8 @@ def _costs_only_its_scenario(tmp_path, clean, faulty, message):
             assert json.loads(out)["verdicts"][1] == error
         else:
             assert bad == {
-                "text": f"scenario: bad\n  error: InvalidScenario: {message}\n",
-                "csv": "bad,error,,InvalidScenario",
+                "text": f"scenario: {label}\n  error: InvalidScenario: {message}\n",
+                "csv": f"{label},error,,InvalidScenario",
             }[fmt]
     # seshadri and sweep fail only for the scenario that holds the fault
     for argv in (["seshadri", "--scenario", "first", "--format", "json"],
@@ -944,8 +967,62 @@ def _costs_only_its_scenario(tmp_path, clean, faulty, message):
         assert clean_run[0] == 0
         assert _run_quietly([argv[0], paths["faulty"], *argv[1:]]) == clean_run
     for command in (["seshadri"], ["sweep", "--grid", "1"]):
-        assert _run_quietly([command[0], paths["faulty"], "--scenario", "bad",
+        assert _run_quietly([command[0], paths["faulty"], "--scenario", label,
                              *command[1:]]) == (1, "", f"error: {message}\n")
+
+
+# An entry without a readable name, in the middle of three: its record is
+# labelled by its position in the file, counted from 1
+@pytest.mark.parametrize("faulty, message", [
+    (3, "each scenario must be a JSON object"),
+    ([conic()], "each scenario must be a JSON object"),
+    ({"name": _ABSENT}, "each scenario needs a non-empty name"),
+    ({"name": ""}, "each scenario needs a non-empty name"),
+    ({"name": 5}, "each scenario needs a non-empty name"),
+], ids=["number", "list", "no-name", "empty-name", "number-name"])
+def test_an_entry_without_a_readable_name_is_labelled_by_its_position(
+    tmp_path, faulty, message
+):
+    _costs_only_its_scenario(tmp_path, {}, faulty, message, label="#2")
+
+
+# Faults that still fail the whole file: two entries that share a name or a
+# label, whether or not either entry fails to read
+@pytest.mark.parametrize("scenarios", [
+    [conic(name="first"), conic(name="first", n="four"), conic(name="last")],
+    [conic(name="first", n="four"), conic(name="first"), conic(name="last")],
+    [conic(name="#2"), conic(name=""), conic(name="last")],
+    [conic(name="#2", genus=-1), 3, conic(name="last")],
+], ids=["faulty-second", "faulty-first", "label-of-a-clean-entry",
+        "label-of-a-faulty-entry"])
+def test_a_name_shared_with_a_faulty_entry_fails_the_file(
+    capsys, tmp_path, scenarios
+):
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps({"scenarios": scenarios}), encoding="utf-8")
+    message = "scenario names must be unique within a file"
+    with pytest.raises(InvalidScenario, match=message):
+        cli.load_scenario_file(str(path))
+    for argv in (["classify", "--format", "csv"], ["seshadri", "--scenario", "last"]):
+        assert run_cli(capsys, argv[0], str(path), *argv[1:]) == (
+            1, "", f"error: {message}\n"
+        )
+
+
+def test_a_program_fault_while_loading_fails_the_file(capsys, monkeypatch):
+    # only a FanoslopeError is an entry's fault; any other is the program's
+    parse_entry = cli._parse_entry
+
+    def explode(raw):
+        if raw["name"] == "cubic_elliptic":
+            raise RuntimeError("simulated")
+        return parse_entry(raw)
+
+    monkeypatch.setattr(cli, "_parse_entry", explode)
+    for argv in (["classify"], ["seshadri", "--scenario", "quartic_line"]):
+        assert run_cli(capsys, argv[0], fixture("gallery.json"), *argv[1:]) == (
+            2, "", "internal error: RuntimeError: simulated\n"
+        )
 
 
 @pytest.mark.parametrize("step", [
@@ -1267,6 +1344,25 @@ def fuzz_cases(draw):
     return name, index, path, draw(st.sampled_from(MALFORMED))
 
 
+# The fields of a scenario entry outside its seshadri entry that a malformed
+# value can break
+_OUTSIDE_SESHADRI = [
+    "n", "genus", "degree", "Ln", "KLn1", "splitting", "flags", "description",
+]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(_OUTSIDE_SESHADRI), st.sampled_from(MALFORMED))
+@example("n", "four")
+@example("flags", {"fanoIndex": 9})
+@example("splitting", [0])
+def test_a_malformed_field_outside_seshadri_costs_only_its_scenario(field, value):
+    message = _read_with(cli._parse_entry, _middle({field: value}))
+    assume(isinstance(message, str))  # not a value this field takes
+    with tempfile.TemporaryDirectory() as folder:
+        _costs_only_its_scenario(Path(folder), {}, {field: value}, message)
+
+
 def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1391,11 +1487,14 @@ def test_a_load_message_too_long_to_print_is_an_error(tmp_path, overrides):
         encoding="utf-8",
     )
     code, out, err = _run_quietly(["classify", str(path)])
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: conic: cannot print an exact value with a numerator or "
-        f"denominator of more than {sys.get_int_max_str_digits()} digits\n"
+    assert (code, err) == (1, "")
+    fault, after = out.split("scenario: after\n")
+    assert fault == (
+        "scenario: conic\n  error: InvalidScenario: conic: cannot print an exact "
+        "value with a numerator or denominator of more than "
+        f"{sys.get_int_max_str_digits()} digits\n"
     )
+    assert after.startswith("  status: semistable-not-stable\n")
 
 
 # -- the entry reader against its hand-written predecessor -----------------
@@ -1597,13 +1696,12 @@ def _read_with(reader, raw):
         return str(error)
 
 
-def _as_loaded(entry):
-    """A loaded entry, or its message, with its seshadri entry's fault as
-    its words."""
-    if isinstance(entry, cli.NamedScenario) and isinstance(
-        entry.seshadri_spec, FanoslopeError
-    ):
-        return entry._replace(seshadri_spec=str(entry.seshadri_spec))
+def _as_loaded(raw):
+    """The entry ``raw`` as a one-entry file loads it, or for an entry that
+    failed to read, the words of the fault it keeps."""
+    (entry,) = parse_scenario_file({"scenarios": [raw]}).entries
+    if isinstance(entry.seshadri_spec, FanoslopeError):
+        return str(entry.seshadri_spec)
     return entry
 
 
@@ -1625,22 +1723,24 @@ def _old_certificate(spec, context):
 
 
 def _as_loaded_now(entry):
-    """An entry the old loader read, or its message, with its seshadri entry
-    as the loader keeps it now. A declared value becomes the certificate the
-    old resolve_estimate built from it, or its fault's words; a pipeline
-    becomes the words of the fault the old interpreter met first in reading
-    it, or else the Step records of its steps."""
+    """An entry the old loader read, or its message, as the loader keeps it
+    now. A declared value becomes the certificate the old resolve_estimate
+    built from it; a pipeline becomes the Step records of its steps. Where
+    the old resolve_estimate refused the value, or the old interpreter met a
+    fault in reading a step, the entry becomes that fault's words."""
     if not isinstance(entry, cli.NamedScenario):
         return entry
     steps = entry.seshadri_spec
     if isinstance(steps, dict):
-        context = f"{entry.name}.seshadri"
-        return entry._replace(seshadri_spec=_old_certificate(steps, context))
+        certificate = _old_certificate(steps, f"{entry.name}.seshadri")
+        if isinstance(certificate, str):
+            return certificate
+        return entry._replace(seshadri_spec=certificate)
     if not isinstance(steps, tuple):
         return entry
     fault = _reading_fault(steps, entry.scenario)
     if fault is not None:
-        return entry._replace(seshadri_spec=fault)
+        return fault
     return entry._replace(seshadri_spec=tuple(
         Step(step["rule"], tuple(
             tuple(step[key]) if kind == "refs"
@@ -1676,14 +1776,13 @@ def _names_the_failing_part(value, got, want):
     return _read_with(lambda raw: read(raw, "x"), part) == f"x: {fault}"
 
 
-def _in_the_old_loaders_words(entry):
-    """The message of an entry's pipeline fault as the old loader worded it:
-    a slot it read named by the entry's context, not by the rule."""
-    message = entry.seshadri_spec
+def _in_the_old_loaders_words(name, message):
+    """The message of entry ``name``'s pipeline fault as the old loader
+    worded it: a slot it read named by the entry's context, not by the rule."""
     if not message.startswith("seshadri rule "):
         return message
     context, _, fault = message.partition(": ")
-    return f"{entry.name}.seshadri.{context.partition('.')[2]}: {fault}"
+    return f"{name}.seshadri.{context.partition('.')[2]}: {fault}"
 
 
 def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
@@ -1692,15 +1791,15 @@ def test_the_field_table_reads_every_malformed_field_as_the_oracle_did():
         for path in _fields(entry):
             for value in MALFORMED:
                 raw = _replaced(entry, path, value)
-                got = _as_loaded(_read_with(cli._parse_entry, raw))
-                want = _as_loaded_now(_read_with(_oracle_entry, raw))
+                old = _read_with(_oracle_entry, raw)
+                got, want = _as_loaded(raw), _as_loaded_now(old)
                 compared += 1
                 # a seshadri entry's fault the old loader refused the whole
-                # file for now fails its scenario only
-                if isinstance(want, str) and isinstance(got, cli.NamedScenario):
-                    if isinstance(got.seshadri_spec, str):
-                        got = _in_the_old_loaders_words(got)
-                        moved += 1
+                # file for, in the words it refused it with
+                refused = path[0] == "seshadri" and isinstance(old, str)
+                if refused and isinstance(got, str):
+                    got = _in_the_old_loaders_words(raw["name"], got)
+                    moved += 1
                 if got == want:
                     continue
                 # a Seshadri-spec error names the failing part of the spec
@@ -1835,8 +1934,7 @@ def test_generated_surd_parts_load_as_the_fraction_route_loaded_them(raw):
     ],
 )
 def test_a_seshadri_spec_error_names_the_failing_part(spec, message):
-    got = _as_loaded(_read_with(cli._parse_entry, conic(seshadri=spec)))
-    assert (got.seshadri_spec if isinstance(got, cli.NamedScenario) else got) == message
+    assert _as_loaded(conic(seshadri=spec)) == message
 
 
 def test_a_type_fault_is_reported_before_a_fault_across_fields():
@@ -2006,7 +2104,7 @@ def _leaf_types(value):
                        {"rule": "certify_exact_by_restriction", "upper": "a",
                         "ambient": "b", "restricted": {"rat": "3", "rad": 4}}]})
 def test_every_valid_entry_loads_as_the_oracle_reads_it(raw):
-    got, want = _as_loaded(cli._parse_entry(raw)), _as_loaded_now(_oracle_entry(raw))
+    got, want = _as_loaded(raw), _as_loaded_now(_oracle_entry(raw))
     assert got == want
     assert repr(got) == repr(want)
     assert _leaf_types(got) == _leaf_types(want)
@@ -2091,10 +2189,11 @@ def test_a_pipeline_runs_as_the_old_interpreter_ran_it(bound, steps, raw):
     spec = bound + steps
     assume(not any(_null_name_slot(step) is not None for step in spec))
     entry = parse_scenario_file({"scenarios": [{**raw, "seshadri": spec}]}).entries[0]
+    scenario = _as_loaded(raw).scenario  # an entry that failed to read keeps none
     old = _oracle_seshadri_spec(spec, "line.seshadri")  # as the old loader kept it
     got = _outcome(lambda: cli.resolve_estimate(entry))
-    want = _outcome(lambda: pipeline_oracle._run_pipeline(old, entry.scenario))
-    fault = _reading_fault(old, entry.scenario)
+    want = _outcome(lambda: pipeline_oracle._run_pipeline(old, scenario))
+    fault = _reading_fault(old, scenario)
     read = isinstance(entry.seshadri_spec, tuple)
     assert read == (fault is None)
     if read or want[0] is InvalidScenario:
@@ -2200,10 +2299,15 @@ def _conic_with(key, value):
                      b'"rat": "2"}}'), "repeated key 'rat' in a JSON object"),
         (_conic_with("flags", b'{"isPn": false, "isPn": true}'),
          "repeated key 'isPn' in a JSON object"),
+        # a key repeated in one entry fails the file, not that entry alone
+        (json.dumps({"scenarios": [conic(), conic(name="@"), conic(name="last")]})
+         .encode("utf-8").replace(b'"@"', b'"bad", "name": "bad"'),
+         "repeated key 'name' in a JSON object"),
     ],
     ids=["oversized-integer", "invalid-utf8", "repeated-key", "repeated-top-key",
          "deeply-nested-arrays", "deeply-nested-seshadri", "repeated-key-in-a-step",
-         "repeated-key-in-a-surd", "repeated-key-in-flags"],
+         "repeated-key-in-a-surd", "repeated-key-in-flags",
+         "repeated-key-in-one-of-three-entries"],
 )
 def test_undecodable_file_exits_one(capsys, tmp_path, content, message):
     path = tmp_path / "undecodable.json"
