@@ -18,8 +18,9 @@ malformed, 2 on an internal invariant violation.
 
 It reads files into scenarios, each seshadri entry once into its pipeline's
 Step records or its declared value's certificate; an entry with a field that
-fails to read keeps its fault, which fails that scenario only. It renders the
-results and runs the commands.
+fails to read keeps its fault, which fails that scenario only. Each command
+returns its exit code and its whole output as one document, which ``main``
+writes to stdout once.
 """
 
 import json
@@ -332,7 +333,7 @@ def format_fixed(value):
     return f"-{text}" if negative and q else text
 
 
-# Each command writes one JSON document in the layout and escaping of
+# Each command's JSON document has the layout and escaping of
 # json.dumps(document, indent=2). Line breaks with indents are constants: an
 # f-string replacement field may hold no backslash before Python 3.12.
 _text = json.encoder.encode_basestring_ascii
@@ -343,35 +344,24 @@ _SWEEP_ROW = (  # a str.format template with one {} per column
 )
 
 
-def dump_value(value):
-    """The JSON spelling of an exact value in command output: a string, or
-    for an irrational Surd an object of its parts. Any other object raises
-    TypeError."""
-    if isinstance(value, Surd):
-        if value.is_rational:
-            return render_value(value.rat)
-        rat, coef = render_value(value.rat), render_value(value.coef)
-        return {"rat": rat, "coef": coef, "rad": value.rad}
-    if isinstance(value, Fraction):
-        return render_value(value)
-    raise TypeError(f"{type(value).__name__} is not an exact value")
-
-
 def _json_array(items, close):
     """Encoded items, each led by a line break, as an array closing after ``close``."""
     return "[" + ",".join(items) + close + "]" if items else "[]"
 
 
 def _json_value(value, close):
-    """An exact value or None as JSON; a surd object closes after ``close``."""
+    """An exact value or None as JSON: a rational as a string, an irrational
+    Surd as an object of its parts closing after ``close``. Any other object
+    raises TypeError."""
     if value is None:
         return "null"
-    spelled = dump_value(value)
-    if type(spelled) is str:
-        return _text(spelled)
-    rat, coef, rad = _text(spelled["rat"]), _text(spelled["coef"]), spelled["rad"]
+    if not isinstance(value, (Fraction, Surd)):
+        raise TypeError(f"{type(value).__name__} is not an exact value")
+    if isinstance(value, Fraction) or value.is_rational:
+        return _text(render_value(value))
+    rat, coef = _text(render_value(value.rat)), _text(render_value(value.coef))
     i = close + "  "
-    return f'{{{i}"rat": {rat},{i}"coef": {coef},{i}"rad": {rad}{close}}}'
+    return f'{{{i}"rat": {rat},{i}"coef": {coef},{i}"rad": {value.rad}{close}}}'
 
 
 def _json_provenance(provenance, close):
@@ -448,6 +438,15 @@ def _text_estimate(estimate):
     return "\n".join(lines) + "\n"
 
 
+def _csv_document(header, rows):
+    """A CSV document: the header line, then one line per row."""
+    return "".join(f"{line}\n" for line in (header, *rows))
+
+
+def _classify_csv(records):
+    return _csv_document("name,status,witness_lambda,rule", records)
+
+
 def _csv_value(value):
     """An exact value, or None, as a CSV field."""
     return "" if value is None else render_value(value)
@@ -468,14 +467,18 @@ def _csv_quoted(text):
 # -- subcommands -----------------------------------------------------------
 
 
-_CLASSIFY_RECORDS = {"text": _text_block, "csv": _csv_row, "json": _json_verdict}
+# Each format's renderer of one scenario's record, and its document of them all
+_CLASSIFY_FORMATS = {
+    "text": (_text_block, "".join),
+    "csv": (_csv_row, _classify_csv),
+    "json": (_json_verdict, _classify_json),
+}
 
 
 def cmd_classify(args):
-    out = sys.stdout
     scenario_file = load_scenario_file(args.file)
     include_endpoint = not args.open_interval
-    render = _CLASSIFY_RECORDS[args.format]
+    render, document = _CLASSIFY_FORMATS[args.format]
     records, code = [], 0
     for entry in scenario_file.entries:
         try:
@@ -495,17 +498,8 @@ def cmd_classify(args):
             print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)
             record = render(entry, None, None, error)
             code = 2
-        if args.format == "text":
-            out.write(record)
-        else:
-            records.append(record)
-    if args.format == "json":
-        out.write(_classify_json(records))
-    elif args.format == "csv":
-        print("name,status,witness_lambda,rule", file=out)
-        for record in records:
-            print(record, file=out)
-    return code
+        records.append(record)
+    return code, document(records)
 
 
 def _entry_named(args):
@@ -524,7 +518,6 @@ def _checked_estimate(args):
 
 
 def cmd_sweep(args):
-    out = sys.stdout
     entry, estimate = _checked_estimate(args)
     scenario = entry.scenario
     grid = [parse_rational(piece, "grid") for piece in args.grid.split(",")]
@@ -547,29 +540,20 @@ def cmd_sweep(args):
         rows.append((render_value(lam), render_value(mu), format_fixed(mu),
                      render_value(f_value), sign))
     if args.format == "json":
-        out.write(_sweep_json(entry.name, rows))
-    else:  # csv
-        print(",".join(_SWEEP_COLUMNS), file=out)
-        for row in rows:
-            print(",".join(row), file=out)
-    return 0
+        return 0, _sweep_json(entry.name, rows)
+    return 0, _csv_document(",".join(_SWEEP_COLUMNS), map(",".join, rows))
 
 
 def cmd_seshadri(args):
-    out = sys.stdout
     entry, estimate = _checked_estimate(args)
     if args.format == "json":
-        out.write(_seshadri_json(entry.name, estimate))
-    elif args.format == "csv":
-        print("name,lower,upper,exact", file=out)
-        print(
+        return 0, _seshadri_json(entry.name, estimate)
+    if args.format == "csv":
+        return 0, _csv_document("name,lower,upper,exact", [
             f"{_csv_field(entry.name)},{render_value(estimate.lower)},"
-            f"{_csv_value(estimate.upper)},{_csv_value(estimate.exact)}",
-            file=out,
-        )
-    else:
-        out.write(f"scenario: {entry.name}\n" + _text_estimate(estimate))
-    return 0
+            f"{_csv_value(estimate.upper)},{_csv_value(estimate.exact)}"
+        ])
+    return 0, f"scenario: {entry.name}\n" + _text_estimate(estimate)
 
 
 # -- command line ----------------------------------------------------------
@@ -735,11 +719,9 @@ def main(argv=None):
     # looked up when main runs, so a patched cmd_* is the one called
     command = globals()[f"cmd_{args.command}"]
     try:
-        code = command(args)
-    except FanoslopeError as error:
-        print(f"error: {error}", file=sys.stderr)
-        code = 1
-    except OSError as error:
+        code, document = command(args)
+        sys.stdout.write(document)  # the command's one write
+    except (FanoslopeError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         code = 1
     except Exception as error:  # internal invariant violation

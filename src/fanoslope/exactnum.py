@@ -341,11 +341,11 @@ def compare(left, right):
     in this package stays inside a single quadratic field, so that situation
     signals a modelling mistake rather than a gap to work around.
 
-    Each side is read as integers ``(x + y*sqrt(m))/q``. Two rationals are
-    compared by cross-multiplying; otherwise the sign of the difference,
+    Each side is read as integers ``(x + y*sqrt(m))/q``. Two exact ints or
+    Fractions are read from the Fraction's slots and compared by
+    cross-multiplying; the rest take _ints, and the sign of the difference,
     ``x*r - u*q + (y*r - v*q)*sqrt(m)`` over ``q*r > 0``, is read from
-    integer products. No Surd and no Fraction is built either way. Exact ints
-    and Fractions are read from the Fraction's slots; the rest take _ints.
+    integer products. No Surd and no Fraction is built either way.
     """
     kind, other = type(left), type(right)
     if (kind is Fraction or kind is int) and (other is Fraction or other is int):
@@ -361,9 +361,6 @@ def compare(left, right):
         return (a > b) - (a < b)
     x, y, q, m = _ints(left)
     u, v, r, k = _ints(right)
-    if not y and not v:
-        a, b = x * r, u * q
-        return (a > b) - (a < b)
     return _sign(x * r - u * q, y * r - v * q, _radicand(y, m, v, k))
 
 

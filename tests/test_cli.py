@@ -27,7 +27,7 @@ import fanoslope.exactnum as exactnum
 import fanoslope.seshadri as seshadri
 import fanoslope.slope
 import pipeline_oracle
-from fanoslope.cli import dump_value, format_fixed, main, parse_scenario_file
+from fanoslope.cli import format_fixed, main, parse_scenario_file
 from fanoslope.blowup import CurveScenario
 from fanoslope.classify import (
     BundleSplitting, ClassifyFlags, Verdict, VerdictStatus,
@@ -114,16 +114,16 @@ def test_a_4301_digit_part_is_a_bad_rational(text):
 def test_parse_value_surd_round_trip():
     value = parse_value({"rat": "-1", "coef": "2", "rad": 2}, "test")
     assert value == Surd(-1, 2, 2)
-    assert parse_value(dump_value(value), "test") == value
-    assert dump_value(Fraction(3, 4)) == "3/4"
+    assert parse_value(json.loads(cli._json_value(value, "")), "test") == value
+    assert cli._json_value(Fraction(3, 4), "") == '"3/4"'
 
 
-@pytest.mark.parametrize("value", [3, "3", None], ids=["int", "str", "None"])
+@pytest.mark.parametrize("value", [3, "3"], ids=["int", "str"])
 def test_dump_value_refuses_anything_but_an_exact_value(value):
-    # the JSON writer spells every value through it, so an unexpected object
-    # fails loudly
+    # the JSON writer spells every value through _json_value, so an
+    # unexpected object fails loudly; None is the writer's null
     with pytest.raises(TypeError):
-        dump_value(value)
+        cli._json_value(value, "")
 
 
 # -- fixed-point rendering -------------------------------------------------
@@ -447,8 +447,16 @@ def _json_record(entry, estimate, verdict, error):
     }
 
 
+def _json_spelling(value):
+    """An exact value as the JSON documents spell it: a rational as its
+    string, an irrational surd as an object of its parts."""
+    if isinstance(value, Surd) and not value.is_rational:
+        return {"rat": str(value.rat), "coef": str(value.coef), "rad": value.rad}
+    return str(value.rat if isinstance(value, Surd) else value)
+
+
 def _dumps(document):
-    return json.dumps(document, indent=2, default=dump_value) + "\n"
+    return json.dumps(document, indent=2, default=_json_spelling) + "\n"
 
 
 # every code point, lone surrogates included, and a bias towards the
@@ -2256,6 +2264,24 @@ def test_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", str(tmp_path / "absent.json"))
     assert code == 1
     assert "error:" in err
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", fixture("gallery.json")),
+    ("classify", fixture("gallery.json"), "--format", "json"),
+    ("sweep", fixture("blp3_fiber.json"), "--scenario", "blp3_fiber", "--grid", "1"),
+    ("seshadri", fixture("blp3_fiber.json"), "--scenario", "blp3_fiber"),
+], ids=["classify-text", "classify-json", "sweep", "seshadri"])
+def test_a_failed_write_to_stdout_exits_one(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    code = main(list(argv))
+    # the write fault's words alone: no internal error, no traceback
+    assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def test_invalid_json_exits_one(capsys, tmp_path):

@@ -104,6 +104,49 @@ def test_output_is_byte_identical(case):
     assert stderr == json.loads(STDERR.read_text(encoding="utf-8"))[case]
 
 
+class _CountingWriter(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _counted_run(argv):
+    out, err = _CountingWriter(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out
+
+
+@pytest.mark.parametrize("case", [
+    *(f"gallery.classify.{fmt}" for fmt in ("text", "csv", "json")),
+    *(f"blp3_fiber.sweep.blp3_fiber.{fmt}" for fmt in ("csv", "json")),
+    *(f"blp3_fiber.seshadri.blp3_fiber.{fmt}" for fmt in ("text", "csv", "json")),
+])
+def test_a_command_writes_its_output_in_one_call(case):
+    code, out = _counted_run(CASES[case])
+    assert (code, out.writes) == (0, 1)
+    assert out.getvalue().encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
+
+
+def test_a_command_that_fails_writes_nothing(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    blp3 = _path("blp3_fiber")
+    for argv in (
+        ["classify", str(bad)],
+        ["seshadri", blp3, "--scenario", "absent"],
+        ["sweep", blp3, "--scenario", "blp3_fiber", "--grid", "100"],
+    ):
+        code, out = _counted_run(argv)
+        assert (code, out.writes) == (1, 0), argv
+
+
 def test_every_golden_file_has_a_case():
     recorded = {p.name[: -len(".out")] for p in GOLDEN.glob("*.out")}
     assert recorded == set(CASES)
