@@ -14,9 +14,10 @@ The two Hilbert-coefficient polynomials exposed here are
     a1(x) = -K_Xhat . (sigma*L - x*E)**(n-1) / (2*(n-1)!)
 
 both closed forms obtained by pushing powers of E down to Z. Of the
-intersection numbers (sigma*L)**i . (-E)**(n-1-i) . E, i = 0..n-1, only two
-survive: -p at i = 0 and d at i = 1; two or more pullback factors from the
-curve kill everything else.
+intersection numbers (sigma*L)**i . (-E)**(n-1-i) . E, i = 0..n-1, only -p
+at i = 0 and d at i = 1 survive (two or more pullback factors from the curve
+kill the rest), and _hilbert_terms, the non-zero terms of a0 and a1, is the
+one place they are written down.
 """
 
 from collections import namedtuple
@@ -125,36 +126,40 @@ def exceptional_restriction_poly(scenario):
     return Polynomial([0] * (s.n - 2) + [(s.n - 1) * s.degree, -s.normal_degree])
 
 
-def hilbert_leading_poly(scenario):
-    """a0(x) = (L**n - n*d*x**(n-1) + p*x**n) / n!"""
+def _hilbert_terms(scenario, index):
+    """a0 (index 0) or a1 (index 1) as (terms, den): the (power, integer
+    numerator) pairs of its non-zero terms, ascending and at most three, over
+    den = n!*den(L**n) or 2*(n-1)!*den(K.L**(n-1))."""
     s = scenario
-    scale = s.ln.denominator
-    nums = [0] * (s.n + 1)
-    nums[0] = s.ln.numerator
-    nums[s.n - 1] = -s.n * s.degree * scale
-    nums[s.n] = s.normal_degree * scale
-    return Polynomial(nums, factorial(s.n) * scale)
-
-
-def hilbert_subleading_poly(scenario):
-    """a1(x) = -K_Xhat . (sigma*L - x*E)**(n-1) / (2*(n-1)!)
-
-    Expanded: -(K.L**(n-1) - (2g-2-p)*x**(n-1)
-               + (n-2)*x**(n-2)*((n-1)*d - p*x)) / (2*(n-1)!).
-    Needs n >= 3; in dimension 2 the blowup canonical has no exceptional
-    multiple and the whole slope setup is different.
-    """
-    s = scenario
-    if s.n < 3:
+    n, e0, e1 = s.n, -s.normal_degree, s.degree  # the numbers at i = 0 and 1
+    if not index:  # (L**n - n*e1*x**(n-1) - e0*x**n) / n!
+        value, den = s.ln, factorial(n)
+        num, terms = value.numerator, ((n - 1, -n * e1), (n, -e0))
+    elif n < 3:  # K_Xhat = sigma*K + m*E with m = n - 2 has no E at n = 2
         raise DimensionTooSmall(
             "subleading Hilbert coefficient needs ambient dimension >= 3"
         )
-    scale = s.k_ln1.denominator
-    nums = [0] * s.n
-    nums[0] = -s.k_ln1.numerator
-    nums[s.n - 2] = -(s.n - 2) * (s.n - 1) * s.degree * scale
-    nums[s.n - 1] = (s.canonical_degree + (s.n - 2) * s.normal_degree) * scale
-    return Polynomial(nums, 2 * factorial(s.n - 1) * scale)
+    else:  # -(K.L**(n-1) - K.Z*x**(n-1) + m*x**(n-2)*((n-1)*e1 + e0*x)) / ...
+        value, den, m, kz = s.k_ln1, 2 * factorial(n - 1), n - 2, s.canonical_degree
+        num, terms = -value.numerator, ((m, -m * (n - 1) * e1), (n - 1, kz - m * e0))
+    scale = value.denominator
+    terms = [(k, c * scale) for k, c in terms if c]
+    return ([(0, num)] + terms if num else terms), den * scale
+
+
+def _polynomial(terms, den):  # _hilbert_terms' result, laid out densely
+    nums = dict(terms)
+    return Polynomial([nums.get(k, 0) for k in range(terms[-1][0] + 1)], den)
+
+
+def hilbert_leading_poly(scenario):
+    """a0(x) = (L**n - n*d*x**(n-1) + p*x**n) / n!"""
+    return _polynomial(*_hilbert_terms(scenario, 0))
+
+
+def hilbert_subleading_poly(scenario):
+    """a1(x) = -K_Xhat . (sigma*L - x*E)**(n-1) / (2*(n-1)!), for n >= 3."""
+    return _polynomial(*_hilbert_terms(scenario, 1))
 
 
 def check_epsilon_consistency(scenario, epsilon):

@@ -368,6 +368,7 @@ STEP_KEYS = {
 # A step read: its rule, the arguments in call order, its "as" name or None.
 # An estimate slot holds a name (None: the previous step's), combine's a tuple.
 Step = namedtuple("Step", "rule args label")
+_new_step = tuple.__new__  # read_pipeline's Step(...), without the Python-level __new__
 # The reader of each kind of value slot, and the types it takes as they are
 # (a library caller's Fraction or Surd is already read); the file loader's
 # field readers extend this table.
@@ -435,7 +436,7 @@ def read_pipeline(steps, context):
         if "as" in step and not (isinstance(label, str) and label):
             raise _error(rule, f': "as" must be a non-empty name, got {label!r}')
         bound.add(label)  # None without "as", which no name is
-        records.append(Step(rule, tuple(args), label))
+        records.append(_new_step(Step, (rule, tuple(args), label)))
     if not records:
         raise InvalidScenario(f"{context}: empty rule pipeline")
     return tuple(records)

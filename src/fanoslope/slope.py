@@ -28,10 +28,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .blowup import (
-    exceptional_restriction_poly,  # not called here; perfbench's tracer patches it
-    hilbert_leading_poly,
-    hilbert_subleading_poly,
+from .blowup import _hilbert_terms
+from .blowup import (  # not called here; perfbench's tracer patches them
+    exceptional_restriction_poly, hilbert_leading_poly, hilbert_subleading_poly,
 )
 from .errors import DimensionTooSmall, ZeroDenominator
 from .exactnum import Polynomial, _require_rational, _value_at
@@ -111,42 +110,37 @@ def quotient_slope(scenario, lam, cross_check=False):
     return QuotientSlopeReport(lam, value, via_integral)
 
 
-def _antiderivative(nums, den):
-    """int_0^x sum(nums[i] * x**i) / den, nums not all zero, as
-    (low, band, den'): x**low * sum(band[i] * x**i) / den', where low is
-    the power of its first non-zero term and band ends at its last one."""
-    powers = [i for i, c in enumerate(nums) if c]
-    low, high = powers[0], powers[-1]
-    common = math.lcm(*[i + 1 for i in powers])
-    band = [c * (common // i) for i, c in enumerate(nums[low:high + 1], low + 1)]
-    return low + 1, tuple(band), den * common
+def _antiderivative(terms, den):
+    """int_0^x sum(c * x**k for k, c in terms) / den, terms the non-zero
+    (power, numerator) pairs, ascending, as (low, band, den'): x**low *
+    sum(band[i] * x**i) / den', low the power of the first term plus one."""
+    low = terms[0][0] + 1
+    common = math.lcm(*[k + 1 for k, _ in terms])
+    band = [0] * (terms[-1][0] + 2 - low)
+    for k, c in terms:
+        band[k + 1 - low] = c * (common // (k + 1))
+    return low, tuple(band), den * common
 
 
 def _deficit_integrals(scenario):
     """int_0^x (atilde1 + atilde0'/2) and int_0^x atilde0, each as
     (low, band, den), meaning x**low * sum(band[i] * x**i) / den.
 
-    Built from the numerators of the two Hilbert polynomials (a curve's
-    degree is positive, so neither deficit is zero): a deficit
-    a(0) - a(x) is their non-constant numerators negated, and that
-    negation, the derivative, the half and the sum run in one pass over
-    one common denominator, skipping zero numerators; each band has at
-    most two entries. No deficit Polynomial is built.
+    Read from blowup's non-zero terms of a0 and a1 (a curve's degree is
+    positive, so neither deficit is zero): a deficit a(0) - a(x) is the
+    non-constant terms negated, and the negation, the derivative, the half
+    and the sum run over one common denominator. No Polynomial is built.
     """
     s = scenario
-    leading, subleading = hilbert_leading_poly(s), hilbert_subleading_poly(s)
-    atilde0 = [0] + [-c for c in leading._nums[1:]]
-    sub = subleading._nums
-    den = math.lcm(2 * leading._den, subleading._den)
-    half, whole = den // (2 * leading._den), den // subleading._den
-    integrand = [0] * max(len(sub), len(atilde0) - 1)
-    for i, c in enumerate(sub[1:], 1):
-        if c:
-            integrand[i] = -c * whole  # atilde1
-    for i, c in enumerate(atilde0[1:]):
-        if c:
-            integrand[i] += (i + 1) * c * half
-    return _antiderivative(integrand, den), _antiderivative(atilde0, leading._den)
+    (terms0, den0), (terms1, den1) = _hilbert_terms(s, 0), _hilbert_terms(s, 1)
+    den = math.lcm(2 * den0, den1)
+    half, whole = den // (2 * den0), den // den1
+    integrand = {k: -c * whole for k, c in terms1 if k}  # atilde1
+    for k, c in terms0[1:]:  # atilde0'/2; a0's first term is L**n > 0
+        integrand[k - 1] = integrand.get(k - 1, 0) - k * c * half
+    integrand = sorted([term for term in integrand.items() if term[1]])
+    atilde0 = [(k, -c) for k, c in terms0[1:]]
+    return _antiderivative(integrand, den), _antiderivative(atilde0, den0)
 
 
 # The last scenario's antiderivatives, with the scenario itself: a lambda
@@ -170,8 +164,8 @@ def quotient_slope_via_integrals(scenario, lam):
     """Quotient slope computed from the Hilbert-coefficient deficits.
 
     This is the defining ratio of integrals, kept as an independent oracle
-    for the closed form. The two antiderivatives are built from the Hilbert
-    polynomials as x**low times a short band and kept for the last scenario
+    for the closed form. The two antiderivatives are built from the terms of
+    a0 and a1 as x**low times a short band and kept for the last scenario
     object only; each call evaluates both bands at lam = a/b by integer
     Horner, cancels lam**(low_top - low_bottom) as powers of a and b, and
     builds one Fraction, their quotient.

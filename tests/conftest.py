@@ -1,4 +1,5 @@
-"""Shared pytest wiring: acceptance-criterion reporting.
+"""Shared pytest wiring: acceptance-criterion reporting, and a fixture that
+counts builds of the quotient slope's integral route.
 
 Tests decorated with ``@criterion(num, title)`` (see test_acceptance.py)
 carry a ``_criterion`` attribute; the hooks below collect their outcomes
@@ -9,7 +10,24 @@ capture is on.
 
 import pytest
 
+from fanoslope import slope
+
 _criterion_results = []
+
+
+@pytest.fixture
+def route_builds(monkeypatch):
+    """The scenarios the integral route is built for, one entry a build,
+    seen where slope reads a0's terms from blowup."""
+    builds, real_terms = [], slope._hilbert_terms
+
+    def counting_terms(scenario, index):
+        if not index:
+            builds.append(scenario)
+        return real_terms(scenario, index)
+
+    monkeypatch.setattr(slope, "_hilbert_terms", counting_terms)
+    return builds
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -8,7 +8,7 @@ compared against themselves.
 
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 import sympy
@@ -16,6 +16,7 @@ from hypothesis import example, given, strategies as st
 
 from fanoslope.blowup import (
     CurveScenario,
+    _hilbert_terms,
     check_epsilon_consistency,
     exceptional_restriction_poly,
     hilbert_leading_poly,
@@ -27,6 +28,7 @@ from fanoslope.errors import (
     ScenarioInconsistent,
 )
 from fanoslope.exactnum import Polynomial, Surd, compare
+from fanoslope.slope import quotient_slope_via_integrals
 
 from generators import make_rng, random_anticanonical_scenario, random_general_scenario
 from paper_formulas import anticanonical_square_exceptional, exceptional_power_table
@@ -215,8 +217,66 @@ def test_subleading_poly_isolated_example():
 
 def test_subleading_needs_dimension_three():
     s = CurveScenario(2, 0, 1, 0, Fraction(8), Fraction(-6))
-    with pytest.raises(DimensionTooSmall):
-        hilbert_subleading_poly(s)
+    subleading = "subleading Hilbert coefficient needs ambient dimension >= 3"
+    for build, words in (
+        (hilbert_subleading_poly, subleading),
+        (lambda s: _hilbert_terms(s, 1), subleading),
+        (
+            lambda s: quotient_slope_via_integrals(s, Fraction(1)),
+            "quotient slopes for curves need ambient dimension >= 3",
+        ),
+    ):
+        with pytest.raises(DimensionTooSmall) as raised:
+            build(s)
+        assert str(raised.value) == words
+    assert _hilbert_terms(s, 0) == ([(0, 8), (1, -2)], 2)  # a0 = (8 - 2x) / 2
+
+
+@st.composite
+def hilbert_scenario(draw):
+    """A scenario of dimension 3 to 40 with fractional L**n and K.L**(n-1)
+    and a normal degree p of either sign."""
+    def rational(low, high):
+        return Fraction(draw(st.integers(low, high)), draw(st.integers(1, 720)))
+
+    return CurveScenario(
+        draw(st.integers(3, 40)), draw(st.integers(0, 12)), draw(st.integers(1, 60)),
+        draw(st.integers(-60, 60)), rational(1, 10**6), rational(-10**6, 10**6),
+    )
+
+
+def _dense(terms, den):
+    """(power, numerator) terms over den, laid out densely and normalised:
+    the numerators and denominator a Polynomial keeps."""
+    nums = [0] * (terms[-1][0] + 1)
+    for k, c in terms:
+        nums[k] = c
+    divisor = gcd(den, *nums)
+    return tuple(c // divisor for c in nums), den // divisor
+
+
+@given(hilbert_scenario())
+@example(CurveScenario(3, 1, 2, 5, Fraction(7, 3), Fraction(-5, 2)))  # a1 has no x**2
+@example(CurveScenario(4, 0, 1, -3, Fraction(5, 2), Fraction(0)))  # K.L**3 = 0
+@example(CurveScenario(5, 2, 3, 0, Fraction(7, 6), Fraction(-1, 4)))  # p = 0
+@example(CurveScenario(40, 3, 7, -9, Fraction(11, 6), Fraction(-13, 4)))
+def test_hilbert_terms_are_the_polynomials_numerators(s):
+    # each index with its wrapper, the Fraction-based oracle and the denominator
+    cases = (
+        (hilbert_leading_poly, polynomial_oracle.hilbert_leading_poly,
+         factorial(s.n) * s.ln.denominator),
+        (hilbert_subleading_poly, polynomial_oracle.hilbert_subleading_poly,
+         2 * factorial(s.n - 1) * s.k_ln1.denominator),
+    )
+    for index, (build, oracle, scale) in enumerate(cases):
+        terms, den = _hilbert_terms(s, index)
+        assert den == scale
+        assert 1 <= len(terms) <= 3
+        assert [k for k, _ in terms] == sorted({k for k, _ in terms})
+        assert all(type(c) is int and c for _, c in terms)
+        poly = build(s)
+        assert _dense(terms, den) == (poly._nums, poly._den)
+        assert poly.coeffs == oracle(s).coeffs
 
 
 def test_leading_derivative_is_minus_restriction_poly():

@@ -308,19 +308,14 @@ def test_sweep_checks_every_row_against_the_integral_route(capsys, monkeypatch):
     )
 
 
-def test_sweep_builds_the_integral_route_once(capsys, monkeypatch):
+def test_sweep_builds_the_integral_route_once(capsys, route_builds):
     # every point of a grid reuses one scenario's antiderivatives
-    slope = fanoslope.slope
-    real_leading, builds = slope.hilbert_leading_poly, []
-    monkeypatch.setattr(
-        slope, "hilbert_leading_poly", lambda s: builds.append(s) or real_leading(s)
-    )
     code, out, _ = run_cli(
         capsys, "sweep", fixture("blp3_fiber.json"), "--scenario", "blp3_fiber",
         "--grid", "1/2,1,3/2,2,3",
     )
     assert code == 0 and len(out.splitlines()) == 6
-    assert len(builds) == 1
+    assert len(route_builds) == 1
 
 
 def test_sweep_is_byte_deterministic(capsys):

@@ -190,7 +190,7 @@ def _fresh_integral_route(scenario, lam):
     return integrand.integrate_from_zero()(lam) / atilde0.integrate_from_zero()(lam)
 
 
-def test_cached_integral_route_matches_a_fresh_build_interleaved(monkeypatch):
+def test_cached_integral_route_matches_a_fresh_build_interleaved(route_builds):
     base = CurveScenario(4, 1, 3, 3, Fraction(7), Fraction(-7))
     twins = [  # each differs from base in the one field named
         CurveScenario(4, 1, 3, 3, Fraction(9), Fraction(-7)),  # ln
@@ -207,20 +207,15 @@ def test_cached_integral_route_matches_a_fresh_build_interleaved(monkeypatch):
     expected = {
         (s, lam): _fresh_integral_route(s, lam) for s in [base, *twins] for lam in lams
     }
-    builds = []
-    real_leading = slope.hilbert_leading_poly
-    monkeypatch.setattr(
-        slope, "hilbert_leading_poly", lambda s: builds.append(s) or real_leading(s)
-    )
     for twin in twins:
-        builds.clear()
+        route_builds.clear()
         for lam in lams:
             for s in (base, twin):
                 value = expected[s, lam]
                 assert quotient_slope_via_integrals(s, lam) == value
                 assert quotient_slope(s, lam, cross_check=True).via_integral == value
         # only the last scenario is kept: each switch builds again
-        assert builds == [base, twin] * len(lams)
+        assert route_builds == [base, twin] * len(lams)
 
 
 def test_small_dimension_raises_on_every_call():
@@ -234,13 +229,15 @@ def test_small_dimension_raises_on_every_call():
             quotient_slope(flat, Fraction(1), cross_check=True)
 
 
-def test_the_integral_cache_keeps_the_last_scenario_only(monkeypatch):
+def test_the_integral_cache_keeps_the_last_scenario_only(route_builds):
     scenarios = [
         CurveScenario(3 + i % 7, i % 3, 1 + i, 2, Fraction(7 + i, 1 + i % 4), -5)
         for i in range(10)
     ]
     for s in scenarios:
         quotient_slope_via_integrals(s, Fraction(1, 3))
+    assert route_builds == scenarios  # the count sees each build
+    route_builds.clear()
     last = scenarios[-1]
     kept = slope._last_integrals
     assert kept[0] is last
@@ -248,14 +245,10 @@ def test_the_integral_cache_keeps_the_last_scenario_only(monkeypatch):
     with pytest.raises(DimensionTooSmall):
         slope._cached_deficit_integrals(flat)
     assert slope._last_integrals is kept  # a failed build is not stored
-    builds = []
-    real_leading = slope.hilbert_leading_poly
-    monkeypatch.setattr(
-        slope, "hilbert_leading_poly", lambda s: builds.append(s) or real_leading(s)
-    )
+    route_builds.clear()
     for lam in (Fraction(1, 3), Fraction(1), Fraction(5, 2)):
         quotient_slope_via_integrals(last, lam)
-    assert builds == []
+    assert route_builds == []
     # an equal scenario that is another object is built again, and then kept
     twin = CurveScenario(*last)
     assert twin == last and twin is not last
@@ -263,9 +256,9 @@ def test_the_integral_cache_keeps_the_last_scenario_only(monkeypatch):
         assert quotient_slope_via_integrals(twin, Fraction(1, 3)) == (
             _fresh_integral_route(last, Fraction(1, 3))
         )
-    assert builds == [twin]
+    assert route_builds == [twin]
     quotient_slope_via_integrals(scenarios[-2], Fraction(1, 3))
-    assert builds == [twin, scenarios[-2]]
+    assert route_builds == [twin, scenarios[-2]]
     assert slope._last_integrals[0] is scenarios[-2]
 
 
@@ -446,11 +439,11 @@ def test_route_polynomials_match_the_rational_coefficient_ones(case):
     assert all(type(c) is Fraction for p in built for c in p.coeffs)
 
 
-def test_one_scenario_builds_three_polynomials(monkeypatch):
-    # the benchmark counts Polynomial.__init__ calls: the two Hilbert
-    # polynomials and the quadratic are built through it, and the deficits
-    # and their antiderivatives are built from the Hilbert numerators, not
-    # as Polynomials
+def test_one_scenario_builds_one_polynomial(monkeypatch, route_builds):
+    # the benchmark counts Polynomial.__init__ calls: on the sweep path a
+    # scenario builds the quadratic through it, and the integral route reads
+    # blowup's terms of a0 and a1, so neither it nor its antiderivatives
+    # build one
     built = []
     real_init = Polynomial.__init__
 
@@ -465,6 +458,10 @@ def test_one_scenario_builds_three_polynomials(monkeypatch):
         CurveScenario(5, 2, 3, -4, Fraction(7, 3), Fraction(-5, 6)),
     ):
         built.clear()
-        slope._deficit_integrals(s)
-        destabilizing_quadratic(s)
-        assert len(built) == 3
+        route_builds.clear()
+        quadratic = destabilizing_quadratic(s)  # as perfbench's sweep runs it
+        for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            quotient_slope(s, lam, cross_check=True)
+            quadratic(lam)
+        assert route_builds == [s]  # the route was built, once
+        assert len(built) == 1 and built[0] is quadratic
