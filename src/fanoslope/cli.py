@@ -137,7 +137,7 @@ def _read_fields(raw, readers, context, what):
     get, append = raw.get, values.append
     for key, taken, reader, default in rows:
         value = get(key, _REQUIRED)
-        if type(value) not in taken:  # always for an absent key: no kind takes object
+        if type(value) is not taken:  # always for an absent key: no kind takes object
             if value is not _REQUIRED:
                 value = reader(value, f"{context}.{key}")
             elif default is _REQUIRED:
@@ -283,12 +283,21 @@ _READERS = {
 }
 
 
+def _read_value(raw, context):  # the value kind's row takes a Fraction, this a Surd
+    return raw if type(raw) is Surd else parse_value(raw, context)
+
+
 def _compile_fields(fields):
-    """A field table as _read_fields reads it: its key set, and a row
-    (key, types taken as they are, reader, default) per key in table order."""
-    return frozenset(fields), tuple(
-        (key, *_READERS[kind], default) for key, (kind, default) in fields.items()
-    )
+    """A field table as _read_fields reads it: its key set, and a row (key,
+    the one type taken as it is or None, reader, default) per key in table
+    order; no value's type is None, so a kind taking none reads every value."""
+    rows = []
+    for key, (kind, default) in fields.items():
+        taken, reader = _READERS[kind]
+        if kind == "value":  # the one kind taking two types
+            taken, reader = (Fraction,), _read_value
+        rows.append((key, taken[0] if taken else None, reader, default))
+    return frozenset(fields), tuple(rows)
 
 
 _ENTRY_READERS = _compile_fields(_ENTRY_FIELDS)

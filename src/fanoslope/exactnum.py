@@ -25,10 +25,11 @@ strings and Decimals included, raises TypeError rather than being converted.
 ``compare`` and Surd arithmetic and ordering read both operands as the
 integers ``(x, y, q, rad)``, without building a wrapper Surd or a Fraction,
 and each Surd result is reduced by one gcd. Two operands that are exactly
-an int or a Fraction, most calls of ``compare``, skip those tuples: their
-integers come from the Fraction's own slots and one cross-multiplication
-decides (0.15 us a call where the tuples took 0.64 us, by timeit on
-Python 3.11 and a 2-core Xeon).
+an int or a Fraction, most calls of ``compare``, skip those tuples: one
+cross-multiplication decides (0.15 us a call where the tuples took 0.64 us,
+by timeit on Python 3.11 and a 2-core Xeon). An exact Fraction's integers are
+read from its slots, a subclass's through its properties: so ``compare``,
+``_ints``, ``Polynomial.__call__`` and ``slope``'s two routes read them.
 """
 
 import math
@@ -450,21 +451,25 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __call__(self, point):
-        if type(point) is int or type(point) is Fraction:
-            value, scale = _value_at(self._nums, point.numerator, point.denominator)
-            return Fraction(value, self._den * scale)
-        if not isinstance(point, Surd):
+        kind = type(point)
+        if kind is Fraction:  # read from its slots, as compare reads it
+            a, b = point._numerator, point._denominator
+        elif kind is int or kind is not bool and isinstance(point, (int, Fraction)):
+            a, b = point.numerator, point.denominator  # a subclass: its properties
+        elif not isinstance(point, Surd):
             raise TypeError(
                 "a point must be a Surd, an int or a Fraction, "
                 f"got {type(point).__name__}"
             )
-        # Horner step by step, so a Surd point needs no Surd power.
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * point
-            if c:
-                acc = acc + c
-        return acc
+        else:  # Horner step by step, so a Surd point needs no Surd power
+            acc = _ZERO
+            for c in reversed(self.coeffs):
+                acc = acc * point
+                if c:
+                    acc = acc + c
+            return acc
+        value, scale = _value_at(self._nums, a, b)
+        return Fraction(value, self._den * scale)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"

@@ -71,9 +71,9 @@ def _require_dimension(scenario):
         )
 
 
-def _require_positive(lam):
+def _require_positive(lam):  # an exact Fraction: the routes read its slots
     lam = _require_rational(lam, "the twist lambda")
-    if lam.numerator <= 0:
+    if lam._numerator <= 0:
         raise ValueError("the twist lambda must be positive")
     return lam
 
@@ -90,7 +90,7 @@ def quotient_slope(scenario, lam, cross_check=False):
     _require_dimension(s)
     lam = _require_positive(lam)
     n, d, p, g = s.n, s.degree, s.normal_degree, s.genus
-    a, b = lam.numerator, lam.denominator  # lam = a/b; clear b in integers
+    a, b = lam._numerator, lam._denominator  # lam = a/b; clear b in integers
     top = n * n * (n * n - 1) * d * b - a * n * (n + 1) * ((n - 2) * p + 2 * (g - 1))
     bottom = 2 * n * a * ((n + 1) * d * b - a * p)
     if not bottom:
@@ -102,12 +102,16 @@ def quotient_slope(scenario, lam, cross_check=False):
     via_integral = None
     if cross_check:
         via_integral = quotient_slope_via_integrals(s, lam)
-        if via_integral != value:
+        if (  # two Fractions in lowest terms are equal exactly when their slots are
+            via_integral._numerator != value._numerator
+            or via_integral._denominator != value._denominator
+        ) if type(via_integral) is Fraction else via_integral != value:
             raise ArithmeticError(
                 f"quotient slope at lambda = {lam}: closed form {value} "
                 f"but integral route {via_integral}"
             )
-    return QuotientSlopeReport(lam, value, via_integral)
+    # tuple.__new__ skips QuotientSlopeReport's Python-level __new__
+    return tuple.__new__(QuotientSlopeReport, (lam, value, via_integral))
 
 
 def _antiderivative(terms, den):
@@ -176,7 +180,7 @@ def quotient_slope_via_integrals(scenario, lam):
     (top_low, top_band, top_den), (bottom_low, bottom_band, bottom_den) = (
         _cached_deficit_integrals(s)
     )
-    a, b = lam.numerator, lam.denominator
+    a, b = lam._numerator, lam._denominator
     top, top_scale = _value_at(top_band, a, b)
     bottom, bottom_scale = _value_at(bottom_band, a, b)
     if not bottom:  # lam > 0, so only the band can vanish

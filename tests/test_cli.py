@@ -1171,6 +1171,26 @@ def test_readme_field_table_matches_the_field_tables():
     ]
 
 
+def test_a_declared_seshadri_value_already_read_is_taken_as_it_is():
+    # a library caller's Fraction or Surd loads as its JSON spelling does
+    root2 = Surd(0, 1, 2)
+    for read, spelled in (
+        ({"exact": Fraction(3, 2)}, {"exact": "3/2"}),
+        ({"exact": root2}, {"exact": {"coef": "1", "rad": 2}}),
+        ({"lower": Fraction(1), "upper": root2},
+         {"lower": "1", "upper": {"coef": "1", "rad": 2}}),
+    ):
+        (entry,), (want,) = (
+            parse_scenario_file({"scenarios": [conic(seshadri=spec)]}).entries
+            for spec in (read, spelled)
+        )
+        assert entry.seshadri_spec == want.seshadri_spec
+    (entry,) = parse_scenario_file(
+        {"scenarios": [conic(seshadri={"exact": root2})]}
+    ).entries
+    assert entry.seshadri_spec.lower is root2 and entry.seshadri_spec.upper is root2
+
+
 def test_the_compiled_readers_follow_the_tables():
     # README's table tests read the tables; this ties what the loader runs to them
     kind_of = {reader: kind for kind, (_, reader) in cli._READERS.items()}
@@ -1181,9 +1201,22 @@ def test_the_compiled_readers_follow_the_tables():
         assert keys == frozenset(table)
         read = [(key, kind_of[reader], default) for key, _, reader, default in rows]
         assert read == [(key, kind, default) for key, (kind, default) in table.items()]
+        # each row takes one type as it is: its kind's one type, or none
         assert [taken for _, taken, _, _ in rows] == [
-            cli._READERS[kind][0] for kind, _ in table.values()
+            cli._READERS[kind][0][0] if cli._READERS[kind][0] else None
+            for kind, _ in table.values()
         ]
+    # the value kind takes two types: its row a Fraction, its reader a Surd
+    for keys, rows in (cli._EXACT_READERS, cli._INTERVAL_READERS):
+        assert keys == {key for key, _, _, _ in rows}
+        for _, taken, reader, _ in rows:
+            assert (taken, reader) == (Fraction, cli._read_value)
+    assert cli._READERS["value"][0] == (Fraction, Surd)
+    surd = Surd(1, 1, 2)
+    assert cli._read_value(surd, "x") is surd
+    assert cli._read_value("3/4", "x") == Fraction(3, 4)
+    with pytest.raises(InvalidScenario, match=r"^x: bad rational 'y'$"):
+        cli._read_value("y", "x")
     # the loader's table extends the pipeline's: one row per kind, stated once
     for kind, row in seshadri._SLOT_READERS.items():
         assert cli._READERS[kind] is row

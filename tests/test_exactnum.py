@@ -608,6 +608,18 @@ def test_evaluation_matches_plain_horner(poly, point):
     assert same_value(poly(point), oracle_horner(poly, point))
 
 
+@given(any_poly_st, rationals_st)
+def test_evaluation_at_a_subclassed_point_matches_its_exact_value(poly, point):
+    # compare and _ints take a subclass through its properties, and so does
+    # evaluation; a bool stays refused
+    assert same_value(poly(FractionSubclass(point)), poly(Fraction(point)))
+    whole = int(point)
+    assert same_value(poly(IntSubclass(whole)), poly(whole))
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="got bool$"):
+            poly(flag)
+
+
 wide_rationals_st = st.one_of(
     st.integers(-(10**20), 10**20),
     st.sampled_from([10**20, -(10**20), 10**20 - 1, -1]),

@@ -120,6 +120,71 @@ def test_cross_check_raises_when_the_routes_disagree(monkeypatch):
     assert not isinstance(raised.value, FanoslopeError)
 
 
+class FractionSubclass(Fraction):
+    """Not exactly a Fraction: the routes read it as the Fraction it equals."""
+
+
+class IntSubclass(int):
+    """Not exactly an int."""
+
+
+@pytest.mark.parametrize(
+    "n, genus, degree, ln, lam",
+    [(3, 0, 1, 22, Fraction(1)), (5, 1, 3, 3125, Fraction(3, 7)), (4, 0, 2, 100, 4)],
+)
+def test_every_exact_form_of_a_twist_gives_the_same_report(n, genus, degree, ln, lam):
+    s = CurveScenario.anticanonical_curve(n, genus, degree, ln)
+    quadratic = destabilizing_quadratic(s)
+    want = quotient_slope(s, Fraction(lam), cross_check=True)
+    forms = [FractionSubclass(lam)]
+    if Fraction(lam).denominator == 1:
+        forms += [int(lam), IntSubclass(lam)]
+    for form in forms:
+        report = quotient_slope(s, form, cross_check=True)
+        assert report == want and type(report.lam) is Fraction
+        assert [type(field) for field in report] == [Fraction] * 3
+        assert quotient_slope_via_integrals(s, form) == want.via_integral
+        assert quadratic(form) == quadratic(Fraction(lam))
+        assert type(quadratic(form)) is Fraction
+
+
+def test_an_equal_route_value_of_another_type_agrees(monkeypatch):
+    s = CurveScenario.anticanonical_curve(4, 0, 2, 100)
+    assert quotient_slope(s, Fraction(4)).value == 2  # an integer mu_lambda
+    monkeypatch.setattr(slope, "quotient_slope_via_integrals", lambda scenario, lam: 2)
+    report = quotient_slope(s, Fraction(4), cross_check=True)
+    assert report.via_integral == 2 and type(report.via_integral) is int
+
+
+@pytest.mark.parametrize("route", [3, Fraction(5, 2), Fraction(2, 3), Fraction(3, 1)])
+def test_any_unequal_route_value_raises_in_the_same_words(monkeypatch, route):
+    # Fraction(5, 2) differs from 2 in both integers, 2/3 and 3 in one each
+    s = CurveScenario.anticanonical_curve(4, 0, 2, 100)
+    monkeypatch.setattr(
+        slope, "quotient_slope_via_integrals", lambda scenario, lam: route
+    )
+    words = f"quotient slope at lambda = 4: closed form 2 but integral route {route}"
+    with pytest.raises(ArithmeticError) as raised:
+        quotient_slope(s, Fraction(4), cross_check=True)
+    assert str(raised.value) == words
+
+
+def test_a_report_is_the_record_its_constructor_builds():
+    s = CurveScenario.anticanonical_curve(3, 0, 1, 22)
+    for cross_check in (False, True):
+        report = quotient_slope(s, Fraction(1), cross_check=cross_check)
+        built = slope.QuotientSlopeReport(*report)
+        assert type(report) is slope.QuotientSlopeReport
+        assert report == built and hash(report) == hash(built)
+        assert repr(report) == repr(built)
+        assert report._replace(value=Fraction(2)) == built._replace(value=Fraction(2))
+        assert report._asdict() == built._asdict()
+    assert repr(report) == (
+        "QuotientSlopeReport(lam=Fraction(1, 1), value=Fraction(18, 5), "
+        "via_integral=Fraction(18, 5))"
+    )
+
+
 def test_quotient_slope_zero_denominator():
     s = CurveScenario(3, 0, 1, 4, Fraction(5), Fraction(-3))
     # (n+1)d - lambda*p = 4 - 4*lambda vanishes at lambda = 1
