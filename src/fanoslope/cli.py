@@ -269,35 +269,27 @@ def _read_seshadri_spec(spec, context):
     return _declared(context, statement, value, value)
 
 
-# The reader of each field kind, and the types a JSON value of that kind has
-# when it needs no reading: such a value is taken as it is, without a reader
-# call or a context string. A reader checks a raw JSON value and returns what
-# the scenario holds, or raises InvalidScenario naming ``context``. The int,
-# bool and rational kinds are read as a pipeline step's slots are.
+# Each field kind as (the one type a JSON value of that kind has when it
+# needs no reading, or None, reader): such a value is taken as it is, without
+# a reader call or a context string, and no value's type is None. A reader
+# checks a raw JSON value and returns what the scenario holds, or raises
+# InvalidScenario naming ``context``. The int, bool, rational and value kinds
+# are read as a pipeline step's slots are.
 _READERS = {
     **_SLOT_READERS,
-    "text": ((str,), _read_text),
-    "twists": ((), _read_twists),
-    "seshadri": ((), _read_seshadri_spec),
-    "flags": ((), _read_flags),
+    "text": (str, _read_text),
+    "twists": (None, _read_twists),
+    "seshadri": (None, _read_seshadri_spec),
+    "flags": (None, _read_flags),
 }
-
-
-def _read_value(raw, context):  # the value kind's row takes a Fraction, this a Surd
-    return raw if type(raw) is Surd else parse_value(raw, context)
 
 
 def _compile_fields(fields):
     """A field table as _read_fields reads it: its key set, and a row (key,
-    the one type taken as it is or None, reader, default) per key in table
-    order; no value's type is None, so a kind taking none reads every value."""
-    rows = []
-    for key, (kind, default) in fields.items():
-        taken, reader = _READERS[kind]
-        if kind == "value":  # the one kind taking two types
-            taken, reader = (Fraction,), _read_value
-        rows.append((key, taken[0] if taken else None, reader, default))
-    return frozenset(fields), tuple(rows)
+    taken, reader, default) per key in table order."""
+    return frozenset(fields), tuple(
+        (key, *_READERS[kind], default) for key, (kind, default) in fields.items()
+    )
 
 
 _ENTRY_READERS = _compile_fields(_ENTRY_FIELDS)

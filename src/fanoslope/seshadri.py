@@ -369,14 +369,20 @@ STEP_KEYS = {
 # An estimate slot holds a name (None: the previous step's), combine's a tuple.
 Step = namedtuple("Step", "rule args label")
 _new_step = tuple.__new__  # read_pipeline's Step(...), without the Python-level __new__
-# The reader of each kind of value slot, and the types it takes as they are
-# (a library caller's Fraction or Surd is already read); the file loader's
-# field readers extend this table.
+
+
+def _read_value(raw, context):  # a Surd is already read, as the row's Fraction is
+    return raw if type(raw) is Surd else parse_value(raw, context)
+
+
+# Each kind of value slot as (the one type taken as it is, reader): a value of
+# that type, a library caller's Fraction say, is already read; the file
+# loader's field readers extend this table.
 _SLOT_READERS = {
-    "int": ((int,), _read_int),
-    "bool": ((bool,), _read_bool),
-    "rational": ((Fraction,), parse_rational),
-    "value": ((Fraction, Surd), parse_value),
+    "int": (int, _read_int),
+    "bool": (bool, _read_bool),
+    "rational": (Fraction, parse_rational),
+    "value": (Fraction, _read_value),
 }
 # The rules with an estimate or scenario slot, which is bound as the step runs
 _INPUTS = {rule for rule, slots in RULES.items()
@@ -414,7 +420,7 @@ def read_pipeline(steps, context):
             read = _SLOT_READERS.get(kind)
             if read:  # a reader's words start with the key it is given
                 taken, reader = read
-                if type(arg) not in taken:
+                if type(arg) is not taken:
                     try:
                         arg = reader(arg, key)
                     except InvalidScenario as fault:

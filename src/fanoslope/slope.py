@@ -134,6 +134,9 @@ def _deficit_integrals(scenario):
     positive, so neither deficit is zero): a deficit a(0) - a(x) is the
     non-constant terms negated, and the negation, the derivative, the half
     and the sum run over one common denominator. No Polynomial is built.
+    The integrand's x**(n-2) coefficient is (n-1)**2*d/(2*(n-1)!), not 0,
+    and atilde0 starts at n*d*x**(n-1)/n!, so the top's low is n - 1 and
+    the bottom's n, for every scenario.
     """
     s = scenario
     (terms0, den0), (terms1, den1) = _hilbert_terms(s, 0), _hilbert_terms(s, 1)
@@ -171,7 +174,7 @@ def quotient_slope_via_integrals(scenario, lam):
     for the closed form. The two antiderivatives are built from the terms of
     a0 and a1 as x**low times a short band and kept for the last scenario
     object only; each call evaluates both bands at lam = a/b by integer
-    Horner, cancels lam**(low_top - low_bottom) as powers of a and b, and
+    Horner, cancels lam**(bottom_low - top_low) as powers of a and b, and
     builds one Fraction, their quotient.
     """
     s = scenario
@@ -188,11 +191,8 @@ def quotient_slope_via_integrals(scenario, lam):
             f"deficit integral vanishes at lambda = {lam}; "
             "the declared Seshadri range is inconsistent"
         )
-    shift = top_low - bottom_low
-    if shift >= 0:
-        top, bottom = top * a**shift, bottom * b**shift
-    else:
-        top, bottom = top * b**-shift, bottom * a**-shift
+    gap = bottom_low - top_low  # top / (bottom * lam**gap), lam = a/b
+    top, bottom = top * b**gap, bottom * a**gap
     return Fraction(top * bottom_den * bottom_scale, bottom * top_den * top_scale)
 
 

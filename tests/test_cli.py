@@ -1189,6 +1189,15 @@ def test_a_declared_seshadri_value_already_read_is_taken_as_it_is():
         {"scenarios": [conic(seshadri={"exact": root2})]}
     ).entries
     assert entry.seshadri_spec.lower is root2 and entry.seshadri_spec.upper is root2
+    (entry,) = parse_scenario_file(
+        {"scenarios": [conic(seshadri={"lower": Fraction(1), "upper": root2})]}
+    ).entries
+    assert entry.seshadri_spec.upper is root2
+    # a rational field takes no Surd: it is refused in parse_rational's words
+    (entry,) = parse_scenario_file({"scenarios": [conic(Ln=root2)]}).entries
+    assert str(entry.seshadri_spec) == (
+        "conic.Ln: cannot read a rational from Surd(Fraction(0, 1), Fraction(1, 1), 2)"
+    )
 
 
 def test_the_compiled_readers_follow_the_tables():
@@ -1197,26 +1206,30 @@ def test_the_compiled_readers_follow_the_tables():
     for table, (keys, rows) in (
         (cli._ENTRY_FIELDS, cli._ENTRY_READERS),
         (cli._FLAG_FIELDS, cli._FLAG_READERS),
+        ({"exact": ("value", cli._REQUIRED)}, cli._EXACT_READERS),
+        ({"lower": ("value", Fraction(0)), "upper": ("value", None)},
+         cli._INTERVAL_READERS),
     ):
         assert keys == frozenset(table)
+        # each row is its key, its kind's row as it stands, and its default
+        assert list(rows) == [
+            (key, *cli._READERS[kind], default) for key, (kind, default) in table.items()
+        ]
         read = [(key, kind_of[reader], default) for key, _, reader, default in rows]
         assert read == [(key, kind, default) for key, (kind, default) in table.items()]
-        # each row takes one type as it is: its kind's one type, or none
-        assert [taken for _, taken, _, _ in rows] == [
-            cli._READERS[kind][0][0] if cli._READERS[kind][0] else None
-            for kind, _ in table.values()
-        ]
-    # the value kind takes two types: its row a Fraction, its reader a Surd
-    for keys, rows in (cli._EXACT_READERS, cli._INTERVAL_READERS):
-        assert keys == {key for key, _, _, _ in rows}
-        for _, taken, reader, _ in rows:
-            assert (taken, reader) == (Fraction, cli._read_value)
-    assert cli._READERS["value"][0] == (Fraction, Surd)
+    # one row shape for every kind: the one type taken as it is, or None
+    # for a kind that takes none, and the reader
+    assert all(
+        (taken is None or isinstance(taken, type)) and callable(reader)
+        for taken, reader in cli._READERS.values()
+    )
+    assert seshadri._SLOT_READERS["value"] == (Fraction, seshadri._read_value)
+    assert not hasattr(cli, "_read_value")
     surd = Surd(1, 1, 2)
-    assert cli._read_value(surd, "x") is surd
-    assert cli._read_value("3/4", "x") == Fraction(3, 4)
+    assert seshadri._read_value(surd, "x") is surd
+    assert seshadri._read_value("3/4", "x") == Fraction(3, 4)
     with pytest.raises(InvalidScenario, match=r"^x: bad rational 'y'$"):
-        cli._read_value("y", "x")
+        seshadri._read_value("y", "x")
     # the loader's table extends the pipeline's: one row per kind, stated once
     for kind, row in seshadri._SLOT_READERS.items():
         assert cli._READERS[kind] is row
@@ -1224,9 +1237,9 @@ def test_the_compiled_readers_follow_the_tables():
     # other kinds are always read
     for kind, sample in (("int", 3), ("bool", True), ("text", "x")):
         taken, reader = cli._READERS[kind]
-        assert taken == (type(sample),) and reader(sample, "x") is sample
+        assert taken is type(sample) and reader(sample, "x") is sample
     for kind in ("twists", "seshadri", "flags"):
-        assert cli._READERS[kind][0] == ()
+        assert cli._READERS[kind][0] is None
     assert list(STEP_KEYS) == list(RULES)
     for rule, slots in RULES.items():
         # the scenario slot has no key
@@ -1235,10 +1248,14 @@ def test_the_compiled_readers_follow_the_tables():
     # it is only a value of a type that reader returns
     kinds = {kind for slots in RULES.values() for _, kind in slots}
     assert set(seshadri._SLOT_READERS) == kinds - {"ref", "refs", "scenario"}
-    for kind, sample in (("int", 3), ("bool", True), ("rational", "3/4"),
-                         ("value", "3/4"), ("value", {"coef": "1", "rad": 2})):
+    for kind, sample, returned in (
+        ("int", 3, int), ("bool", True, bool), ("rational", "3/4", Fraction),
+        ("value", "3/4", Fraction), ("value", {"coef": "1", "rad": 2}, Surd),
+    ):
         taken, reader = seshadri._SLOT_READERS[kind]
-        assert type(reader(sample, "x")) in taken
+        assert type(reader(sample, "x")) is returned
+        # the row's type, or a Surd, which the value kind's reader returns as it is
+        assert returned is taken or (kind, returned) == ("value", Surd)
 
 
 def test_readme_library_example_shows_what_it_computes():

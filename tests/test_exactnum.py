@@ -620,6 +620,22 @@ def test_evaluation_at_a_subclassed_point_matches_its_exact_value(poly, point):
             poly(flag)
 
 
+@pytest.mark.parametrize("point, name", [
+    (True, "bool"), (False, "bool"), (0.5, "float"), ("1/2", "str"),
+    (Decimal("0.5"), "Decimal"), (None, "NoneType"),
+])
+def test_a_point_that_is_no_operand_is_refused_in_the_operand_words(point, name):
+    # a point is read by _ints, so it is refused in the words an operand is
+    want = f"a point must be a Surd, an int or a Fraction, got {name}"
+    for poly in (Polynomial([]), Polynomial([1, 2, 3])):
+        with pytest.raises(TypeError) as raised:
+            poly(point)
+        assert str(raised.value) == want
+    with pytest.raises(TypeError) as raised:
+        _ints(point)
+    assert str(raised.value) == want.replace("a point", "an operand", 1)
+
+
 wide_rationals_st = st.one_of(
     st.integers(-(10**20), 10**20),
     st.sampled_from([10**20, -(10**20), 10**20 - 1, -1]),

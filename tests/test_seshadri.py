@@ -400,6 +400,30 @@ def test_a_library_step_is_read_as_a_file_step_is_and_records_run_as_they_are(
     assert estimate == want and estimate.describe() == "exact 4"
 
 
+def test_a_slot_value_already_read_is_taken_by_identity():
+    # a rational slot's Fraction and a value slot's Fraction or Surd are the
+    # objects the step holds, not values read again
+    half, root2 = Fraction(7, 2), Surd(0, 1, 2)
+    for restricted in (half, root2):
+        (_, witness, certify) = read_pipeline([
+            {"rule": "linear_subspace_exact", "n": 3, "as": "a"},
+            {"rule": "witness_curve_upper", "degree": half},
+            {"rule": "certify_exact_by_restriction", "upper": "a", "ambient": "a",
+             "restricted": restricted},
+        ], "x")
+        assert witness.args[0] is half and certify.args[2] is restricted
+
+
+def test_a_surd_in_a_rational_slot_is_refused_in_its_reader_words():
+    root2 = Surd(1, 1, 2)
+    with pytest.raises(InvalidScenario) as raised:
+        read_pipeline([{"rule": "witness_curve_upper", "degree": root2}], "x")
+    assert str(raised.value) == (
+        "seshadri rule witness_curve_upper.degree: cannot read a rational from "
+        "Surd(Fraction(1, 1), Fraction(1, 1), 2)"
+    )
+
+
 @pytest.mark.parametrize("record", [
     Step("combine", (("zz", "yy"),), None),  # names no step bound
     Step("linear_subspace_exact", ("3",), None),  # a slot never read

@@ -1,5 +1,6 @@
 """Slopes, quotient slopes, destabilizing quadratic, margin identity."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -502,6 +503,22 @@ def test_route_polynomials_match_the_rational_coefficient_ones(case):
     ]
     assert [p.coeffs for p in built] == [p.coeffs for p in expected]
     assert all(type(c) is Fraction for p in built for c in p.coeffs)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scenarios_and_twists(max_n=30))
+def test_the_antiderivatives_start_one_power_apart(case):
+    # the integral route divides the top band by lam**(bottom_low - top_low)
+    # alone: int (atilde1 + atilde0'/2) starts at d*x**(n-1)/(2*(n-2)!), and
+    # int atilde0 at d*x**n/n!, whatever the genus, normal degree and L
+    s, _ = case
+    n, d = s.n, s.degree
+    (top_low, top_band, top_den), (bottom_low, bottom_band, bottom_den) = (
+        slope._deficit_integrals(s)
+    )
+    assert (top_low, bottom_low) == (n - 1, n)
+    assert Fraction(top_band[0], top_den) == Fraction(d, 2 * math.factorial(n - 2))
+    assert Fraction(bottom_band[0], bottom_den) == Fraction(d, math.factorial(n))
 
 
 def test_one_scenario_builds_one_polynomial(monkeypatch, route_builds):
