@@ -26,7 +26,8 @@ from math import factorial
 
 from .errors import DimensionTooSmall, InvalidScenario, ScenarioInconsistent
 from .exactnum import (
-    _MAX_RADICAND, Polynomial, _ints, _require_rational, _sign, compare, render_value,
+    _MAX_RADICAND, Polynomial, _fraction, _ints, _require_rational, _sign, compare,
+    render_value,
 )
 
 __all__ = [
@@ -75,7 +76,7 @@ class CurveScenario(namedtuple(
         if type(ln) is not Fraction:
             ln = _require_rational(ln, "ln")
         if k_ln1 is None and anticanonical:
-            k_ln1 = -ln
+            k_ln1 = _fraction(-ln._numerator, ln._denominator)  # -ln
         else:
             if type(k_ln1) is not Fraction:
                 k_ln1 = _require_rational(k_ln1, "k_ln1")

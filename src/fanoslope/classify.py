@@ -14,13 +14,13 @@ include_endpoint=False for the open variant.
 
 import enum
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .blowup import check_epsilon_consistency
 from .errors import DimensionTooSmall, InvalidScenario, NotAnticanonical
 from .exactnum import (
-    _make, _require_bool, _require_int, _split_radicand, compare, render_value,
+    _fraction, _make, _require_bool, _require_int, _split_radicand, compare,
+    render_value,
 )
 
 __all__ = [
@@ -107,8 +107,8 @@ def _regime(n, p):
     if p == -1:
         return "degree-regime(d=1)", _make(*_split_radicand(0, 1, 1, n * n - 1))
     if p == 0:
-        return "degree-regime(d=2)", Fraction(n)
-    return f"degree-regime(d>=3, d={n + 1})", Fraction(n + 1)
+        return "degree-regime(d=2)", _fraction(n, 1)
+    return f"degree-regime(d>=3, d={n + 1})", _fraction(n + 1, 1)
 
 
 def _regime_verdict(s, estimate, include_endpoint):

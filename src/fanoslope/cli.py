@@ -35,7 +35,7 @@ from .blowup import CurveScenario, check_epsilon_consistency
 from .classify import BundleSplitting, ClassifyFlags, classify_curve
 from .errors import FanoslopeError, GridOutOfRange, InvalidScenario
 from .exactnum import (
-    Surd, _read_int, _require_rational, compare, parse_rational, parse_value,
+    Surd, _ZERO, _read_int, _require_rational, compare, parse_rational, parse_value,
     render_value,
 )
 from .seshadri import _SLOT_READERS, _declared, _run, read_pipeline
@@ -297,7 +297,7 @@ _FLAG_READERS = _compile_fields(_FLAG_FIELDS)
 # a declared seshadri value: exact, or an interval with no upper bound if absent
 _EXACT_READERS = _compile_fields({"exact": ("value", _REQUIRED)})
 _INTERVAL_READERS = _compile_fields(
-    {"lower": ("value", Fraction(0)), "upper": ("value", None)}
+    {"lower": ("value", _ZERO), "upper": ("value", None)}
 )
 _DECLARED_KEYS = _EXACT_READERS[0] | _INTERVAL_READERS[0]
 

@@ -24,7 +24,7 @@ from .errors import (
     ShiftBelowZero,
 )
 from .exactnum import (
-    Surd, _ints, _read_bool, _read_int, _require_bool, _require_int,
+    Surd, _ZERO, _fraction, _ints, _read_bool, _read_int, _require_bool, _require_int,
     _require_rational, _sign, compare, parse_rational, parse_value, render_value,
 )
 
@@ -61,7 +61,7 @@ class SeshadriEstimate(namedtuple("SeshadriEstimate", "lower upper provenance"))
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __new__(cls, lower=Fraction(0), upper=None, provenance=()):
+    def __new__(cls, lower=_ZERO, upper=None, provenance=()):
         if compare(lower, 0) < 0:
             raise ValueError("Seshadri lower bound cannot be negative")
         if upper is not None and compare(lower, upper) > 0:
@@ -109,7 +109,7 @@ class SeshadriEstimate(namedtuple("SeshadriEstimate", "lower upper provenance"))
         return f"[{render_value(self.lower)}, {hi}]"
 
 
-def _certificate(rule, statement, lower=Fraction(0), upper=None, sources=()):
+def _certificate(rule, statement, lower=_ZERO, upper=None, sources=()):
     """The interval [lower, upper] certified by one rule: its provenance is
     each source estimate's chain, in argument order, then the rule's entry."""
     provenance = ()
@@ -145,7 +145,7 @@ def linear_subspace_exact(n):
     """
     if _require_int(n, "n") < 1:
         raise DimensionTooSmall("projective space needs dimension >= 1")
-    value = Fraction(n + 1)
+    value = _fraction(n + 1, 1)
     return _certificate(
         "linear-subspace",
         f"a linear subspace of projective {n}-space has Seshadri "
@@ -220,7 +220,7 @@ def product_fiber_estimate(estimate):
 
 def blowup_exceptional_shift(estimate):
     """On the blowup along Z, polarized by sigma*L - E, E has epsilon(Z) - 1."""
-    one = Fraction(1)
+    one = _fraction(1, 1)
     if compare(estimate.lower, one) < 0:
         raise ShiftBelowZero(
             "cannot shift a lower bound below zero across the blowup"
@@ -271,7 +271,7 @@ def moving_curve_upper(scenario):
         f"a rational curve of anticanonical degree {s.degree} >= 3 "
         "deforms to a curve meeting itself, capping epsilon at its "
         "own degree",
-        upper=Fraction(s.degree),
+        upper=_fraction(s.degree, 1),
     )
 
 
@@ -280,7 +280,7 @@ def point_upper_bound(n, is_projective_space=False):
     if _require_int(n, "n") < 3:
         raise DimensionTooSmall("the point bound is stated for n >= 3")
     if _require_bool(is_projective_space, "is_projective_space"):
-        value = Fraction(n + 1)
+        value = _fraction(n + 1, 1)
         return _certificate(
             "point-cap",
             f"a point of projective {n}-space has Seshadri constant "
@@ -292,7 +292,7 @@ def point_upper_bound(n, is_projective_space=False):
         "point-cap",
         f"a point of a Fano {n}-fold other than projective space "
         f"has Seshadri constant at most {n}",
-        upper=Fraction(n),
+        upper=_fraction(n, 1),
     )
 
 

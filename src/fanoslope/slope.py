@@ -33,7 +33,7 @@ from .blowup import (  # not called here; perfbench's tracer patches them
     exceptional_restriction_poly, hilbert_leading_poly, hilbert_subleading_poly,
 )
 from .errors import DimensionTooSmall, ZeroDenominator
-from .exactnum import Polynomial, _require_rational, _value_at
+from .exactnum import Polynomial, _fraction, _require_rational, _value_at
 
 __all__ = [
     "manifold_slope",
@@ -47,7 +47,7 @@ __all__ = [
 def manifold_slope(scenario):
     """mu(X, L) = -n * K.L**(n-1) / (2 * L**n)."""
     s = scenario
-    return Fraction(-s.n) * s.k_ln1 / (2 * s.ln)
+    return -s.n * s.k_ln1 / (2 * s.ln)
 
 
 class QuotientSlopeReport(namedtuple(
@@ -98,7 +98,7 @@ def quotient_slope(scenario, lam, cross_check=False):
             f"quotient-slope denominator vanishes at lambda = {lam}; "
             "the declared Seshadri range is inconsistent"
         )
-    value = Fraction(top * b, bottom)
+    value = _fraction(top * b, bottom)
     via_integral = None
     if cross_check:
         via_integral = quotient_slope_via_integrals(s, lam)
@@ -193,7 +193,7 @@ def quotient_slope_via_integrals(scenario, lam):
         )
     gap = bottom_low - top_low  # top / (bottom * lam**gap), lam = a/b
     top, bottom = top * b**gap, bottom * a**gap
-    return Fraction(top * bottom_den * bottom_scale, bottom * top_den * top_scale)
+    return _fraction(top * bottom_den * bottom_scale, bottom * top_den * top_scale)
 
 
 def destabilizing_quadratic(scenario):

@@ -28,7 +28,9 @@ from fanoslope.errors import (
     ScenarioInconsistent,
 )
 from fanoslope.exactnum import Polynomial, Surd, compare
-from fanoslope.slope import quotient_slope_via_integrals
+from fanoslope.slope import (
+    destabilizing_quadratic, quotient_slope, quotient_slope_via_integrals,
+)
 
 from generators import make_rng, random_anticanonical_scenario, random_general_scenario
 from paper_formulas import anticanonical_square_exceptional, exceptional_power_table
@@ -97,6 +99,42 @@ def test_anticanonical_adjunction_holds_for_higher_genus():
     assert s.normal_degree == 3 - 2 + 4
     with pytest.raises(InvalidScenario):
         CurveScenario(4, 2, 3, 0, Fraction(10), Fraction(-10), anticanonical=True)
+
+
+class _SubFraction(Fraction):
+    """A Fraction subclass, as a library caller may pass for Ln or lambda."""
+
+
+@pytest.mark.parametrize(
+    "n, genus, degree, ln",
+    [(3, 0, 4, 64), (4, 1, 3, Fraction(27, 2)), (5, 0, 2, _SubFraction(7, 3))],
+)
+@pytest.mark.parametrize("lam", [1, Fraction(3, 2), _SubFraction(7, 3)])
+def test_the_filled_in_kln1_is_the_exact_negated_ln(n, genus, degree, ln, lam):
+    s = CurveScenario.anticanonical_curve(n, genus, degree, ln)
+    want = -Fraction(ln)
+    assert type(s.k_ln1) is Fraction and type(s.ln) is Fraction
+    assert s.k_ln1 == want and s.k_ln1 == -s.ln
+    assert (s.k_ln1._numerator, s.k_ln1._denominator) == (
+        want.numerator, want.denominator
+    )
+    # the closed forms in stdlib Fractions: mu = n/2 for -K = L, p by adjunction
+    p, mu, x = degree - 2 + 2 * genus, Fraction(n, 2), Fraction(lam)
+    slope = (
+        n * n * (n * n - 1) * degree - x * n * (n + 1) * ((n - 2) * p + 2 * (genus - 1))
+    ) / (2 * n * x * ((n + 1) * degree - x * p))
+    f_lam = (
+        2 * p * mu * x**2
+        - (n + 1) * ((n - 2) * p + 2 * (genus - 1) + 2 * degree * mu) * x
+        + n * (n * n - 1) * degree
+    )
+    report = quotient_slope(s, lam, cross_check=True)
+    assert tuple(map(type, report)) == (Fraction, Fraction, Fraction)
+    assert report == (x, slope, slope)
+    route = quotient_slope_via_integrals(s, lam)
+    assert type(route) is Fraction and route == slope
+    value = destabilizing_quadratic(s)(lam)
+    assert type(value) is Fraction and value == f_lam
 
 
 _KLN1 = "anticanonical scenarios have KLn1 = -Ln"

@@ -1,8 +1,10 @@
 """Arithmetic substrate: polynomials, surds, quadratic roots."""
 
+import copy
 import itertools
 import math
 import operator
+import pickle
 import sys
 import time
 from decimal import Decimal
@@ -17,7 +19,7 @@ from fanoslope.classify import _regime
 from fanoslope.cli import format_fixed
 from fanoslope.errors import IncomparableRadicands, InvalidScenario
 from fanoslope.exactnum import (
-    _MAX_RADICAND, Polynomial, Surd, _ints, _squarefree_decompose, compare,
+    _MAX_RADICAND, Polynomial, Surd, _fraction, _ints, _squarefree_decompose, compare,
     parse_rational, render_value,
 )
 from fanoslope.seshadri import (
@@ -1137,3 +1139,75 @@ def test_polynomial_operations_match_the_rational_coefficient_class(
     assert same_as_oracle(p, old_p) and same_as_oracle(q, old_q)
     assert (p == q) is (old_p == old_q)
     assert same_value(p(point), old_p(point))
+
+
+# -- _fraction: the one builder of a Fraction from two ints ------------------
+
+
+def _outcome(action, *args):
+    """What ``action(*args)`` gives: ("value", result), or the type and
+    words of the exception it raises."""
+    try:
+        return "value", action(*args)
+    except Exception as error:  # any exception: both sides are compared
+        return type(error), str(error)
+
+
+# more digits than Python prints by default, so str, repr, pickle and
+# render_value refuse the value unless the gcd makes it short
+_LONG = 10 ** sys.get_int_max_str_digits()
+builder_ints_st = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.builds(lambda k, sign: sign * (_LONG * (3 + k) + k), st.integers(0, 50),
+              st.sampled_from((1, -1))),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(builder_ints_st, builder_ints_st.filter(bool))
+@example(0, 7)
+@example(0, -7)
+@example(6, -4)
+@example(_LONG, _LONG)  # long integers, a short value
+@example(-_LONG * 3, 1)
+def test_the_fraction_builder_agrees_with_the_constructor(n, d):
+    built, want = _fraction(n, d), Fraction(n, d)
+    assert type(built) is Fraction
+    assert (built._numerator, built._denominator) == (want._numerator, want._denominator)
+    assert built == want and want == built
+    assert hash(built) == hash(want)
+    assert not hasattr(built, "__dict__")
+    for action in (str, repr, render_value):
+        assert _outcome(action, built) == _outcome(action, want)
+    blob = _outcome(pickle.dumps, built)
+    assert blob == _outcome(pickle.dumps, want)
+    if blob[0] == "value":
+        assert type(pickle.loads(blob[1])) is Fraction
+        assert pickle.loads(blob[1]) == want
+    for clone in (copy.copy, copy.deepcopy):
+        assert type(clone(built)) is Fraction and clone(built) == want
+    third, root = Fraction(1, 3), Surd(1, 1, 2)
+    assert built + third == want + third
+    assert built * root == want * root and root - built == root - want
+    assert compare(built, third) == compare(want, third)
+    assert compare(built, root) == compare(want, root)
+    assert compare(built, want) == 0
+
+
+@pytest.mark.parametrize("n", [0, 5, -5])
+def test_a_zero_denominator_is_refused_in_the_constructor_words(n):
+    with pytest.raises(ZeroDivisionError) as want:
+        Fraction(n, 0)
+    with pytest.raises(ZeroDivisionError) as built:
+        _fraction(n, 0)
+    assert str(built.value) == str(want.value) == f"Fraction({n}, 0)"
+
+
+def test_a_fraction_is_its_two_slots():
+    """_fraction fills the two slots of a bare instance: that is the whole
+    Fraction only while the class keeps no other state."""
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    assert not hasattr(Fraction(1, 2), "__dict__")
+    assert all(
+        vars(base).get("__slots__") == () for base in Fraction.__mro__[1:-1]
+    ), Fraction.__mro__
