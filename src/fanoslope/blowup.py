@@ -101,8 +101,8 @@ class CurveScenario(namedtuple(
                 "anticanonical adjunction forces normal bundle degree "
                 f"{render_value(adjunction)}, got {render_value(normal_degree)}"
             )
-        return super().__new__(
-            cls, n, genus, degree, normal_degree, ln, k_ln1, anticanonical
+        return tuple.__new__(
+            cls, (n, genus, degree, normal_degree, ln, k_ln1, anticanonical)
         )
 
     @classmethod

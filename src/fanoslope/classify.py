@@ -66,7 +66,7 @@ class ClassifyFlags(namedtuple("ClassifyFlags", "is_pn picard_rank_one fano_inde
             raise InvalidScenario("isPn and picardRankOne must be true or false")
         if fano_index is not None and type(fano_index) is not int:
             raise InvalidScenario("fanoIndex must be an integer or None")
-        return super().__new__(cls, is_pn, picard_rank_one, fano_index)
+        return tuple.__new__(cls, (is_pn, picard_rank_one, fano_index))
 
     def echo(self):
         return (
@@ -90,15 +90,17 @@ class BundleSplitting(namedtuple("BundleSplitting", "twists")):
         twists = tuple(sorted(_require_int(t, "a twist") for t in twists))
         if not twists:
             raise ValueError("a splitting needs at least one summand")
-        return super().__new__(cls, twists)
+        return tuple.__new__(cls, (twists,))
 
     @property
     def rank(self):
         return len(self.twists)
 
 
+# The engine fills each Verdict it returns with tuple.__new__, skipping the
+# namedtuple's Python-level __new__; its fields are already what they hold.
 def _stable(rule):
-    return Verdict(status=VerdictStatus.STABLE, rule=rule)
+    return tuple.__new__(Verdict, (VerdictStatus.STABLE, rule, None, None))
 
 
 @lru_cache(maxsize=192)
@@ -154,28 +156,26 @@ def _regime_verdict(s, estimate, include_endpoint):
     lo = estimate.lower
     bottom = compare(lo, t)
     if include_endpoint and bottom == 0 and top == 0:
-        return Verdict(
-            status=VerdictStatus.SEMISTABLE_NOT_STABLE,
-            rule=rule + ": " + tie,
-            witness_lambda=t,
-        )
+        return tuple.__new__(Verdict, (
+            VerdictStatus.SEMISTABLE_NOT_STABLE, rule + ": " + tie, t, None,
+        ))
     if bottom > 0:
-        return Verdict(
-            status=VerdictStatus.STRICTLY_DESTABILIZED,
-            rule=rule + ": epsilon exceeds the threshold",
-            witness_lambda=lo if include_endpoint else (t + lo) / 2,
-        )
+        return tuple.__new__(Verdict, (
+            VerdictStatus.STRICTLY_DESTABILIZED,
+            rule + ": epsilon exceeds the threshold",
+            lo if include_endpoint else (t + lo) / 2,
+            None,
+        ))
     shown = render_value(t)
     condition = f"stable iff epsilon {'<' if include_endpoint else '<='} {shown}"
     if include_endpoint:
         condition += f"; semistable but not stable iff epsilon = {shown}"
     if crossing:
         condition += f"; strictly destabilized iff epsilon > {shown}"
-    return Verdict(
-        status=VerdictStatus.CONDITIONAL,
-        rule=rule + f": the estimate straddles {name}",
-        condition=condition,
-    )
+    return tuple.__new__(Verdict, (
+        VerdictStatus.CONDITIONAL, rule + f": the estimate straddles {name}",
+        None, condition,
+    ))
 
 
 def classify_curve(scenario, estimate, flags=None, include_endpoint=True):

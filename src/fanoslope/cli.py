@@ -192,7 +192,9 @@ def _parse_entry(raw):
             f"{name}.fanoIndex: a Fano {n}-fold has index 1 to {n + 1}, "
             f"got {flags.fano_index}"
         )
-    return NamedScenario(name, scenario, spec, flags, splitting, description)
+    return tuple.__new__(  # every field is read: no NamedScenario.__new__
+        NamedScenario, (name, scenario, spec, flags, splitting, description)
+    )
 
 
 def parse_scenario_file(data):
@@ -204,18 +206,24 @@ def parse_scenario_file(data):
     entries = data["scenarios"]
     if not isinstance(entries, list):
         raise InvalidScenario("scenarios must be a list")
-    parsed = []
+    # names: each entry's declared name, or the position of one that declares
+    # none, so only two declared names can be the same
+    parsed, names = [], set()
     for position, raw in enumerate(entries, 1):
         try:
-            parsed.append(_parse_entry(raw))
+            entry = _parse_entry(raw)
+            names.add(entry.name)
         except FanoslopeError as fault:  # costs this scenario only
             name = raw.get("name") if isinstance(raw, dict) else None
-            label = name if isinstance(name, str) and name else f"#{position}"
+            declared = isinstance(name, str) and name
+            names.add(name if declared else position)
+            label = name if declared else f"#{position}"
             fault = type(fault)(*fault.args)  # no traceback holding the file
-            parsed.append(NamedScenario(label, None, fault, None))
-    if len({entry.name for entry in parsed}) != len(parsed):
+            entry = tuple.__new__(NamedScenario, (label, None, fault, None, None, None))
+        parsed.append(entry)
+    if len(names) != len(parsed):
         raise InvalidScenario("scenario names must be unique within a file")
-    return ScenarioFile(entries=tuple(parsed))
+    return tuple.__new__(ScenarioFile, (tuple(parsed),))
 
 
 def _object_without_repeats(pairs):
@@ -354,6 +362,8 @@ def _json_value(value, close):
     """An exact value or None as JSON: a rational as a string, an irrational
     Surd as an object of its parts closing after ``close``. Any other object
     raises TypeError."""
+    if type(value) is Fraction:  # the commonest value first
+        return _text(render_value(value))
     if value is None:
         return "null"
     if not isinstance(value, (Fraction, Surd)):

@@ -29,12 +29,12 @@ an int or a Fraction, most calls of ``compare``, skip those tuples: one
 cross-multiplication decides (0.15 us a call where the tuples took 0.64 us,
 by timeit on Python 3.11 and a 2-core Xeon). An exact Fraction's integers are
 read from its slots, a subclass's through its properties: ``compare``,
-``_ints``, ``Polynomial.__call__`` and ``slope``'s two routes read them.
-Only ``_fraction`` writes them: every Fraction built from integers comes
-from it, in under half the time ``Fraction(n, d)`` takes, and only
-``_require_rational`` converts a caller's value with ``Fraction(value)``.
-``_ints`` is the one reader of an exact operand, ``Polynomial.__call__``'s
-points included.
+``_ints``, ``render_value``, ``Polynomial.__call__`` and ``slope``'s two
+routes read them. Only ``_fraction`` writes them: every Fraction built from
+integers comes from it, in under half the time ``Fraction(n, d)`` takes, and
+only ``_require_rational`` converts a caller's value with ``Fraction(value)``.
+``compare`` reads an exact Surd's integers from its ``_v``; ``_ints`` is the
+one reader of every other operand, ``Polynomial.__call__``'s points included.
 """
 
 import math
@@ -366,7 +366,8 @@ def compare(left, right):
 
     Each side is read as integers ``(x + y*sqrt(m))/q``. Two exact ints or
     Fractions are read from the Fraction's slots and compared by
-    cross-multiplying; the rest take _ints, and the sign of the difference,
+    cross-multiplying; otherwise an exact Surd's integers are its ``_v`` and
+    any other side takes _ints, and the sign of the difference,
     ``x*r - u*q + (y*r - v*q)*sqrt(m)`` over ``q*r > 0``, is read from
     integer products. No Surd and no Fraction is built either way.
     """
@@ -382,8 +383,8 @@ def compare(left, right):
             u, r = right, 1
         a, b = x * r, u * q
         return (a > b) - (a < b)
-    x, y, q, m = _ints(left)
-    u, v, r, k = _ints(right)
+    x, y, q, m = left._v if kind is Surd else _ints(left)
+    u, v, r, k = right._v if other is Surd else _ints(right)
     return _sign(x * r - u * q, y * r - v * q, _radicand(y, m, v, k))
 
 
@@ -391,9 +392,13 @@ def render_value(value):
     """Human-readable exact rendering: '18/5', '3', '2*sqrt(2)', ...; every
     exact value printed goes through here. Exact arithmetic can outgrow
     Python's limit on printing an int, and such a value raises InvalidScenario."""
-    if not isinstance(value, (Surd, Fraction)):
+    exact = type(value) is Fraction
+    if not exact and not isinstance(value, (Surd, Fraction)):
         value = _require_rational(value, "a rendered value")
     try:
+        if exact:  # printed from its slots, as Fraction.__str__ prints it
+            numerator, denominator = value._numerator, value._denominator
+            return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
         return str(value)
     except ValueError:  # an int past sys.get_int_max_str_digits(), nothing else
         raise InvalidScenario(

@@ -69,7 +69,7 @@ class SeshadriEstimate(namedtuple("SeshadriEstimate", "lower upper provenance"))
                 f"lower bound {render_value(lower)} exceeds "
                 f"upper bound {render_value(upper)}"
             )
-        return super().__new__(cls, lower, upper, provenance)
+        return tuple.__new__(cls, (lower, upper, provenance))
 
     @property
     def exact(self):
@@ -115,9 +115,8 @@ def _certificate(rule, statement, lower=_ZERO, upper=None, sources=()):
     provenance = ()
     for source in sources:
         provenance += source.provenance
-    return SeshadriEstimate(
-        lower, upper, provenance + (ProvenanceEntry(rule, statement),)
-    )
+    entry = tuple.__new__(ProvenanceEntry, (rule, statement))  # nothing to check
+    return SeshadriEstimate(lower, upper, provenance + (entry,))
 
 
 def _declared(context, statement, lower, upper):

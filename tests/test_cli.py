@@ -989,15 +989,14 @@ def test_an_entry_without_a_readable_name_is_labelled_by_its_position(
     _costs_only_its_scenario(tmp_path, {}, faulty, message, label="#2")
 
 
-# Faults that still fail the whole file: two entries that share a name or a
-# label, whether or not either entry fails to read
+# Faults that still fail the whole file: two entries that declare the same
+# name, whether or not either entry fails to read
 @pytest.mark.parametrize("scenarios", [
     [conic(name="first"), conic(name="first", n="four"), conic(name="last")],
     [conic(name="first", n="four"), conic(name="first"), conic(name="last")],
-    [conic(name="#2"), conic(name=""), conic(name="last")],
-    [conic(name="#2", genus=-1), 3, conic(name="last")],
-], ids=["faulty-second", "faulty-first", "label-of-a-clean-entry",
-        "label-of-a-faulty-entry"])
+    [conic(name="first", n="four"), conic(name="first", genus=-1),
+     conic(name="last")],
+], ids=["faulty-second", "faulty-first", "both-faulty"])
 def test_a_name_shared_with_a_faulty_entry_fails_the_file(
     capsys, tmp_path, scenarios
 ):
@@ -1010,6 +1009,29 @@ def test_a_name_shared_with_a_faulty_entry_fails_the_file(
         assert run_cli(capsys, argv[0], str(path), *argv[1:]) == (
             1, "", f"error: {message}\n"
         )
+
+
+# A positional label is no declared name: an entry that declares "#2" and
+# the nameless second entry labelled "#2" both load, and each file's records
+# come out in file order, the nameless entry's as its fault
+@pytest.mark.parametrize("scenarios, statuses", [
+    ([conic(name="#2"), {k: v for k, v in conic().items() if k != "name"},
+      conic(name="last")], ["semistable-not-stable", "error"]),
+    ([conic(name="#2"), conic(name=""), conic(name="last")],
+     ["semistable-not-stable", "error"]),
+    ([conic(name="#2", genus=-1), 3, conic(name="last")], ["error", "error"]),
+], ids=["nameless", "label-of-a-clean-entry", "label-of-a-faulty-entry"])
+def test_a_positional_label_never_fails_the_file(capsys, tmp_path, scenarios, statuses):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"scenarios": scenarios}), encoding="utf-8")
+    entries = cli.load_scenario_file(str(path)).entries
+    assert [entry.name for entry in entries] == ["#2", "#2", "last"]
+    code, out, err = run_cli(capsys, "classify", str(path), "--format", "csv")
+    assert (code, err) == (1, "")
+    rows = [row.split(",")[:2] for row in out.splitlines()[1:]]
+    assert rows == [["#2", statuses[0]], ["#2", statuses[1]],
+                    ["last", "semistable-not-stable"]]
+    assert run_cli(capsys, "seshadri", str(path), "--scenario", "last")[0] == 0
 
 
 def test_a_program_fault_while_loading_fails_the_file(capsys, monkeypatch):

@@ -19,8 +19,8 @@ from fanoslope.classify import _regime
 from fanoslope.cli import format_fixed
 from fanoslope.errors import IncomparableRadicands, InvalidScenario
 from fanoslope.exactnum import (
-    _MAX_RADICAND, Polynomial, Surd, _fraction, _ints, _squarefree_decompose, compare,
-    parse_rational, render_value,
+    _MAX_RADICAND, Polynomial, Surd, _fraction, _ints, _radicand, _sign,
+    _squarefree_decompose, compare, parse_rational, render_value,
 )
 from fanoslope.seshadri import (
     linear_subspace_exact,
@@ -1211,3 +1211,114 @@ def test_a_fraction_is_its_two_slots():
     assert all(
         vars(base).get("__slots__") == () for base in Fraction.__mro__[1:-1]
     ), Fraction.__mro__
+
+
+# -- render_value and compare read exact values from their integers ---------
+#
+# render_value prints an exact Fraction from its slots and compare reads an
+# exact Surd's integers from its _v; each must agree with the route every
+# other operand takes (str and _ints), words included.
+
+
+class LoudFraction(Fraction):
+    """A subclass that prints itself: render_value must print it as str does."""
+
+    def __str__(self):
+        return "loud " + super().__str__()
+
+
+class SurdSubclass(Surd):
+    """Not exactly a Surd: compare reads it through _ints."""
+
+    __slots__ = ()
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+@example(0, 1)
+@example(0, 7)
+@example(5, 1)
+@example(-5, 1)
+@example(3, 4)
+@example(-3, 4)
+@example(6, -4)
+def test_render_value_prints_a_fraction_as_str_does(numerator, denominator):
+    value = Fraction(numerator, denominator)
+    assert render_value(value) == str(value) == surd_oracle.render_value(value)
+    for other in (FractionSubclass(value), LoudFraction(value)):
+        assert render_value(other) == str(other) == surd_oracle.render_value(other)
+    if value.denominator == 1:
+        for whole in (value.numerator, IntSubclass(value.numerator)):
+            assert render_value(whole) == str(value) == surd_oracle.render_value(whole)
+
+
+def test_render_value_refuses_values_past_the_printing_limit_in_the_old_words():
+    # not @given: hypothesis prints an explicit example, and such an int has
+    # no repr
+    big = 10 ** sys.get_int_max_str_digits() + 1
+    words = (
+        "cannot print an exact value with a numerator or denominator of "
+        f"more than {sys.get_int_max_str_digits()} digits"
+    )
+    rationals = [
+        Fraction(big), Fraction(-big, 3), Fraction(1, big), FractionSubclass(big, 7),
+        LoudFraction(big), big, IntSubclass(big),
+    ]
+    for value in [*rationals, Surd(Fraction(big, 3), 1, 2)]:
+        with pytest.raises(InvalidScenario) as got:
+            render_value(value)
+        assert str(got.value) == words
+    for value in rationals:
+        with pytest.raises(InvalidScenario) as want:
+            surd_oracle.render_value(value)
+        assert str(want.value) == words
+
+
+def compare_through_ints(left, right):
+    """compare as it read every operand that is not two exact rationals."""
+    x, y, q, m = _ints(left)
+    u, v, r, k = _ints(right)
+    return _sign(x * r - u * q, y * r - v * q, _radicand(y, m, v, k))
+
+
+exact_operands_st = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(IntSubclass),
+    small_fractions,
+    small_fractions.map(FractionSubclass),
+    any_surd_st,
+    any_surd_st.map(lambda value: SurdSubclass(value.rat, value.coef, value.rad)),
+)
+
+
+@given(exact_operands_st, exact_operands_st)
+@example(Surd(1, 1, 2), Surd(1, 1, 2))  # equal values
+@example(Surd(1, 1, 2), SurdSubclass(1, 1, 2))
+@example(Surd(Fraction(1, 2)), Fraction(1, 2))  # a rational Surd
+@example(Surd(0, 1, 2), Surd(0, 1, 3))  # two radicands
+@example(SurdSubclass(0, 1, 2), Surd(1, 1, 3))
+@example(Surd(3, -1, 2), 1)
+def test_compare_reads_a_surd_s_integers_as_ints_reads_them(left, right):
+    for x, y in ((left, right), (right, left)):
+        try:
+            want = compare_through_ints(x, y)
+        except IncomparableRadicands as error:
+            with pytest.raises(IncomparableRadicands) as raised:
+                compare(x, y)
+            assert str(raised.value) == str(error)
+            assert str(error).startswith("cannot combine sqrt(")
+            continue
+        assert compare(x, y) == want == sympy.sign(as_sympy(x) - as_sympy(y))
+        assert (want == 0) == (x == y)
+
+
+@pytest.mark.parametrize("other", [
+    Surd(0, 1, 2), SurdSubclass(0, 1, 2), Fraction(1, 2), FractionSubclass(1, 2),
+    3, IntSubclass(3),
+])
+def test_compare_refuses_a_bool_beside_any_operand_in_the_operand_words(other):
+    for left, right in ((True, other), (other, False)):
+        with pytest.raises(TypeError) as raised:
+            compare(left, right)
+        assert str(raised.value) == (
+            "an operand must be a Surd, an int or a Fraction, got bool"
+        )

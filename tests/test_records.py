@@ -9,6 +9,7 @@ imports no ``dataclasses``, ``typing`` or the introspection modules they
 pull in, which would be a large share of a one-file run's set-up.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -20,11 +21,16 @@ import pytest
 
 from fanoslope.blowup import CurveScenario
 from fanoslope.classify import (
-    BundleSplitting, ClassifyFlags, Verdict, VerdictStatus,
+    BundleSplitting, ClassifyFlags, Verdict, VerdictStatus, classify_curve,
 )
-from fanoslope.cli import load_scenario_file
-from fanoslope.errors import InvalidScenario, ScenarioInconsistent
-from fanoslope.seshadri import SeshadriEstimate, linear_subspace_exact
+from fanoslope.cli import (
+    NamedScenario, ScenarioFile, load_scenario_file, resolve_estimate,
+)
+from fanoslope.errors import FanoslopeError, InvalidScenario, ScenarioInconsistent
+from fanoslope.exactnum import parse_rational
+from fanoslope.seshadri import (
+    ProvenanceEntry, SeshadriEstimate, linear_subspace_exact,
+)
 from fanoslope.slope import quotient_slope
 
 from paper_formulas import fano_bundle_check, non_stable_shape_filter
@@ -165,3 +171,159 @@ def test_a_library_caller_runs_a_pipeline_without_the_command_line():
         "Seshadri constant 4 in the anticanonical polarization\n"
     )
     assert result.stderr == "\n"
+
+
+# -- records the engine fills directly equal the checked constructor's -------
+
+# Every bundled fixture, then the golden inputs, which reach the verdicts the
+# fixtures do not (a conditional one among them)
+SCENARIO_FILES = [
+    *sorted(Path(str(files("fanoslope") / "fixtures")).glob("*.json")),
+    *sorted((Path(__file__).parent / "golden" / "inputs").glob("*.json")),
+]
+
+
+def _assert_twins(record, twin):
+    """``record`` is exactly of ``twin``'s class and equals it field by
+    field, each field of the same type, a record field compared so too."""
+    assert type(record) is type(twin)
+    assert record._fields == twin._fields
+    for field, mine, theirs in zip(record._fields, record, twin):
+        assert type(mine) is type(theirs), field
+        assert mine == theirs, field
+        if isinstance(theirs, tuple) and hasattr(theirs, "_fields"):
+            _assert_twins(mine, theirs)
+    assert record == twin
+
+
+def _estimate_twin(estimate):
+    return SeshadriEstimate(
+        lower=estimate.lower,
+        upper=estimate.upper,
+        provenance=tuple(
+            ProvenanceEntry(rule=rule, statement=statement)
+            for rule, statement in estimate.provenance
+        ),
+    )
+
+
+def _entry_twin(raw, entry):
+    """The NamedScenario of the JSON entry ``raw``, every record in it built
+    by keyword through its public constructor from the raw fields; the
+    seshadri entry is the loaded one, a declared certificate rebuilt so."""
+    spec = entry.seshadri_spec
+    if isinstance(spec, SeshadriEstimate):
+        spec = _estimate_twin(spec)
+    if entry.scenario is None:  # an entry that failed to read keeps its fault
+        return NamedScenario(name=entry.name, scenario=None, seshadri_spec=spec, flags=None)
+    twists = raw.get("splitting")
+    flags = raw.get("flags", {})
+    return NamedScenario(
+        name=raw["name"],
+        scenario=CurveScenario(
+            n=raw["n"],
+            genus=raw["genus"],
+            degree=raw["degree"],
+            normal_degree=raw.get(
+                "normalBundleDegree", None if twists is None else sum(twists)
+            ),
+            ln=parse_rational(raw["Ln"]),
+            k_ln1=None if "KLn1" not in raw else parse_rational(raw["KLn1"]),
+            anticanonical=raw.get("anticanonical", False),
+        ),
+        seshadri_spec=spec,
+        flags=ClassifyFlags(
+            is_pn=flags.get("isPn", False),
+            picard_rank_one=flags.get("picardRankOne", False),
+            fano_index=flags.get("fanoIndex"),
+        ),
+        splitting=None if twists is None else BundleSplitting(twists=twists),
+        description=raw.get("description"),
+    )
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda path: path.stem)
+def test_each_loaded_record_equals_its_checked_twin(path):
+    raws = json.loads(path.read_text(encoding="utf-8"))["scenarios"]
+    loaded = load_scenario_file(str(path))
+    assert type(loaded) is ScenarioFile and type(loaded.entries) is tuple
+    assert len(loaded.entries) == len(raws) > 0
+    for raw, entry in zip(raws, loaded.entries):
+        _assert_twins(entry, _entry_twin(raw, entry))
+
+
+def _estimate_and_verdicts(entry):
+    """An entry's estimate and its verdict under each convention, a fault
+    in place of what raised it."""
+    try:
+        estimate = resolve_estimate(entry)
+    except FanoslopeError as fault:
+        return fault, []
+    verdicts = []
+    for include_endpoint in (True, False):
+        try:
+            verdicts.append(classify_curve(
+                entry.scenario, estimate, entry.flags,
+                include_endpoint=include_endpoint,
+            ))
+        except FanoslopeError as fault:
+            verdicts.append(fault)
+    return estimate, verdicts
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda path: path.stem)
+def test_each_estimate_and_verdict_equals_its_checked_twin(path):
+    for entry in load_scenario_file(str(path)).entries:
+        estimate, verdicts = _estimate_and_verdicts(entry)
+        if isinstance(estimate, SeshadriEstimate):
+            assert all(type(item) is ProvenanceEntry for item in estimate.provenance)
+            assert all(type(text) is str for item in estimate.provenance for text in item)
+            _assert_twins(estimate, _estimate_twin(estimate))
+        for verdict in verdicts:
+            if isinstance(verdict, Verdict):
+                _assert_twins(verdict, Verdict(
+                    status=verdict.status, rule=verdict.rule,
+                    witness_lambda=verdict.witness_lambda,
+                    condition=verdict.condition,
+                ))
+                # each field where the status puts it
+                status = verdict.status
+                assert type(status) is VerdictStatus and type(verdict.rule) is str
+                assert (verdict.witness_lambda is not None) == (status in (
+                    VerdictStatus.SEMISTABLE_NOT_STABLE,
+                    VerdictStatus.STRICTLY_DESTABILIZED,
+                ))
+                assert (type(verdict.condition) is str) == (
+                    status is VerdictStatus.CONDITIONAL
+                )
+
+
+def test_the_scenario_files_reach_every_verdict_status():
+    statuses = {
+        verdict.status
+        for path in SCENARIO_FILES
+        for entry in load_scenario_file(str(path)).entries
+        for verdict in _estimate_and_verdicts(entry)[1]
+        if isinstance(verdict, Verdict)
+    }
+    assert statuses == set(VerdictStatus)
+
+
+@pytest.mark.parametrize(
+    "cls, values, error, message",
+    [
+        (CurveScenario, (True, 0, 4, 2, Fraction(64), Fraction(-64), True),
+         InvalidScenario, "n must be an integer"),
+        (CurveScenario, (3, 0, 4, 2, Fraction(64), Fraction(-64), "yes"),
+         InvalidScenario, "anticanonical must be true or false"),
+        (ClassifyFlags, (1, False, None), InvalidScenario,
+         "isPn and picardRankOne must be true or false"),
+        (BundleSplitting, ((0, True),), TypeError, "a twist must be an int, got bool"),
+        (SeshadriEstimate, (Fraction(5), Fraction(4), ()), ScenarioInconsistent,
+         "lower bound 5 exceeds upper bound 4"),
+    ],
+)
+def test_make_raises_each_check_s_words(cls, values, error, message):
+    with pytest.raises(error) as raised:
+        cls._make(values)
+    assert str(raised.value) == message
